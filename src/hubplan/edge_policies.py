@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,11 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
 
 
 class EdgePolicy:
-    """Observation encoder -> GRU -> action head, conditioned on a target embedding."""
+    """Observation encoder -> GRU -> action head, conditioned on a target embedding.
+
+    Training and inference run in plain numpy: `forward_step` is one step and
+    `sequence_loss_and_grads` backpropagates through a whole batch by hand.
+    """
 
     def __init__(self, rng: np.random.Generator, emb_dim: int,
                  enc_hidden: int = 128, gru_hidden: int = 64):
@@ -116,22 +121,34 @@ class EdgePolicy:
         self.head_w = nn.init_weight(rng, gru_hidden, N_ACTIONS, "pol.head_w")
         self.head_b = nn.init_bias(N_ACTIONS, "pol.head_b")
 
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "EdgePolicy":
+        """Policy whose parameters are the given arrays (not copies), with no
+        random initialisation; the embedding, encoder and recurrent widths
+        come from their shapes."""
+        policy = cls.__new__(cls)
+        for attr in ("enc_w", "enc_b", "head_w", "head_b"):
+            setattr(policy, attr, nn.parameter(tensors[f"pol.{attr}"], f"pol.{attr}"))
+        policy.gru = nn.GruCellParams.from_tensors(tensors, "pol.gru")
+        policy.emb_dim = policy.enc_w.data.shape[0] - OBS_DIM
+        policy.enc_hidden = policy.gru.input_size
+        policy.gru_hidden = policy.gru.hidden_size
+        return policy
+
     def parameters(self) -> list[nn.Tensor]:
         return [self.enc_w, self.enc_b, *self.gru.tensors().values(), self.head_w, self.head_b]
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
 
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            p.data = np.array(tensors[p.name], dtype=np.float64)
+    def forward_step(self, x: np.ndarray, h: np.ndarray):
+        """One step on (batch, OBS_DIM + emb_dim) inputs and (batch, gru_hidden) memory.
 
-    def step(self, x, h):
-        """One policy step on (batch, OBS_DIM + emb_dim) inputs; returns (logits, h)."""
-        enc = nn.relu(nn.matmul(x, self.enc_w) + self.enc_b)
-        h = nn.gru_step(self.gru, enc, h)
-        logits = nn.matmul(h, self.head_w) + self.head_b
-        return logits, h
+        Returns (encoder pre-activation, GRU cache, new memory, logits).
+        """
+        pre = x @ self.enc_w.data + self.enc_b.data
+        h, cache = nn.gru_forward(self.gru, np.maximum(pre, 0.0), h)
+        return pre, cache, h, h @ self.head_w.data + self.head_b.data
 
     def initial_memory(self) -> np.ndarray:
         return np.zeros((1, self.gru_hidden))
@@ -139,8 +156,60 @@ class EdgePolicy:
     def act(self, obs_vec: np.ndarray, target_emb: np.ndarray, memory: np.ndarray):
         """Action distribution for one observation; returns (probs, new memory)."""
         x = np.concatenate([obs_vec, target_emb])[None, :]
-        logits, h = self.step(nn.Tensor(x), nn.Tensor(memory))
-        return nn.softmax_np(logits.data)[0], h.data
+        _pre, _cache, h, logits = self.forward_step(x, memory)
+        return nn.softmax_np(logits)[0], h
+
+
+def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray,
+                            mask: np.ndarray, label_smoothing: float = 0.0):
+    """Loss of a padded batch of sequences and its gradients, by backpropagation
+    through time.
+
+    `xs` is (n, T, OBS_DIM + emb_dim), `acts` and `mask` are (n, T); `mask`
+    is 1 on real steps. Each step's weighted-mean cross-entropy counts with
+    its share of the real steps. Returns (loss, {parameter: gradient}).
+    Values and gradients are bit-identical to recording the same steps op by
+    op on a tape: every sum is taken in the order the tape would take it.
+    """
+    total = mask.sum()
+    h = np.zeros((xs.shape[0], policy.gru_hidden))
+    steps = []
+    loss = None
+    for t in range(xs.shape[1]):
+        w = mask[:, t]
+        if w.sum() == 0:
+            break
+        x = xs[:, t]
+        pre, cache, h, logits = policy.forward_step(x, h)
+        ce, dce = nn.softmax_cross_entropy_np(logits, acts[:, t], sample_weight=w,
+                                              label_smoothing=label_smoothing)
+        share = float(w.sum() / total)
+        loss = ce * share if loss is None else loss + ce * share
+        steps.append((x, pre, cache, h, dce * share))
+
+    grads: dict[nn.Tensor, np.ndarray] = {}
+
+    def acc(param, g):  # every g is a fresh array, so the sum can go in place
+        if param in grads:
+            grads[param] += g
+        else:
+            grads[param] = g
+
+    gru_params = list(policy.gru.tensors().values())
+    dh_next: list[np.ndarray] = []
+    for t in reversed(range(len(steps))):
+        x, pre, cache, h, dlogits = steps[t]
+        acc(policy.head_b, dlogits.sum(axis=0))
+        acc(policy.head_w, h.T @ dlogits)
+        # the next step's contributions to dh come first, the head's last
+        dh = reduce(np.add, [*dh_next, dlogits @ policy.head_w.data.T])
+        dx, dh_next, dparams = nn.gru_backward(policy.gru, cache, dh, need_h=t > 0)
+        for param, d in zip(gru_params, dparams):
+            acc(param, d)
+        dpre = reduce(np.add, dx) * (pre > 0.0)
+        acc(policy.enc_b, dpre.sum(axis=0))
+        acc(policy.enc_w, x.T @ dpre)
+    return float(loss), grads
 
 
 @dataclass
@@ -164,12 +233,14 @@ def _segments_for_hub(topology: BehaviorTopology, hub_id: int, cap: int) -> list
     return segs
 
 
-def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarray) -> bool:
+def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarray,
+                  obs_rows: dict[int, np.ndarray]) -> bool:
     for seg in segs:
         memory = policy.initial_memory()
         emb = embeddings[seg.target]
-        for obs, action in zip(seg.observations[:-1], seg.actions):
-            probs, memory = policy.act(obs.as_vector(), emb, memory)
+        rows = obs_rows[seg.traj_id]
+        for t, action in zip(range(seg.begin, seg.end), seg.actions):
+            probs, memory = policy.act(rows[t], emb, memory)
             if int(np.argmax(probs)) != action:
                 return False
     return True
@@ -185,6 +256,12 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     best = np.inf
     stale = 0
 
+    # observation vectors of every trajectory the hub's segments come from,
+    # one row per step; a variant is a run of rows ending where its segment does
+    obs_rows = {tid: np.stack([o.as_vector() for o in trajectories[tid].observations])
+                for tid in sorted({s.traj_id for s in segs})}
+    in_dim = OBS_DIM + embeddings.shape[1]
+
     for epoch in range(config.epochs):
         variants = [perturb_segment(s, rng, trajectories[s.traj_id],
                                     config.p_canonical, config.p_truncated,
@@ -192,39 +269,24 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
                     for s in segs]
         n = len(variants)
         t_max = max(len(v.actions) for v in variants)
-        xs = np.zeros((n, t_max, OBS_DIM + embeddings.shape[1]))
+        xs = np.zeros((n, t_max, in_dim))
         acts = np.zeros((n, t_max), dtype=np.intp)
         mask = np.zeros((n, t_max))
         for i, v in enumerate(variants):
-            emb = embeddings[v.base.target]
-            for t in range(len(v.actions)):
-                vec = v.observations[t].as_vector()
-                if config.obs_noise > 0:
-                    noisy = vec.copy()
-                    noisy[:VIEW_SIZE] += rng.normal(0.0, config.obs_noise, size=VIEW_SIZE)
-                    vec = noisy
-                xs[i, t] = np.concatenate([vec, emb])
-            acts[i, :len(v.actions)] = v.actions
-            mask[i, :len(v.actions)] = 1.0
-        total = mask.sum()
+            length = len(v.actions)
+            xs[i, :length, :OBS_DIM] = obs_rows[v.base.traj_id][v.base.end - length:v.base.end]
+            if config.obs_noise > 0:
+                xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, config.obs_noise,
+                                                         size=(length, VIEW_SIZE))
+            xs[i, :length, OBS_DIM:] = embeddings[v.base.target]
+            acts[i, :length] = v.actions
+            mask[i, :length] = 1.0
 
-        with nn.Tape() as tape:
-            h = nn.Tensor(np.zeros((n, config.gru_hidden)))
-            loss = None
-            for t in range(t_max):
-                w = mask[:, t]
-                if w.sum() == 0:
-                    break
-                logits, h = policy.step(nn.Tensor(xs[:, t]), h)
-                ce = nn.softmax_cross_entropy(logits, acts[:, t], sample_weight=w,
-                                              label_smoothing=config.label_smoothing)
-                term = nn.tensor.scale(ce, w.sum() / total)
-                loss = term if loss is None else nn.tensor.add(loss, term)
-            if not np.isfinite(loss.data):
-                raise nn.NonFiniteError(f"non-finite policy loss for hub {hub_id}")
-            grads = nn.backprop(tape, loss)
+        loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, config.label_smoothing)
+        if not np.isfinite(loss):
+            raise nn.NonFiniteError(f"non-finite policy loss for hub {hub_id}")
         opt.step(grads)
-        losses.append(float(loss.data))
+        losses.append(loss)
 
         if losses[-1] < best * (1.0 - config.plateau_rel):
             best = losses[-1]
@@ -232,7 +294,8 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
         else:
             stale += 1
         if epoch + 1 >= config.min_epochs:
-            if (epoch + 1) % config.check_every == 0 and _greedy_exact(policy, segs, embeddings):
+            if ((epoch + 1) % config.check_every == 0
+                    and _greedy_exact(policy, segs, embeddings, obs_rows)):
                 break
             if stale >= config.plateau_patience:
                 break
@@ -269,16 +332,13 @@ def save_bank(bank: PolicyBank, out_dir: Path) -> None:
     (out_dir / "index.json").write_text(json.dumps(index))
 
 
-def load_bank(out_dir: Path, enc_hidden: int = 128, gru_hidden: int = 64) -> PolicyBank:
+def load_bank(out_dir: Path) -> PolicyBank:
     from .nn.io import load_params
 
     out_dir = Path(out_dir)
     index = json.loads((out_dir / "index.json").read_text())
     bank = PolicyBank(emb_dim=index["emb_dim"])
-    rng = np.random.default_rng(0)
     for hub_id in index["hubs"]:
         _kind, tensors = load_params(out_dir / f"policy_{hub_id:04d}.bin", expect_kind=MODEL_KIND)
-        policy = EdgePolicy(rng, index["emb_dim"], enc_hidden, gru_hidden)
-        policy.load_tensors(tensors)
-        bank.policies[hub_id] = policy
+        bank.policies[hub_id] = EdgePolicy.from_tensors(tensors)
     return bank

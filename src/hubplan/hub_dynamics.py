@@ -24,10 +24,6 @@ MODEL_KIND = "highlevel"
 class HighTrainConfig:
     lr: float = 2e-4
     epochs: int = 150
-    pretrain_traversals: int = 2000
-    pretrain_max_len: int = 64
-    pretrain_epochs: int = 3
-    seed: int = 0
 
 
 class HubDynamicsModel:

@@ -40,8 +40,9 @@ class Adam:
                 raise ShapeError(f"gradient shape {g.shape} != {p.data.shape} for {p.name!r}")
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for parameter {p.name!r}")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[i] / b1t
-            v_hat = self.v[i] / b2t
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[i], self.v[i]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

@@ -5,6 +5,12 @@ its output node; backprop walks the tape once in reverse creation order
 (creation order is already topological). With no active tape, operations
 just compute values, which is what inference paths use.
 
+A node's backward is any closure that hands gradients to its parents with
+`_accum`. Most ops here are one primitive each; a fused node (the gated
+recurrent step in `layers.py`) runs a whole hand-written backward in one
+call and passes each contribution to a parent separately, in the order the
+unfused composition would, so its gradients are bit-identical to it.
+
 Everything is float64. Shapes are at most rank 2; broadcasting is limited
 to the usual (B, n) + (n,) bias pattern.
 """
@@ -28,6 +34,7 @@ __all__ = [
     "sum_all",
     "gather_rows",
     "softmax_cross_entropy",
+    "softmax_cross_entropy_np",
     "bce_with_logits",
     "softmax_np",
 ]
@@ -64,29 +71,13 @@ class Tape:
         _ACTIVE.pop()
         return False
 
-    def replay(self) -> bool:
-        """Recompute every recorded node from its parents.
-
-        Returns True when every recomputed value is bit-identical to the
-        stored one. Used to validate determinism of a forward pass.
-        """
-        for node in self.nodes:
-            if node._recompute is None:
-                continue
-            fresh = node._recompute()
-            if fresh.shape != node.data.shape or not np.array_equal(
-                fresh, node.data, equal_nan=True
-            ):
-                return False
-        return True
-
 
 def _tape() -> Tape | None:
     return _ACTIVE[-1] if _ACTIVE else None
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "parents", "requires_grad", "name", "_backward", "_recompute")
+    __slots__ = ("data", "grad", "parents", "requires_grad", "name", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         arr = np.asarray(data, dtype=np.float64)
@@ -98,7 +89,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.name = name
         self._backward = None
-        self._recompute = None
 
     @property
     def shape(self):
@@ -145,11 +135,10 @@ def _wrap(x) -> Tensor:
     t.requires_grad = False
     t.name = None
     t._backward = None
-    t._recompute = None
     return t
 
 
-def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward, recompute) -> Tensor:
+def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
@@ -157,7 +146,6 @@ def _node(data: np.ndarray, parents: tuple[Tensor, ...], backward, recompute) ->
     out.requires_grad = any(p.requires_grad for p in parents)
     out.name = None
     out._backward = backward
-    out._recompute = recompute
     tape = _tape()
     if tape is not None:
         tape.nodes.append(out)
@@ -193,7 +181,7 @@ def add(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g, b.data.shape))
 
-    return _node(data, (a, b), backward, lambda: a.data + b.data)
+    return _node(data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -206,7 +194,7 @@ def sub(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(-g, b.data.shape))
 
-    return _node(data, (a, b), backward, lambda: a.data - b.data)
+    return _node(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -219,7 +207,7 @@ def mul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, _unbroadcast(g * a.data, b.data.shape))
 
-    return _node(data, (a, b), backward, lambda: a.data * b.data)
+    return _node(data, (a, b), backward)
 
 
 def scale(a, c: float) -> Tensor:
@@ -231,7 +219,7 @@ def scale(a, c: float) -> Tensor:
         if a.requires_grad:
             _accum(a, g * c)
 
-    return _node(data, (a,), backward, lambda: a.data * c)
+    return _node(data, (a,), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -246,7 +234,7 @@ def matmul(a, b) -> Tensor:
         if b.requires_grad:
             _accum(b, a.data.T @ g)
 
-    return _node(data, (a, b), backward, lambda: a.data @ b.data)
+    return _node(data, (a, b), backward)
 
 
 def relu(a) -> Tensor:
@@ -257,23 +245,23 @@ def relu(a) -> Tensor:
         if a.requires_grad:
             _accum(a, g * (a.data > 0.0))
 
-    return _node(data, (a,), backward, lambda: np.maximum(a.data, 0.0))
+    return _node(data, (a,), backward)
+
+
+def _sigmoid_np(x: np.ndarray) -> np.ndarray:
+    with np.errstate(over="ignore"):  # saturates to exactly 0 or 1
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    with np.errstate(over="ignore"):
-        data = 1.0 / (1.0 + np.exp(-a.data))
+    data = _sigmoid_np(a.data)
 
     def backward(g):
         if a.requires_grad:
             _accum(a, g * data * (1.0 - data))
 
-    def recompute():
-        with np.errstate(over="ignore"):
-            return 1.0 / (1.0 + np.exp(-a.data))
-
-    return _node(data, (a,), backward, recompute)
+    return _node(data, (a,), backward)
 
 
 def tanh(a) -> Tensor:
@@ -284,7 +272,7 @@ def tanh(a) -> Tensor:
         if a.requires_grad:
             _accum(a, g * (1.0 - data * data))
 
-    return _node(data, (a,), backward, lambda: np.tanh(a.data))
+    return _node(data, (a,), backward)
 
 
 def sum_all(a) -> Tensor:
@@ -295,7 +283,7 @@ def sum_all(a) -> Tensor:
         if a.requires_grad:
             _accum(a, np.broadcast_to(g, a.data.shape))
 
-    return _node(data, (a,), backward, lambda: np.asarray(a.data.sum()))
+    return _node(data, (a,), backward)
 
 
 def gather_rows(table: Tensor, idx) -> Tensor:
@@ -309,7 +297,7 @@ def gather_rows(table: Tensor, idx) -> Tensor:
             np.add.at(acc, idx, g)
             _accum(table, acc)
 
-    return _node(data, (table,), backward, lambda: table.data[idx])
+    return _node(data, (table,), backward)
 
 
 def _masked_log_softmax_parts(x: np.ndarray):
@@ -332,23 +320,20 @@ def softmax_np(logits: np.ndarray, additive_mask: np.ndarray | None = None) -> n
     return probs
 
 
-def softmax_cross_entropy(
-    logits: Tensor,
+def softmax_cross_entropy_np(
+    logits: np.ndarray,
     target_idx,
     additive_mask: np.ndarray | None = None,
     sample_weight: np.ndarray | None = None,
     label_smoothing: float = 0.0,
-) -> Tensor:
-    """Weighted-mean cross-entropy of softmax(logits [+ mask]) against class ids.
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Plain-numpy `softmax_cross_entropy`: (loss, d loss / d logits).
 
-    `additive_mask` holds 0 for allowed classes and -inf for disallowed ones;
-    masked classes receive exactly zero probability. Label smoothing spreads
-    mass only over allowed classes. `sample_weight` (per row, nonnegative)
-    lets callers mask padded timesteps; loss is normalized by the weight sum.
+    The gradient is None when every sample weight is zero (the loss is 0).
     """
     target_idx = np.asarray(target_idx, dtype=np.intp)
-    n, k = logits.data.shape
-    x = logits.data if additive_mask is None else logits.data + additive_mask
+    n, k = logits.shape
+    x = logits if additive_mask is None else logits + additive_mask
     valid = np.isfinite(x)
     if not valid.any(axis=1).all():
         raise ShapeError("softmax row with every class masked")
@@ -364,21 +349,34 @@ def softmax_cross_entropy(
     w = np.ones(n, dtype=np.float64) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     total = w.sum()
     if total <= 0.0:
-        return _node(np.asarray(0.0), (logits,), lambda g: None, lambda: np.asarray(0.0))
+        return np.asarray(0.0), None
 
-    per_row = log_z[:, 0] - (q * np.where(valid, logits.data, 0.0)).sum(axis=1)
-    data = np.asarray((per_row * w).sum() / total)
+    per_row = log_z[:, 0] - (q * np.where(valid, logits, 0.0)).sum(axis=1)
+    return np.asarray((per_row * w).sum() / total), (probs - q) * (w / total)[:, None]
+
+
+def softmax_cross_entropy(
+    logits: Tensor,
+    target_idx,
+    additive_mask: np.ndarray | None = None,
+    sample_weight: np.ndarray | None = None,
+    label_smoothing: float = 0.0,
+) -> Tensor:
+    """Weighted-mean cross-entropy of softmax(logits [+ mask]) against class ids.
+
+    `additive_mask` holds 0 for allowed classes and -inf for disallowed ones;
+    masked classes receive exactly zero probability. Label smoothing spreads
+    mass only over allowed classes. `sample_weight` (per row, nonnegative)
+    lets callers mask padded timesteps; loss is normalized by the weight sum.
+    """
+    data, dlogits = softmax_cross_entropy_np(logits.data, target_idx, additive_mask,
+                                             sample_weight, label_smoothing)
 
     def backward(g):
-        if logits.requires_grad:
-            _accum(logits, (probs - q) * (w / total)[:, None] * g)
+        if dlogits is not None and logits.requires_grad:
+            _accum(logits, dlogits * g)
 
-    def recompute():
-        p2, lz2 = _masked_log_softmax_parts(x)
-        pr = lz2[:, 0] - (q * np.where(valid, logits.data, 0.0)).sum(axis=1)
-        return np.asarray((pr * w).sum() / total)
-
-    return _node(data, (logits,), backward, recompute)
+    return _node(data, (logits,), backward)
 
 
 def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = None) -> Tensor:
@@ -389,22 +387,17 @@ def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = 
     w = np.ones(n, dtype=np.float64) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     total = w.sum() * x.shape[1]
     if total <= 0.0:
-        return _node(np.asarray(0.0), (logits,), lambda g: None, lambda: np.asarray(0.0))
+        return _node(np.asarray(0.0), (logits,), lambda g: None)
 
     per = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     data = np.asarray((per * w[:, None]).sum() / total)
-    with np.errstate(over="ignore"):  # saturates to exactly 0 or 1
-        sig = 1.0 / (1.0 + np.exp(-x))
+    sig = _sigmoid_np(x)
 
     def backward(g):
         if logits.requires_grad:
             _accum(logits, (sig - t) * (w[:, None] / total) * g)
 
-    def recompute():
-        pr = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
-        return np.asarray((pr * w[:, None]).sum() / total)
-
-    return _node(data, (logits,), backward, recompute)
+    return _node(data, (logits,), backward)
 
 
 def backprop(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:

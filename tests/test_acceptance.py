@@ -15,7 +15,8 @@ import pytest
 
 from hubplan import nn
 from hubplan.demos import load_dataset
-from hubplan.edge_policies import EdgePolicy, PolicyTrainConfig, perturb_segment, train_policies
+from hubplan.edge_policies import (EdgePolicy, PolicyTrainConfig, perturb_segment,
+                                    sequence_loss_and_grads, train_policies)
 from hubplan.execution import execute
 from hubplan.hub_dynamics import HubDynamicsModel, HighTrainConfig, CachedDist, next_hub_dist, \
     pretrain_on_traversals, train_high, train_on_sequences
@@ -235,20 +236,18 @@ def test_criterion_gradient_correctness():
 
     errors["high-model"] = nn.finite_diff_check(f_high, high.parameters())
 
+    # the policy trains with hand-written backpropagation through time, so
+    # its gradients are checked directly
     policy = EdgePolicy(rng, emb_dim=3, enc_hidden=6, gru_hidden=4)
     xs = rng.uniform(size=(2, 3, 593))
     acts = np.array([[0, 2, 4], [1, 3, 5]])
+    steps = np.ones((2, 3))
 
     def f_policy():
-        h = nn.Tensor(np.zeros((2, 4)))
-        loss = None
-        for t in range(3):
-            logits, h = policy.step(nn.Tensor(xs[:, t]), h)
-            ce = nn.softmax_cross_entropy(logits, acts[:, t], label_smoothing=0.05)
-            loss = ce if loss is None else nn.tensor.add(loss, ce)
-        return loss
+        return sequence_loss_and_grads(policy, xs, acts, steps, label_smoothing=0.05)
 
-    errors["policy"] = nn.finite_diff_check(f_policy, policy.parameters())
+    errors["policy"] = nn.finite_diff_error(lambda: f_policy()[0], f_policy()[1],
+                                            policy.parameters())
 
     worst = max(errors.values())
     report("gradient-correctness", worst < 1e-4,
@@ -415,20 +414,12 @@ def test_criterion_learned_backend_smoke(oracle_run):
     policy = EdgePolicy(np.random.default_rng(2), emb_dim=4)
     emb = np.zeros((2, 4))
     opt = nn.Adam(policy.parameters(), lr=5e-3)
-    over_pol = None
+    xs = np.stack([np.concatenate([seg.observations[t].as_vector(), emb[1]])
+                   for t in range(3)])[None]
+    acts = np.array([seg.actions[:3]])
     for _ in range(400):
-        with nn.Tape() as tape:
-            h = nn.Tensor(np.zeros((1, policy.gru_hidden)))
-            loss = None
-            for t in range(3):
-                x = np.concatenate([seg.observations[t].as_vector(), emb[1]])[None, :]
-                logits, h = policy.step(nn.Tensor(x), h)
-                ce = nn.softmax_cross_entropy(logits, [seg.actions[t]])
-                loss = ce if loss is None else nn.tensor.add(loss, ce)
-            loss = nn.tensor.scale(loss, 1.0 / 3.0)
-            grads = nn.backprop(tape, loss)
+        over_pol, grads = sequence_loss_and_grads(policy, xs, acts, np.ones((1, 3)))
         opt.step(grads)
-        over_pol = float(loss.data)
 
     overfit_ok = over_low < 1e-3 and over_high < 1e-3 and over_pol < 1e-3
     ok = low_ok and high_ok and pol_ok and overfit_ok

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hubplan
 from hubplan.cli import main
 from hubplan.config import ConfigError, RunConfig, apply_env_overrides, parse_config, save_config
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
@@ -111,8 +114,12 @@ class TestCliExitCodes:
                                "train-high", "train-policies", "eval"]
 
     def test_console_entry_point(self):
+        # the child imports the same hubplan as this process, installed or not
+        src = str(Path(hubplan.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-m", "hubplan.cli", "--help"],
-                                capture_output=True, text=True)
+                                capture_output=True, text=True, env=env)
         assert result.returncode == 0
         for name in ("gen-demos", "run-all", "ablate", "plan"):
             assert name in result.stdout

@@ -1,15 +1,59 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from hubplan import nn
 from hubplan.edge_policies import (
     EdgePolicy,
     PolicyTrainConfig,
+    load_bank,
     perturb_segment,
+    save_bank,
+    sequence_loss_and_grads,
     train_policies,
     train_policy_for_hub,
 )
 from hubplan.scenarios import build_scenario, scenario_topology
 from hubplan.topology import Segment
+
+
+def tape_step(policy, x, h):
+    """One policy step composed from tape ops; the reference for the numpy path."""
+    enc = nn.relu(nn.matmul(x, policy.enc_w) + policy.enc_b)
+    h = nn.gru_step(policy.gru, enc, h)
+    logits = nn.matmul(h, policy.head_w) + policy.head_b
+    return logits, h
+
+
+def tape_sequence_loss(policy, xs, acts, mask, label_smoothing):
+    """Policy training loss recorded op by op on a tape: (loss tensor, grads)."""
+    total = mask.sum()
+    with nn.Tape() as tape:
+        h = nn.Tensor(np.zeros((xs.shape[0], policy.gru_hidden)))
+        loss = None
+        for t in range(xs.shape[1]):
+            w = mask[:, t]
+            if w.sum() == 0:
+                break
+            logits, h = tape_step(policy, nn.Tensor(xs[:, t]), h)
+            ce = nn.softmax_cross_entropy(logits, acts[:, t], sample_weight=w,
+                                          label_smoothing=label_smoothing)
+            term = nn.tensor.scale(ce, w.sum() / total)
+            loss = term if loss is None else nn.tensor.add(loss, term)
+        return loss, nn.backprop(tape, loss)
+
+
+def padded_batch(rng, lengths, in_dim):
+    n, t_max = len(lengths), max(lengths)
+    xs = np.zeros((n, t_max, in_dim))
+    acts = np.zeros((n, t_max), dtype=np.intp)
+    mask = np.zeros((n, t_max))
+    for i, steps in enumerate(lengths):
+        xs[i, :steps] = rng.uniform(size=(steps, in_dim))
+        acts[i, :steps] = rng.integers(0, 6, size=steps)
+        mask[i, :steps] = 1.0
+    return xs, acts, mask
 
 
 class FakeObs:
@@ -100,23 +144,40 @@ class TestEdgePolicy:
         np.testing.assert_array_equal(p1, p2)
         np.testing.assert_array_equal(m1, m2)
 
+    def test_act_matches_tape_step(self):
+        policy = EdgePolicy(np.random.default_rng(4), emb_dim=8)
+        rng = np.random.default_rng(5)
+        memory = policy.initial_memory()
+        h = nn.Tensor(memory)
+        for _ in range(3):
+            obs, emb = rng.uniform(size=590), rng.normal(size=8)
+            probs, memory = policy.act(obs, emb, memory)
+            logits, h = tape_step(policy, nn.Tensor(np.concatenate([obs, emb])[None, :]), h)
+            assert np.array_equal(probs, nn.softmax_np(logits.data)[0])
+            assert np.array_equal(memory, h.data)
+
+    @pytest.mark.parametrize("widths", [(6, 5), (128, 64)])
+    def test_bptt_bit_identical_to_tape(self, widths):
+        enc_hidden, gru_hidden = widths
+        policy = EdgePolicy(np.random.default_rng(7), emb_dim=4, enc_hidden=enc_hidden,
+                            gru_hidden=gru_hidden)
+        xs, acts, mask = padded_batch(np.random.default_rng(8), [5, 2, 4], 594)
+        loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)
+        ref_loss, ref_grads = tape_sequence_loss(policy, xs, acts, mask, 0.05)
+        assert loss == float(ref_loss.data)
+        assert set(grads) == set(ref_grads) == set(policy.parameters())
+        for p in policy.parameters():
+            assert np.array_equal(grads[p], ref_grads[p]), p.name
+
     def test_gradient_check(self):
-        from hubplan import nn
-
         policy = EdgePolicy(np.random.default_rng(5), emb_dim=4, enc_hidden=6, gru_hidden=5)
-        xs = np.random.default_rng(6).uniform(size=(2, 3, 594))
-        acts = np.array([[0, 2, 4], [1, 3, 5]])
+        xs, acts, mask = padded_batch(np.random.default_rng(6), [3, 2], 594)
 
-        def f():
-            h = nn.Tensor(np.zeros((2, 5)))
-            loss = None
-            for t in range(3):
-                logits, h = policy.step(nn.Tensor(xs[:, t]), h)
-                ce = nn.softmax_cross_entropy(logits, acts[:, t], label_smoothing=0.05)
-                loss = ce if loss is None else nn.tensor.add(loss, ce)
-            return loss
+        def loss_fn():
+            return sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)[0]
 
-        assert nn.finite_diff_check(f, policy.parameters(), h=1e-5) < 1e-4
+        _loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)
+        assert nn.finite_diff_error(loss_fn, grads, policy.parameters(), h=1e-5) < 1e-4
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +191,44 @@ def trained_scenario():
     return sc, topo, model.embeddings()
 
 
+# sha256 of the bank below as trained by the op-by-op tape implementation
+SCENARIO_BANK_SHA256 = "4d5ee4e4356c2d43519ce4e03e669c1a7ac69bcadefda18a01add6d73a97e656"
+
+
+def bank_sha256(bank, out_dir):
+    save_bank(bank, out_dir)
+    h = hashlib.sha256()
+    for f in sorted(out_dir.iterdir()):
+        h.update(f.name.encode() + b"\0" + f.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 class TestTrainPolicies:
+    def test_bank_bytes_match_tape_training(self, trained_scenario, tmp_path):
+        sc, topo, emb = trained_scenario
+        bank = train_policies(topo, sc.trajectories, emb, PolicyTrainConfig(epochs=12))
+        assert bank_sha256(bank, tmp_path) == SCENARIO_BANK_SHA256
+
+    def test_load_bank_round_trip_non_default_widths(self, trained_scenario, tmp_path):
+        sc, topo, emb = trained_scenario
+        cfg = PolicyTrainConfig(epochs=1, min_epochs=1, enc_hidden=7, gru_hidden=5)
+        bank = train_policies(topo, sc.trajectories, emb, cfg)
+        save_bank(bank, tmp_path)
+        back = load_bank(tmp_path)
+        assert back.emb_dim == bank.emb_dim
+        assert set(back.policies) == set(bank.policies)
+        obs = np.random.default_rng(0).uniform(size=590)
+        for hub, policy in bank.policies.items():
+            loaded = back.policies[hub]
+            assert (loaded.emb_dim, loaded.enc_hidden, loaded.gru_hidden) == (emb.shape[1], 7, 5)
+            saved = policy.tensors()
+            assert list(loaded.tensors()) == list(saved)
+            for name, value in loaded.tensors().items():
+                assert np.array_equal(value, saved[name]), name
+            want = policy.act(obs, emb[0], policy.initial_memory())
+            got = loaded.act(obs, emb[0], loaded.initial_memory())
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_policy_per_out_degree_hub(self, trained_scenario):
         sc, topo, emb = trained_scenario
         cfg = PolicyTrainConfig(epochs=2, min_epochs=1)

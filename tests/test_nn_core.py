@@ -119,14 +119,114 @@ class TestBackprop:
         err = nn.finite_diff_check(f, [w1, b1, w2, b2], h=1e-5)
         assert err < 1e-4
 
-    def test_replay_is_bit_identical(self):
+    def test_forward_twice_is_bit_identical(self):
         rng = np.random.default_rng(3)
         w = nn.init_weight(rng, 3, 3, "w")
+        p = make_gru(rng, 3, 4)
         x = rng.normal(size=(2, 3))
+
+        def forward():
+            with nn.Tape() as tape:
+                h = nn.tanh(nn.matmul(nn.Tensor(x), w))
+                h = nn.gru_step(p, h, nn.Tensor(np.ones((2, 4))))
+                nn.sum_all(T.mul(h, h))
+            return [node.data for node in tape.nodes]
+
+        first, second = forward(), forward()
+        assert len(first) == len(second)
+        for a, b in zip(first, second):
+            assert np.array_equal(a, b)
+
+
+def unfused_gru_step(p, x, h):
+    """The gated recurrent step composed from primitive tape ops: the
+    reference the fused node must match bit for bit."""
+    u = nn.sigmoid(T.add(T.add(nn.matmul(x, p.w_update), nn.matmul(h, p.u_update)), p.b_update))
+    r = nn.sigmoid(T.add(T.add(nn.matmul(x, p.w_reset), nn.matmul(h, p.u_reset)), p.b_reset))
+    c = nn.tanh(T.add(T.add(nn.matmul(x, p.w_cand), nn.matmul(T.mul(r, h), p.u_cand)), p.b_cand))
+    return T.add(T.mul(T.sub(1.0, u), h), T.mul(u, c))
+
+
+class TestFusedGru:
+    """Gradients through the one-node `gru_step` equal the primitive composition's exactly."""
+
+    def assert_same_grads(self, loss_fn, params):
+        results = []
+        for step in (nn.gru_step, unfused_gru_step):
+            with nn.Tape() as tape:
+                loss = loss_fn(step)
+            results.append((loss.data, nn.backprop(tape, loss)))
+        (fused_loss, fused), (ref_loss, ref) = results
+        assert np.array_equal(fused_loss, ref_loss)
+        assert set(fused) == set(ref) == set(params)
+        for q in params:
+            assert np.array_equal(fused[q], ref[q]), q.name
+
+    def test_one_node_per_step(self):
+        p = make_gru(np.random.default_rng(0), 3, 4)
         with nn.Tape() as tape:
-            h = nn.tanh(nn.matmul(nn.Tensor(x), w))
-            nn.sum_all(T.mul(h, h))
-        assert tape.replay()
+            nn.gru_step(p, np.ones(3), np.ones(4))
+        assert len(tape.nodes) == 1
+
+    def test_hidden_feeds_head(self):
+        # policy and hub wiring: an encoded input per step, a head on every h_t
+        rng = np.random.default_rng(31)
+        p = make_gru(rng, 6, 5)
+        enc_w = nn.init_weight(rng, 8, 6, "enc_w")
+        enc_b = nn.parameter(rng.normal(size=6), "enc_b")
+        head_w = nn.init_weight(rng, 5, 4, "head_w")
+        xs = rng.normal(size=(5, 3, 8))
+        tgt = rng.integers(0, 4, size=(5, 3))
+        weights = rng.uniform(0.0, 1.0, size=(5, 3))
+
+        def loss_fn(step):
+            h = nn.Tensor(np.zeros((3, 5)))
+            loss = None
+            for t in range(5):
+                enc = nn.relu(T.add(nn.matmul(nn.Tensor(xs[t]), enc_w), enc_b))
+                h = step(p, enc, h)
+                ce = nn.softmax_cross_entropy(nn.matmul(h, head_w), tgt[t],
+                                              sample_weight=weights[t], label_smoothing=0.05)
+                term = T.scale(ce, 0.3 + 0.1 * t)
+                loss = term if loss is None else T.add(loss, term)
+            return loss
+
+        self.assert_same_grads(loss_fn, [enc_w, enc_b, head_w, *p.tensors().values()])
+
+    def test_input_also_feeds_later_add(self):
+        # low-level wiring: z = imm + corr(h_t) after the step consumes imm
+        rng = np.random.default_rng(32)
+        p = make_gru(rng, 4, 4)
+        w1 = nn.init_weight(rng, 7, 4, "w1")
+        corr = nn.init_weight(rng, 4, 4, "corr")
+        obs = rng.normal(size=(4, 2, 7))
+
+        def loss_fn(step):
+            h = nn.Tensor(np.zeros((2, 4)))
+            loss = None
+            for t in range(4):
+                imm = nn.tanh(nn.matmul(nn.Tensor(obs[t]), w1))
+                h = step(p, imm, h)
+                z = T.add(imm, nn.matmul(h, corr))
+                term = nn.sum_all(T.mul(z, z))
+                loss = term if loss is None else T.add(loss, term)
+            return loss
+
+        self.assert_same_grads(loss_fn, [w1, corr, *p.tensors().values()])
+
+    def test_constant_previous_hidden(self):
+        # step 0: h_prev is data, not a node, and receives no gradient
+        rng = np.random.default_rng(33)
+        p = make_gru(rng, 3, 5)
+        x = nn.parameter(rng.normal(size=(2, 3)), "x")
+        h0 = nn.Tensor(rng.normal(size=(2, 5)))
+
+        def loss_fn(step):
+            h = step(p, x, h0)
+            return nn.sum_all(T.mul(h, h))
+
+        self.assert_same_grads(loss_fn, [x, *p.tensors().values()])
+        assert h0.grad is None
 
 
 class TestFiniteDiffCheck:
