@@ -23,10 +23,10 @@ from hubplan.scenarios import build_scenario, scenario_topology
 
 def shortcut_comparison() -> None:
     sc = build_scenario()
-    topo, seqs = scenario_topology(sc)
+    topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(1), n_hubs=len(topo.hubs))
     pretrain_on_traversals(model, topo, 500, 32, seed=1, lr=2e-4, epochs=3)
-    train_high(model, seqs, topo, HighTrainConfig(epochs=250))
+    train_high(model, topo.hub_sequences(), topo, HighTrainConfig(epochs=250))
     bank = train_policies(topo, sc.trajectories, model.embeddings(),
                           PolicyTrainConfig(seed=1), log=lambda *a: None)
     goals = goal_hub_set(sc.goal, topo)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_env_overrides, parse_config
 from .pipeline import (
-    STAGE_ORDER,
     STAGES,
     StageError,
     ablate_bfs,
@@ -32,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (overrides config)")
         p.add_argument("--seed", type=int, help="run seed (overrides config)")
 
-    for name in STAGE_ORDER:
+    for name in STAGES:
         common(sub.add_parser(name, help=f"run the {name} stage"))
     common(sub.add_parser("run-all", help="run every stage in order"))
 

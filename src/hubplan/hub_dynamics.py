@@ -43,9 +43,18 @@ class HubDynamicsModel:
     def tensors(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
 
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            p.data = np.array(tensors[p.name], dtype=np.float64)
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "HubDynamicsModel":
+        """Model whose parameters are the given arrays (not copies), with no
+        random initialisation; hub count and widths come from their shapes."""
+        model = cls.__new__(cls)
+        model.emb = nn.parameter(tensors["hub.emb"], "hub.emb")
+        model.gru = nn.GruCellParams.from_tensors(tensors, "hub.gru")
+        model.head_w = nn.parameter(tensors["hub.head_w"], "hub.head_w")
+        model.head_b = nn.parameter(tensors["hub.head_b"], "hub.head_b")
+        model.n_hubs, model.emb_dim = model.emb.data.shape
+        model.hidden = model.gru.hidden_size
+        return model
 
     def embeddings(self) -> np.ndarray:
         return self.emb.data

@@ -8,8 +8,6 @@ from (latent, action); the decoder reconstructs next-observation content
 
 from __future__ import annotations
 
-from collections import deque
-
 import numpy as np
 
 from .. import nn
@@ -98,40 +96,23 @@ class LowLevelModel:
         return vis, bar0, bar1, term
 
 
-class HistoryBuffer:
-    """Episode-local window of recent (observation, latent) pairs plus the
-    recurrent hidden state. Hidden values roll forward across the window
-    boundary exactly as detached-window training does; the ring only bounds
-    what is retained for inspection."""
-
-    def __init__(self, capacity: int = 75, hidden_size: int = 64):
-        self.capacity = capacity
-        self.entries: deque = deque(maxlen=capacity)
-        self.hidden = np.zeros((1, hidden_size))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def push(self, obs, z: np.ndarray) -> None:
-        self.entries.append((obs, z))
-
-
 class LearnedEncoder:
-    """Runtime wrapper giving the learned model the common encoder interface."""
+    """Runtime wrapper giving the learned model the common encoder interface.
+
+    The recurrent hidden state runs through the whole episode; training carries
+    it by value across its BPTT windows, so encodings do not depend on them."""
 
     name = "learned"
 
-    def __init__(self, model: LowLevelModel, history_len: int = 75):
+    def __init__(self, model: LowLevelModel):
         self.model = model
-        self.history_len = history_len
-        self.history = HistoryBuffer(history_len, model.latent_dim)
+        self.hidden = np.zeros((1, model.latent_dim))
 
     def begin_episode(self) -> None:
-        self.history = HistoryBuffer(self.history_len, self.model.latent_dim)
+        self.hidden = np.zeros((1, self.model.latent_dim))
 
     def encode(self, obs: Observation, state=None) -> np.ndarray:
         vec = obs.as_vector()[None, :]
-        z, h = self.model.encode_step(nn.Tensor(vec), nn.Tensor(self.history.hidden))
-        self.history.hidden = h.data
-        self.history.push(obs, z.data[0])
+        z, h = self.model.encode_step(nn.Tensor(vec), nn.Tensor(self.hidden))
+        self.hidden = h.data
         return z.data[0]

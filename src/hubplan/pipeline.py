@@ -43,7 +43,6 @@ from .planning import (
 from .topology import (
     BehaviorTopology,
     build_topology,
-    collapse_to_hub_sequence,
     detect_hubs,
     encode_dataset,
     load_topology,
@@ -80,7 +79,7 @@ def make_encoder(cfg: RunConfig, out: Path):
     model = LowLevelModel(np.random.default_rng(0), latent_dim=cfg.latent_dim,
                           memoryless=memoryless)
     model.load_tensors(tensors)
-    return LearnedEncoder(model, history_len=cfg.history_len)
+    return LearnedEncoder(model)
 
 
 def stage_gen_demos(cfg: RunConfig, log=print) -> DemoDataset:
@@ -142,18 +141,13 @@ def _load_topology(cfg: RunConfig, stage: str) -> tuple[DemoDataset, BehaviorTop
 
 def stage_train_high(cfg: RunConfig, log=print) -> HubDynamicsModel:
     out = Path(cfg.out_dir)
-    ds, topo = _load_topology(cfg, "train-high")
-    env = make_env(cfg)
-    encoder = make_encoder(cfg, out)
-    latent = encode_dataset(env, ds, encoder)
-    sequences = [[h for h, _t in collapse_to_hub_sequence(lt, topo, cfg.epsilon)]
-                 for lt in latent]
+    _ds, topo = _load_topology(cfg, "train-high")
     model = HubDynamicsModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x41])),
                              n_hubs=len(topo.hubs), emb_dim=cfg.hub_emb_dim)
     pre = pretrain_on_traversals(model, topo, cfg.pretrain_traversals, cfg.pretrain_max_len,
                                  seed=cfg.seed, lr=cfg.lr_high, epochs=cfg.pretrain_epochs)
     hcfg = HighTrainConfig(lr=cfg.lr_high, epochs=cfg.high_epochs)
-    losses = train_high(model, sequences, topo, hcfg)
+    losses = train_high(model, topo.hub_sequences(), topo, hcfg)
     nn.save_params(out / "highlevel.bin", HIGH_KIND, model.tensors())
     with open(out / "high_loss.txt", "w") as fh:
         for i, v in enumerate(pre):
@@ -169,8 +163,10 @@ def load_high_model(cfg: RunConfig, stage: str, n_hubs: int) -> HubDynamicsModel
     out = Path(cfg.out_dir)
     path = _require(out / "highlevel.bin", stage, "train-high")
     _kind, tensors = nn.load_params(path, expect_kind=HIGH_KIND)
-    model = HubDynamicsModel(np.random.default_rng(0), n_hubs=n_hubs, emb_dim=cfg.hub_emb_dim)
-    model.load_tensors(tensors)
+    model = HubDynamicsModel.from_tensors(tensors)
+    if model.n_hubs != n_hubs:
+        raise StageError(stage, f"{path.name} holds {model.n_hubs} hubs but the topology has "
+                                f"{n_hubs}; run stage train-high again")
     return model
 
 
@@ -266,13 +262,11 @@ STAGES = {
     "eval": stage_eval,
 }
 
-STAGE_ORDER = ["gen-demos", "train-low", "build-topology", "train-high", "train-policies", "eval"]
-
 
 def run_pipeline(cfg: RunConfig, log=print) -> dict:
     t0 = time.time()
     agg = None
-    for name in STAGE_ORDER:
+    for name in STAGES:
         result = STAGES[name](cfg, log=log)
         if name == "eval":
             agg = result

@@ -23,7 +23,7 @@ from .demos.expert import Rollout, apply_key_to_door, fetch_key, goto_and_face
 from .latent.oracle import OracleEncoder
 from .maze.env import BLUE, GREEN, PURPLE, RED, TURN_RIGHT, Goal, MazeEnv
 from .maze.trajectory import Trajectory
-from .topology import build_topology, collapse_to_hub_sequence, detect_hubs
+from .topology import BehaviorTopology, build_topology, detect_hubs, encode_dataset
 
 HELD_BLIND_FIELDS = ("position", "orientation", "doors", "barrel")
 
@@ -120,12 +120,7 @@ def build_scenario() -> Scenario:
     return Scenario(env=env, goal=Goal(RED, BLUE), trajectories=trajectories, encoder=encoder)
 
 
-def scenario_topology(scenario: Scenario, epsilon: float = 1e-3):
-    from .topology import encode_dataset
-
+def scenario_topology(scenario: Scenario, epsilon: float = 1e-3) -> BehaviorTopology:
     ds = _ScenarioDataset(scenario.trajectories)
     latent = encode_dataset(scenario.env, ds, scenario.encoder)
-    hubs = detect_hubs(latent, epsilon)
-    topo = build_topology(ds, latent, hubs, epsilon)
-    sequences = [[h for h, _t in collapse_to_hub_sequence(lt, hubs, epsilon)] for lt in latent]
-    return topo, sequences
+    return build_topology(ds, latent, detect_hubs(latent, epsilon), epsilon)

@@ -106,6 +106,17 @@ class BehaviorTopology:
     def max_segment_len(self, edge) -> int:
         return max(len(s.actions) for s in self.segments[edge])
 
+    def hub_sequences(self) -> list[list[int]]:
+        """Hub-visit sequence of every trajectory that crosses an edge, in
+        trajectory order; a trajectory that never leaves its start hub has no
+        segment and so no sequence."""
+        segs = sorted((seg for lst in self.segments.values() for seg in lst),
+                      key=lambda seg: (seg.traj_id, seg.begin))
+        sequences: dict[int, list[int]] = {}
+        for seg in segs:
+            sequences.setdefault(seg.traj_id, [seg.source]).append(seg.target)
+        return list(sequences.values())
+
 
 def encode_dataset(env, dataset, encoder) -> list[LatentTrajectory]:
     """Encode every trajectory (successes first, then failures, in dataset order)."""
@@ -177,12 +188,9 @@ def detect_hubs(latent_trajectories: list[LatentTrajectory], epsilon: float) -> 
     return hubs
 
 
-def collapse_to_hub_sequence(lt: LatentTrajectory, topology_or_hubs, epsilon: float) -> list[tuple[int, int]]:
+def collapse_to_hub_sequence(lt: LatentTrajectory, hubs: list[Hub], epsilon: float) -> list[tuple[int, int]]:
     """Hub visits as (hub_id, step_index); consecutive repeats collapse to one."""
-    if isinstance(topology_or_hubs, BehaviorTopology):
-        cluster_to_hub = topology_or_hubs.cluster_to_hub
-    else:
-        cluster_to_hub = {h.cluster: h.id for h in topology_or_hubs}
+    cluster_to_hub = {h.cluster: h.id for h in hubs}
     visits: list[tuple[int, int]] = []
     last = None
     for t, z in enumerate(lt.zs):

@@ -42,10 +42,10 @@ def quiet(*_args, **_kwargs):
 @pytest.fixture(scope="session")
 def shortcut_scenario():
     sc = build_scenario()
-    topo, seqs = scenario_topology(sc)
+    topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(1), n_hubs=len(topo.hubs))
     pretrain_on_traversals(model, topo, 500, 32, seed=1, lr=2e-4, epochs=3)
-    train_high(model, seqs, topo, HighTrainConfig(epochs=250))
+    train_high(model, topo.hub_sequences(), topo, HighTrainConfig(epochs=250))
     bank = train_policies(topo, sc.trajectories, model.embeddings(),
                           PolicyTrainConfig(seed=1), log=quiet)
     return sc, topo, model, bank

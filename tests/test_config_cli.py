@@ -108,10 +108,10 @@ class TestCliExitCodes:
         assert "gen-demos" in err or "build-topology" in err
 
     def test_stage_subcommands_exist(self):
-        from hubplan.pipeline import STAGE_ORDER
+        from hubplan.pipeline import STAGES
 
-        assert STAGE_ORDER == ["gen-demos", "train-low", "build-topology",
-                               "train-high", "train-policies", "eval"]
+        assert list(STAGES) == ["gen-demos", "train-low", "build-topology",
+                                "train-high", "train-policies", "eval"]
 
     def test_console_entry_point(self):
         # the child imports the same hubplan as this process, installed or not

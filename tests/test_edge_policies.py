@@ -183,7 +183,7 @@ class TestEdgePolicy:
 @pytest.fixture(scope="module")
 def trained_scenario():
     sc = build_scenario()
-    topo, seqs = scenario_topology(sc)
+    topo = scenario_topology(sc)
     rng = np.random.default_rng(0)
     from hubplan.hub_dynamics import HubDynamicsModel
 

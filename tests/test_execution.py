@@ -11,7 +11,7 @@ from hubplan.scenarios import build_scenario, scenario_topology
 @pytest.fixture(scope="module")
 def scenario_stack():
     sc = build_scenario()
-    topo, seqs = scenario_topology(sc)
+    topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs))
     bank = train_policies(topo, sc.trajectories, model.embeddings(),
                           PolicyTrainConfig(seed=0))
@@ -33,14 +33,7 @@ class TestEdgeBudget:
 class TestExecute:
     def test_demonstrated_route_replays_to_success(self, scenario_stack):
         sc, topo, emb, bank = scenario_stack
-        from hubplan.topology import collapse_to_hub_sequence, encode_dataset
-
-        class DS:
-            trajectories = sc.trajectories
-
-        latent = encode_dataset(sc.env, DS, sc.encoder)
-        seq = [h for h, _t in collapse_to_hub_sequence(latent[0], topo, topo.epsilon)]
-        plan = demo_plan(topo, seq)
+        plan = demo_plan(topo, topo.hub_sequences()[0])
         state, obs = sc.env.reset(sc.env.starts[0], sc.goal)
         sc.encoder.begin_episode()
         result = execute(plan, sc.env, state, obs, bank, sc.encoder, emb, topo)
@@ -84,14 +77,7 @@ class TestExecute:
 
     def test_step_bound(self, scenario_stack):
         sc, topo, emb, bank = scenario_stack
-        from hubplan.topology import collapse_to_hub_sequence, encode_dataset
-
-        class DS:
-            trajectories = sc.trajectories
-
-        latent = encode_dataset(sc.env, DS, sc.encoder)
-        seq = [h for h, _t in collapse_to_hub_sequence(latent[0], topo, topo.epsilon)]
-        plan = demo_plan(topo, seq)
+        plan = demo_plan(topo, topo.hub_sequences()[0])
         state, obs = sc.env.reset(sc.env.starts[0], sc.goal)
         sc.encoder.begin_episode()
         result = execute(plan, sc.env, state, obs, bank, sc.encoder, emb, topo)

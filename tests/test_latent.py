@@ -149,24 +149,21 @@ class TestLearnedEncoder:
             zs.append(z)
         assert np.max(np.abs(zs[0] - zs[1])) > EPS
 
-    def test_history_window_boundary_consistency(self, env):
-        """Hidden state carries by value across the clip boundary, so a short
-        episode encodes the same with any window position."""
+    def test_begin_episode_resets_hidden(self, env):
+        """The hidden state is episode-local: an episode encodes the same
+        whether or not another one ran on the encoder before it."""
         model = LowLevelModel(np.random.default_rng(5))
         state, obs = env.reset(env.starts[0], Goal(0, 1))
         seq = [obs]
         for a in [TURN_LEFT, TURN_RIGHT, TURN_LEFT, TURN_RIGHT]:
             state, obs, *_ = env.step(state, a)
             seq.append(obs)
-        for history_len in (75, 3):
-            enc = LearnedEncoder(model, history_len=history_len)
-            enc.begin_episode()
-            zs = [enc.encode(o) for o in seq]
-            if history_len == 75:
-                ref = zs
-            else:
-                for a, b in zip(ref, zs):
-                    np.testing.assert_array_equal(a, b)
+        enc = LearnedEncoder(model)
+        enc.begin_episode()
+        ref = [enc.encode(o) for o in seq]
+        enc.begin_episode()
+        for o, z in zip(seq, ref):
+            np.testing.assert_array_equal(enc.encode(o), z)
 
 
 class TestLowLevelTraining:

@@ -1,7 +1,9 @@
 import dataclasses
 import json
+import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hubplan import nn
@@ -9,7 +11,9 @@ from hubplan.cli import main
 from hubplan.config import RunConfig
 from hubplan.demos import load_dataset
 from hubplan.maze import DEFAULT_MAP, MazeEnv
-from hubplan.pipeline import StageError, evaluate, stage_eval, stage_train_high
+from hubplan.hub_dynamics import HubDynamicsModel
+from hubplan.pipeline import (HIGH_KIND, StageError, evaluate, load_high_model, stage_eval,
+                              stage_train_high)
 from hubplan.topology import load_topology
 
 
@@ -63,6 +67,29 @@ class TestStageGuards:
         (tmp_path / "fresh").mkdir()
         with pytest.raises(StageError, match="gen-demos"):
             stage_train_high(cfg, log=lambda *a: None)
+
+    def test_hub_model_for_another_topology_rejected(self, tmp_path):
+        cfg = RunConfig(out_dir=str(tmp_path))
+        model = HubDynamicsModel(np.random.default_rng(0), n_hubs=5)
+        nn.save_params(tmp_path / "highlevel.bin", HIGH_KIND, model.tensors())
+        np.testing.assert_array_equal(load_high_model(cfg, "eval", 5).embeddings(),
+                                      model.embeddings())
+        with pytest.raises(StageError, match="train-high"):
+            load_high_model(cfg, "train-policies", 7)
+
+    def test_train_high_reads_topology_without_encoder(self, oracle_run, tmp_path):
+        # the hub sequences come from topology.txt, so the learned backend
+        # trains the hub model without a low-level model on disk
+        out = tmp_path / "learned"
+        shutil.copytree(oracle_run["out"] / "dataset", out / "dataset")
+        shutil.copy(oracle_run["out"] / "topology.txt", out / "topology.txt")
+        cfg = RunConfig(out_dir=str(out), encoder_backend="learned", high_epochs=2,
+                        pretrain_traversals=0)
+        stage_train_high(cfg, log=lambda *a: None)
+        assert not (out / "lowlevel.bin").exists()
+        topo = load_topology(out / "topology.txt", load_dataset(out / "dataset").trajectories)
+        assert load_high_model(cfg, "train-policies", len(topo.hubs)).n_hubs == len(topo.hubs)
+        assert len((out / "high_loss.txt").read_text().splitlines()) == 2
 
     def test_split_integrity_no_unseen_demos(self, oracle_run):
         ds = load_dataset(oracle_run["out"] / "dataset")

@@ -135,6 +135,11 @@ class TestDetectHubs:
             got = {h.cluster: (h.kinds, h.terminal_meta, h.start_ids) for h in hubs}
             want = brute_force_hubs(trajs, EPS)
             assert got == want, f"seed {seed}"
+            # the topology's segments hold each trajectory's collapsed hub sequence
+            topo = build_topology(FakeDataset([FakeTraj(len(lt.zs) - 1) for lt in trajs]),
+                                  trajs, hubs, EPS)
+            collapsed = [[h for h, _t in collapse_to_hub_sequence(lt, hubs, EPS)] for lt in trajs]
+            assert topo.hub_sequences() == [s for s in collapsed if len(s) >= 2], f"seed {seed}"
 
 
 class TestCollapse:
@@ -246,6 +251,7 @@ class TestSerialization:
         for edge in topo.edges:
             assert [s.key() for s in sorted(topo.segments[edge], key=lambda s: s.key())] == \
                    [s.key() for s in sorted(back.segments[edge], key=lambda s: s.key())]
+        assert back.hub_sequences() == topo.hub_sequences()
 
     def test_corruption_detected(self, tmp_path):
         t0 = make_lt(0, [[0, 0], [1, 1]])
