@@ -12,6 +12,7 @@ import sys
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, apply_env_overrides, parse_config
+from .maze.env import Goal
 from .pipeline import (
     STAGES,
     StageError,
@@ -19,6 +20,14 @@ from .pipeline import (
     ablate_no_memory,
     run_pipeline,
 )
+
+
+def _goal(text: str) -> Goal:
+    try:
+        return Goal.parse(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(
+            f"expected two distinct colors, e.g. red,blue; got {text!r}") from e
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan = sub.add_parser("plan", help="search a plan for one start-goal pair")
     common(p_plan)
     p_plan.add_argument("--start", type=int, required=True, choices=(0, 1, 2))
-    p_plan.add_argument("--goal", required=True, help="ordered pair, e.g. red,blue")
+    p_plan.add_argument("--goal", required=True, type=_goal, help="ordered pair, e.g. red,blue")
 
     p_abl = sub.add_parser("ablate", help="run an ablation")
     common(p_abl)
@@ -57,20 +66,18 @@ def _load_config(args) -> RunConfig:
 
 def _cmd_plan(cfg: RunConfig, args) -> None:
     from .hub_dynamics import CachedDist
-    from .maze.env import Goal
     from .pipeline import _load_topology, _plan_for, load_high_model, make_encoder, make_env
     from .planning import format_plan, match_start_hub
 
-    goal = Goal.parse(args.goal)
     _ds, topo = _load_topology(cfg, "plan")
     model = load_high_model(cfg, "plan", len(topo.hubs))
     env = make_env(cfg)
     encoder = make_encoder(cfg, Path(cfg.out_dir))
-    state, obs = env.reset(env.starts[args.start], goal)
+    state, obs = env.reset(env.starts[args.start], args.goal)
     encoder.begin_episode()
     z0 = encoder.encode(obs, state)
     start_hub = match_start_hub(z0, topo, cfg.effective_match_tol)
-    plan = _plan_for(cfg, topo, CachedDist(model, topo), start_hub, goal)
+    plan = _plan_for(cfg, topo, CachedDist(model, topo), start_hub, args.goal)
     sys.stdout.write(format_plan(plan, topo))
 
 

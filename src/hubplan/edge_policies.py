@@ -2,9 +2,10 @@
 
 Each hub with outgoing edges gets one recurrent policy conditioned on the
 target hub's embedding; all of that hub's outgoing segments are its training
-data. Segment boundaries are stochastically perturbed during training
-(canonical / truncated / preroll), observations get small additive noise on
-the raster channels, and action labels are smoothed.
+data, read through each segment's step span from its trajectory. Segment
+starts are stochastically perturbed during training (canonical / truncated /
+preroll), observations get small additive noise on the raster channels, and
+action labels are smoothed.
 """
 
 from __future__ import annotations
@@ -55,21 +56,19 @@ class EdgeTrainingSegment:
     base: Segment
     variant: str            # canonical | truncated | preroll
     perturbation: int       # steps removed or prepended
-    observations: list
-    actions: list
+    begin: int              # first step; every variant ends at base.end
 
 
 def perturb_segment(segment: Segment, rng: np.random.Generator,
-                    trajectory: Trajectory | None = None,
                     p_canonical: float = 0.8, p_truncated: float = 0.1,
                     p_preroll: float = 0.1, max_perturbation: int = 3) -> EdgeTrainingSegment:
-    """Draw a boundary-perturbed copy of an edge segment.
+    """Draw a boundary-perturbed variant of an edge segment.
 
     Truncation drops up to `max_perturbation` leading steps but never empties
     the segment; preroll prepends true predecessor steps from the origin
     trajectory and falls back to canonical at the trajectory start.
     """
-    if len(segment.actions) < 1:
+    if segment.end - segment.begin < 1:
         raise ValueError("segment must contain at least one action")
     total = p_canonical + p_truncated + p_preroll
     r = rng.random() * total
@@ -81,25 +80,14 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
         variant = "preroll"
 
     if variant == "truncated":
-        room = len(segment.actions) - 1
-        if room < 1:
-            variant = "canonical"
-        else:
+        room = segment.end - segment.begin - 1
+        if room >= 1:
             cut = min(int(rng.integers(1, max_perturbation + 1)), room)
-            return EdgeTrainingSegment(segment, "truncated", cut,
-                                       segment.observations[cut:], segment.actions[cut:])
-    if variant == "preroll":
-        room = segment.begin
-        if room < 1 or trajectory is None:
-            variant = "canonical"
-        else:
-            ext = min(int(rng.integers(1, max_perturbation + 1)), room)
-            start = segment.begin - ext
-            obs = trajectory.observations[start:segment.begin] + segment.observations
-            actions = trajectory.actions[start:segment.begin] + segment.actions
-            return EdgeTrainingSegment(segment, "preroll", ext, obs, actions)
-    return EdgeTrainingSegment(segment, "canonical", 0,
-                               segment.observations, segment.actions)
+            return EdgeTrainingSegment(segment, "truncated", cut, segment.begin + cut)
+    if variant == "preroll" and segment.begin >= 1:
+        ext = min(int(rng.integers(1, max_perturbation + 1)), segment.begin)
+        return EdgeTrainingSegment(segment, "preroll", ext, segment.begin - ext)
+    return EdgeTrainingSegment(segment, "canonical", 0, segment.begin)
 
 
 class EdgePolicy:
@@ -234,14 +222,14 @@ def _segments_for_hub(topology: BehaviorTopology, hub_id: int, cap: int) -> list
 
 
 def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarray,
-                  obs_rows: dict[int, np.ndarray]) -> bool:
+                  obs_rows: dict[int, np.ndarray], act_rows: dict[int, np.ndarray]) -> bool:
     for seg in segs:
         memory = policy.initial_memory()
         emb = embeddings[seg.target]
-        rows = obs_rows[seg.traj_id]
-        for t, action in zip(range(seg.begin, seg.end), seg.actions):
+        rows, acts = obs_rows[seg.traj_id], act_rows[seg.traj_id]
+        for t in range(seg.begin, seg.end):
             probs, memory = policy.act(rows[t], emb, memory)
-            if int(np.argmax(probs)) != action:
+            if int(np.argmax(probs)) != acts[t]:
                 return False
     return True
 
@@ -256,30 +244,31 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     best = np.inf
     stale = 0
 
-    # observation vectors of every trajectory the hub's segments come from,
-    # one row per step; a variant is a run of rows ending where its segment does
+    # observation vectors and actions of every trajectory the hub's segments come
+    # from, one row per step; a variant is a run of rows ending where its segment does
+    tids = sorted({s.traj_id for s in segs})
     obs_rows = {tid: np.stack([o.as_vector() for o in trajectories[tid].observations])
-                for tid in sorted({s.traj_id for s in segs})}
+                for tid in tids}
+    act_rows = {tid: np.array(trajectories[tid].actions, dtype=np.intp) for tid in tids}
     in_dim = OBS_DIM + embeddings.shape[1]
 
     for epoch in range(config.epochs):
-        variants = [perturb_segment(s, rng, trajectories[s.traj_id],
-                                    config.p_canonical, config.p_truncated,
+        variants = [perturb_segment(s, rng, config.p_canonical, config.p_truncated,
                                     config.p_preroll, config.max_perturbation)
                     for s in segs]
         n = len(variants)
-        t_max = max(len(v.actions) for v in variants)
+        t_max = max(v.base.end - v.begin for v in variants)
         xs = np.zeros((n, t_max, in_dim))
         acts = np.zeros((n, t_max), dtype=np.intp)
         mask = np.zeros((n, t_max))
         for i, v in enumerate(variants):
-            length = len(v.actions)
-            xs[i, :length, :OBS_DIM] = obs_rows[v.base.traj_id][v.base.end - length:v.base.end]
+            tid, length = v.base.traj_id, v.base.end - v.begin
+            xs[i, :length, :OBS_DIM] = obs_rows[tid][v.begin:v.base.end]
             if config.obs_noise > 0:
                 xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, config.obs_noise,
                                                          size=(length, VIEW_SIZE))
             xs[i, :length, OBS_DIM:] = embeddings[v.base.target]
-            acts[i, :length] = v.actions
+            acts[i, :length] = act_rows[tid][v.begin:v.base.end]
             mask[i, :length] = 1.0
 
         loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, config.label_smoothing)
@@ -295,7 +284,7 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
             stale += 1
         if epoch + 1 >= config.min_epochs:
             if ((epoch + 1) % config.check_every == 0
-                    and _greedy_exact(policy, segs, embeddings, obs_rows)):
+                    and _greedy_exact(policy, segs, embeddings, obs_rows, act_rows)):
                 break
             if stale >= config.plateau_patience:
                 break

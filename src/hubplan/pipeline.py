@@ -125,7 +125,7 @@ def stage_build_topology(cfg: RunConfig, log=print) -> BehaviorTopology:
     encoder = make_encoder(cfg, out)
     latent = encode_dataset(env, ds, encoder)
     hubs = detect_hubs(latent, cfg.epsilon)
-    topo = build_topology(ds, latent, hubs, cfg.epsilon)
+    topo = build_topology(latent, hubs, cfg.epsilon)
     save_topology(topo, out / "topology.txt")
     log(f"build-topology: {len(topo.hubs)} hubs, {len(topo.edges)} edges")
     return topo
@@ -198,11 +198,11 @@ def _plan_for(cfg: RunConfig, topo: BehaviorTopology, dist, start_hub: int,
     return search(topo, dist, start_hub, goal_set, scfg)
 
 
-def evaluate(cfg: RunConfig, pairs: list[tuple[int, Goal, bool]], log=print,
-             plans_subdir: str = "plans") -> list[TaskRecord]:
-    """One episode per (start, goal, seen-flag); plans dumped next to metrics."""
+def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal, bool]],
+             log=print, plans_subdir: str = "plans") -> list[TaskRecord]:
+    """One episode per (start, goal, seen-flag) on the run's loaded topology;
+    plans dumped next to metrics."""
     out = Path(cfg.out_dir)
-    ds, topo = _load_topology(cfg, "eval")
     model = load_high_model(cfg, "eval", len(topo.hubs))
     _require(out / "policies" / "index.json", "eval", "train-policies")
     bank = load_bank(out / "policies")
@@ -244,9 +244,9 @@ def evaluate(cfg: RunConfig, pairs: list[tuple[int, Goal, bool]], log=print,
 
 def stage_eval(cfg: RunConfig, log=print) -> dict:
     out = Path(cfg.out_dir)
-    ds, _topo = _load_topology(cfg, "eval")
+    ds, topo = _load_topology(cfg, "eval")
     pairs = [(sid, g, True) for sid, g in ds.seen] + [(sid, g, False) for sid, g in ds.unseen]
-    records = evaluate(cfg, pairs, log=log)
+    records = evaluate(cfg, topo, pairs, log=log)
     agg = save_metrics(records, out)
     log(f"eval: seen {agg['seen_successes']}/{agg['seen_total']}, "
         f"unseen {agg['unseen_successes']}/{agg['unseen_total']}")
@@ -296,11 +296,11 @@ def ablate_bfs(cfg: RunConfig, log=print) -> dict:
 
     bcfg = dataclasses.replace(cfg, planner_backend="bfs")
     out = Path(cfg.out_dir)
-    ds, _ = _load_topology(bcfg, "ablate-bfs")
+    ds, topo = _load_topology(bcfg, "ablate-bfs")
     pairs = [(sid, g, True) for sid, g in ds.seen] + [(sid, g, False) for sid, g in ds.unseen]
     bdir = out / "ablate_bfs"
     bdir.mkdir(parents=True, exist_ok=True)
-    records = evaluate(bcfg, pairs, log=log, plans_subdir="ablate_bfs/plans")
+    records = evaluate(bcfg, topo, pairs, log=log, plans_subdir="ablate_bfs/plans")
     agg = save_metrics(records, bdir)
     log(f"ablate-bfs: seen {agg['seen_successes']}/{agg['seen_total']}, "
         f"unseen {agg['unseen_successes']}/{agg['unseen_total']}")

@@ -123,4 +123,4 @@ def build_scenario() -> Scenario:
 def scenario_topology(scenario: Scenario, epsilon: float = 1e-3) -> BehaviorTopology:
     ds = _ScenarioDataset(scenario.trajectories)
     latent = encode_dataset(scenario.env, ds, scenario.encoder)
-    return build_topology(ds, latent, detect_hubs(latent, epsilon), epsilon)
+    return build_topology(latent, detect_hubs(latent, epsilon), epsilon)

@@ -5,15 +5,16 @@ A cluster becomes a hub when demonstrations converge into it from at least
 two distinct predecessor clusters, diverge out of it into at least two
 distinct successor clusters, or when any trajectory starts or terminates
 there. Edges exist exactly where some demonstration travels between two
-hubs with no other hub in between; the intervening (observation, action)
-span is kept as a training segment for that edge.
+hubs with no other hub in between; that step span of the demonstration,
+`(traj_id, begin, end)`, is kept as a training segment for that edge. It
+holds no observations or actions; loading checks it against the dataset.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -67,8 +68,6 @@ class Segment:
     traj_id: int
     begin: int  # step index of the source hub visit
     end: int    # step index of the target hub visit; actions begin..end-1
-    observations: list = field(default_factory=list, repr=False)
-    actions: list = field(default_factory=list, repr=False)
 
     def key(self):
         return (self.source, self.target, self.traj_id, self.begin, self.end)
@@ -104,7 +103,7 @@ class BehaviorTopology:
         return [h.id for h in self.hubs if (goal, 1) in h.terminal_meta]
 
     def max_segment_len(self, edge) -> int:
-        return max(len(s.actions) for s in self.segments[edge])
+        return max(s.end - s.begin for s in self.segments[edge])
 
     def hub_sequences(self) -> list[list[int]]:
         """Hub-visit sequence of every trajectory that crosses an edge, in
@@ -203,23 +202,17 @@ def collapse_to_hub_sequence(lt: LatentTrajectory, hubs: list[Hub], epsilon: flo
     return visits
 
 
-def build_topology(dataset, latent_trajectories: list[LatentTrajectory],
+def build_topology(latent_trajectories: list[LatentTrajectory],
                    hubs: list[Hub], epsilon: float) -> BehaviorTopology:
-    trajectories = dataset.trajectories
     latent_dim = latent_trajectories[0].zs.shape[1]
     topo = BehaviorTopology(epsilon=epsilon, latent_dim=latent_dim, hubs=hubs,
                             edges=set(), segments={})
     for lt in latent_trajectories:
         visits = collapse_to_hub_sequence(lt, hubs, epsilon)
-        traj = trajectories[lt.traj_id]
         for (h_a, t_a), (h_b, t_b) in zip(visits, visits[1:]):
-            seg = Segment(
-                source=h_a, target=h_b, traj_id=lt.traj_id, begin=t_a, end=t_b,
-                observations=traj.observations[t_a:t_b + 1],
-                actions=traj.actions[t_a:t_b],
-            )
             topo.edges.add((h_a, h_b))
-            topo.segments.setdefault((h_a, h_b), []).append(seg)
+            topo.segments.setdefault((h_a, h_b), []).append(
+                Segment(source=h_a, target=h_b, traj_id=lt.traj_id, begin=t_a, end=t_b))
     # rebuild adjacency now that edges exist
     topo.__post_init__()
     return topo
@@ -272,6 +265,7 @@ def _parse_meta(text: str) -> frozenset:
 
 
 def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopology:
+    """Read a saved topology whose every segment spans steps of `trajectories`."""
     text = Path(path).read_text()
     body, _, tail = text.rpartition("checksum ")
     if not body or hashlib.sha256(body.encode()).hexdigest() != tail.strip():
@@ -309,11 +303,11 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
         src, dst = int(parts[1]), int(parts[2])
         traj_id = int(parts[3].split("=")[1])
         begin, end = (int(v) for v in parts[4].split("=")[1].split(":"))
-        traj = trajectories[traj_id]
-        seg = Segment(src, dst, traj_id, begin, end,
-                      observations=traj.observations[begin:end + 1],
-                      actions=traj.actions[begin:end])
-        segments.setdefault((src, dst), []).append(seg)
+        if not (0 <= traj_id < len(trajectories)
+                and 0 <= begin < end <= len(trajectories[traj_id])):
+            raise TopologyError(f"{path}: segment traj={traj_id} span={begin}:{end} is not "
+                                f"a step span of the {len(trajectories)}-trajectory dataset")
+        segments.setdefault((src, dst), []).append(Segment(src, dst, traj_id, begin, end))
         idx += 1
     return BehaviorTopology(epsilon=epsilon, latent_dim=latent_dim, hubs=hubs,
                             edges=edges, segments=segments)

@@ -297,15 +297,14 @@ def test_criterion_demo_validity(oracle_run):
 
 
 def test_criterion_perturbation_mix():
-    from test_edge_policies import FakeTrajectory, make_segment
+    from test_edge_policies import make_segment
 
     rng = np.random.default_rng(777)
     seg = make_segment(n_actions=8, begin=5)
-    traj = FakeTrajectory()
     counts = {"canonical": 0, "truncated": 0, "preroll": 0}
     n = 10_000
     for _ in range(n):
-        counts[perturb_segment(seg, rng, traj).variant] += 1
+        counts[perturb_segment(seg, rng).variant] += 1
     fracs = {k: v / n for k, v in counts.items()}
     ok = (abs(fracs["canonical"] - 0.8) <= 0.02 and abs(fracs["truncated"] - 0.1) <= 0.02
           and abs(fracs["preroll"] - 0.1) <= 0.02)
@@ -408,15 +407,16 @@ def test_criterion_learned_backend_smoke(oracle_run):
 
     # label smoothing floors the cross-entropy, so the bare-optimizer overfit
     # check runs without it (and without observation noise)
-    from test_edge_policies import make_segment
+    from test_edge_policies import FakeTrajectory, make_segment
 
     seg = make_segment(n_actions=3, begin=0)
+    traj = FakeTrajectory()  # trajectory 0, the one make_segment spans
     policy = EdgePolicy(np.random.default_rng(2), emb_dim=4)
     emb = np.zeros((2, 4))
     opt = nn.Adam(policy.parameters(), lr=5e-3)
-    xs = np.stack([np.concatenate([seg.observations[t].as_vector(), emb[1]])
-                   for t in range(3)])[None]
-    acts = np.array([seg.actions[:3]])
+    xs = np.stack([np.concatenate([traj.observations[t].as_vector(), emb[1]])
+                   for t in range(seg.begin, seg.end)])[None]
+    acts = np.array([traj.actions[seg.begin:seg.end]])
     for _ in range(400):
         over_pol, grads = sequence_loss_and_grads(policy, xs, acts, np.ones((1, 3)))
         opt.step(grads)

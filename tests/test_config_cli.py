@@ -101,6 +101,13 @@ class TestCliExitCodes:
     def test_missing_config_file_is_exit_2(self, capsys):
         assert main(["gen-demos", "--config", "/nonexistent/x.cfg"]) == 2
 
+    @pytest.mark.parametrize("goal", ["pink,blue", "red"])
+    def test_malformed_goal_is_exit_2(self, tmp_path, capsys, goal):
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--out", str(tmp_path), "--start", "0", "--goal", goal])
+        assert exc.value.code == 2
+        assert "--goal" in capsys.readouterr().err
+
     def test_missing_artifact_is_exit_1_and_names_stage(self, tmp_path, capsys):
         code = main(["train-high", "--out", str(tmp_path / "empty")])
         assert code == 1

@@ -64,16 +64,19 @@ class FakeObs:
         return self._vec
 
 
-def make_segment(n_actions=6, begin=5, traj_len=20):
-    obs = [FakeObs(np.full(590, 0.1 * t)) for t in range(begin, begin + n_actions + 1)]
-    actions = [t % 6 for t in range(n_actions)]
-    return Segment(0, 1, 0, begin, begin + n_actions, obs, actions)
+def make_segment(n_actions=6, begin=5):
+    """Span of trajectory 0, a `FakeTrajectory`."""
+    return Segment(0, 1, 0, begin, begin + n_actions)
 
 
 class FakeTrajectory:
     def __init__(self, length=30):
         self.observations = [FakeObs(np.full(590, 0.1 * t)) for t in range(length + 1)]
         self.actions = [t % 6 for t in range(length)]
+
+
+def variant_actions(v, traj):
+    return traj.actions[v.begin:v.base.end]
 
 
 class TestPerturbSegment:
@@ -85,7 +88,7 @@ class TestPerturbSegment:
         counts = {"canonical": 0, "truncated": 0, "preroll": 0}
         n = 10_000
         for _ in range(n):
-            counts[perturb_segment(seg, rng, traj).variant] += 1
+            counts[perturb_segment(seg, rng).variant] += 1
         assert abs(counts["canonical"] / n - 0.8) <= 0.02
         assert abs(counts["truncated"] / n - 0.1) <= 0.02
         assert abs(counts["preroll"] / n - 0.1) <= 0.02
@@ -94,40 +97,42 @@ class TestPerturbSegment:
         rng = np.random.default_rng(0)
         seg = make_segment(n_actions=8)
         traj = FakeTrajectory()
+        seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            v = perturb_segment(seg, rng, traj)
+            v = perturb_segment(seg, rng)
             if v.variant == "truncated":
                 assert 1 <= v.perturbation <= 3
-                assert len(v.actions) == 8 - v.perturbation
-                assert v.actions == seg.actions[v.perturbation:]
+                assert len(variant_actions(v, traj)) == 8 - v.perturbation
+                assert variant_actions(v, traj) == seg_actions[v.perturbation:]
 
     def test_one_action_segment_never_truncates_to_empty(self):
         rng = np.random.default_rng(1)
         seg = make_segment(n_actions=1)
         traj = FakeTrajectory()
         for _ in range(200):
-            v = perturb_segment(seg, rng, traj)
+            v = perturb_segment(seg, rng)
             assert v.variant in ("canonical", "preroll")
-            assert len(v.actions) >= 1
+            assert len(variant_actions(v, traj)) >= 1
 
     def test_preroll_at_trajectory_start_falls_back(self):
         rng = np.random.default_rng(2)
         seg = make_segment(n_actions=4, begin=0)
-        traj = FakeTrajectory()
         for _ in range(200):
-            v = perturb_segment(seg, rng, traj)
+            v = perturb_segment(seg, rng)
             assert v.variant in ("canonical", "truncated")
 
     def test_preroll_prepends_true_predecessors(self):
         rng = np.random.default_rng(3)
         seg = make_segment(n_actions=4, begin=5)
         traj = FakeTrajectory()
+        seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            v = perturb_segment(seg, rng, traj)
+            v = perturb_segment(seg, rng)
             if v.variant == "preroll":
+                actions = variant_actions(v, traj)
                 assert 1 <= v.perturbation <= 3
-                assert v.actions[v.perturbation:] == seg.actions
-                assert v.actions[:v.perturbation] == traj.actions[5 - v.perturbation:5]
+                assert actions[v.perturbation:] == seg_actions
+                assert actions[:v.perturbation] == traj.actions[5 - v.perturbation:5]
                 break
         else:
             pytest.fail("no preroll drawn")
@@ -241,15 +246,17 @@ class TestTrainPolicies:
         # hub with one outgoing edge and a multi-step segment
         candidates = [s for s, t in topo.edges
                       if len(topo.out_neighbors(s)) == 1
-                      and len(topo.segments[(s, t)][0].actions) >= 4]
+                      and topo.segments[(s, t)][0].end - topo.segments[(s, t)][0].begin >= 4]
         hub = candidates[0]
         target = topo.out_neighbors(hub)[0]
         seg = topo.segments[(hub, target)][0]
         cfg = PolicyTrainConfig(epochs=200, seed=3)
         policy, _losses = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
                                                np.random.default_rng(3))
+        traj = sc.trajectories[seg.traj_id]
         memory = policy.initial_memory()
-        for obs, action in zip(seg.observations[:-1], seg.actions):
+        for obs, action in zip(traj.observations[seg.begin:seg.end],
+                               traj.actions[seg.begin:seg.end]):
             probs, memory = policy.act(obs.as_vector(), emb[target], memory)
             assert int(np.argmax(probs)) == action
 
@@ -262,23 +269,26 @@ class TestTrainPolicies:
         cfg = PolicyTrainConfig(epochs=200, seed=5)
         policy, _ = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
                                          np.random.default_rng(5))
-        first_obs = topo.segments[(hub, targets[0])][0].observations[0]
+
+        def first_step(seg):
+            traj = sc.trajectories[seg.traj_id]
+            return traj.observations[seg.begin], traj.actions[seg.begin]
+
+        first_obs, first_action = first_step(topo.segments[(hub, targets[0])][0])
         argmaxes = set()
         for target in targets[:2]:
             seg = topo.segments[(hub, target)][0]
             probs, _m = policy.act(first_obs.as_vector(), emb[target], policy.initial_memory())
-            if seg.actions[0] != topo.segments[(hub, targets[0])][0].actions[0]:
+            if first_step(seg)[1] != first_action:
                 argmaxes.add(int(np.argmax(probs)))
         # demonstrated first actions differ between the two targets here
-        seg_a = topo.segments[(hub, targets[0])][0]
-        seg_b = topo.segments[(hub, targets[1])][0]
-        assert seg_a.actions[0] != seg_b.actions[0]
-        pa, _ = policy.act(seg_a.observations[0].as_vector(), emb[targets[0]],
-                           policy.initial_memory())
-        pb, _ = policy.act(seg_b.observations[0].as_vector(), emb[targets[1]],
-                           policy.initial_memory())
-        assert int(np.argmax(pa)) == seg_a.actions[0]
-        assert int(np.argmax(pb)) == seg_b.actions[0]
+        obs_a, action_a = first_step(topo.segments[(hub, targets[0])][0])
+        obs_b, action_b = first_step(topo.segments[(hub, targets[1])][0])
+        assert action_a != action_b
+        pa, _ = policy.act(obs_a.as_vector(), emb[targets[0]], policy.initial_memory())
+        pb, _ = policy.act(obs_b.as_vector(), emb[targets[1]], policy.initial_memory())
+        assert int(np.argmax(pa)) == action_a
+        assert int(np.argmax(pb)) == action_b
         assert int(np.argmax(pa)) != int(np.argmax(pb))
 
     def test_label_smoothing_floor(self):

@@ -24,9 +24,10 @@ def demo_plan(topo, seq_hubs):
 
 class TestEdgeBudget:
     def test_budget_rule(self, scenario_stack):
-        _sc, topo, _emb, _bank = scenario_stack
+        sc, topo, _emb, _bank = scenario_stack
         for edge in topo.edges:
-            longest = max(len(s.actions) for s in topo.segments[edge])
+            longest = max(len(sc.trajectories[s.traj_id].actions[s.begin:s.end])
+                          for s in topo.segments[edge])
             assert edge_budget(topo, edge) == max(MIN_EDGE_BUDGET, EDGE_BUDGET_FACTOR * longest)
 
 

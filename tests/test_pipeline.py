@@ -121,8 +121,9 @@ class TestBfsAblationOnStandardMaze:
         # succeed here; the constructed shortcut variant is where they break
         cfg = dataclasses.replace(oracle_run["cfg"], planner_backend="bfs")
         ds = load_dataset(oracle_run["out"] / "dataset")
+        topo = load_topology(oracle_run["out"] / "topology.txt", ds.trajectories)
         pairs = [(sid, g, True) for sid, g in ds.seen][:4]
-        records = evaluate(cfg, pairs, log=lambda *a: None, plans_subdir="bfs_probe")
+        records = evaluate(cfg, topo, pairs, log=lambda *a: None, plans_subdir="bfs_probe")
         assert all(r.success for r in records)
         # hop-minimality: bfs plans never exceed the history-planner's length
         hist = json.loads((oracle_run["out"] / "metrics.json").read_text())["per_task"]

@@ -136,8 +136,7 @@ class TestDetectHubs:
             want = brute_force_hubs(trajs, EPS)
             assert got == want, f"seed {seed}"
             # the topology's segments hold each trajectory's collapsed hub sequence
-            topo = build_topology(FakeDataset([FakeTraj(len(lt.zs) - 1) for lt in trajs]),
-                                  trajs, hubs, EPS)
+            topo = build_topology(trajs, hubs, EPS)
             collapsed = [[h for h, _t in collapse_to_hub_sequence(lt, hubs, EPS)] for lt in trajs]
             assert topo.hub_sequences() == [s for s in collapsed if len(s) >= 2], f"seed {seed}"
 
@@ -185,15 +184,13 @@ class TestCollapse:
             assert collapse_to_hub_sequence(lt, hubs, EPS) == expected
 
 
-class FakeDataset:
-    def __init__(self, trajectories):
-        self.trajectories = trajectories
-
-
 class FakeTraj:
     def __init__(self, n):
         self.observations = [f"obs{t}" for t in range(n + 1)]
         self.actions = list(range(n))
+
+    def __len__(self):
+        return len(self.actions)
 
 
 class TestBuildTopology:
@@ -202,11 +199,10 @@ class TestBuildTopology:
         t1 = make_lt(1, [[0, 3], [5, 5], [7, 7], [9, 9]], start_id=1)
         latent = [t0, t1]
         hubs = detect_hubs(latent, EPS)
-        ds = FakeDataset([FakeTraj(4), FakeTraj(3)])
-        return build_topology(ds, latent, hubs, EPS), hubs
+        return build_topology(latent, hubs, EPS), hubs, [FakeTraj(4), FakeTraj(3)]
 
     def test_edges_follow_collapsed_sequences(self):
-        topo, hubs = self.build()
+        topo, hubs, _trajs = self.build()
         a = next(h.id for h in hubs if h.cluster == (0, 0))
         e = next(h.id for h in hubs if h.cluster == (50, 50))
         end = next(h.id for h in hubs if h.cluster == (90, 90))
@@ -214,20 +210,23 @@ class TestBuildTopology:
         assert (e, end) in topo.edges
 
     def test_every_edge_has_a_segment(self):
-        topo, _ = self.build()
+        topo, _, trajs = self.build()
         for edge in topo.edges:
             assert len(topo.segments[edge]) >= 1
             for seg in topo.segments[edge]:
-                assert len(seg.actions) >= 1
-                assert len(seg.observations) == len(seg.actions) + 1
+                traj = trajs[seg.traj_id]
+                actions = traj.actions[seg.begin:seg.end]
+                assert len(actions) >= 1
+                assert len(traj.observations[seg.begin:seg.end + 1]) == len(actions) + 1
 
     def test_segment_spans_contiguous(self):
-        topo, _ = self.build()
+        topo, _, trajs = self.build()
         for lst in topo.segments.values():
             for seg in lst:
+                observations = trajs[seg.traj_id].observations[seg.begin:seg.end + 1]
                 assert seg.end > seg.begin
-                assert seg.observations[0] == f"obs{seg.begin}"
-                assert seg.observations[-1] == f"obs{seg.end}"
+                assert observations[0] == f"obs{seg.begin}"
+                assert observations[-1] == f"obs{seg.end}"
 
 
 class TestSerialization:
@@ -237,7 +236,7 @@ class TestSerialization:
         latent = [t0, t1]
         hubs = detect_hubs(latent, EPS)
         trajs = [FakeTraj(4), FakeTraj(3)]
-        topo = build_topology(FakeDataset(trajs), latent, hubs, EPS)
+        topo = build_topology(latent, hubs, EPS)
         path = tmp_path / "topo.txt"
         save_topology(topo, path)
         back = load_topology(path, trajs)
@@ -256,7 +255,7 @@ class TestSerialization:
     def test_corruption_detected(self, tmp_path):
         t0 = make_lt(0, [[0, 0], [1, 1]])
         hubs = detect_hubs([t0], EPS)
-        topo = build_topology(FakeDataset([FakeTraj(1)]), [t0], hubs, EPS)
+        topo = build_topology([t0], hubs, EPS)
         path = tmp_path / "topo.txt"
         save_topology(topo, path)
         text = path.read_text().replace("hubs 2", "hubs 3", 1)
@@ -265,6 +264,20 @@ class TestSerialization:
 
         with pytest.raises(TopologyError, match="checksum"):
             load_topology(path, [FakeTraj(1)])
+
+    @pytest.mark.parametrize("trajs", [
+        [FakeTraj(4)],                # segments of trajectory 1 name no trajectory
+        [FakeTraj(4), FakeTraj(2)],   # trajectory 1's last segment ends past step 2
+    ], ids=["traj-id-out-of-range", "span-past-end"])
+    def test_span_outside_dataset_rejected(self, tmp_path, trajs):
+        t0 = make_lt(0, [[0, 0], [1, 0], [5, 5], [6, 6], [9, 9]])
+        t1 = make_lt(1, [[0, 3], [5, 5], [7, 7], [9, 9]], start_id=1)
+        path = tmp_path / "topo.txt"
+        save_topology(build_topology([t0, t1], detect_hubs([t0, t1], EPS), EPS), path)
+        from hubplan.topology import TopologyError
+
+        with pytest.raises(TopologyError, match="topo.txt"):
+            load_topology(path, trajs)
 
 
 class TestMatchesHub:
