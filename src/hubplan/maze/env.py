@@ -185,6 +185,7 @@ class MazeEnv:
                 raise MazeError(f"map must place exactly one {what} per color")
         self.starts = [StartConfig(starts[i], 0) for i in sorted(starts)]
         self._door_at = {cell: c for c, cell in self.door_cell.items()}
+        self.view_tables = raster.ViewTables(self)
 
     @classmethod
     def from_file(cls, path, **kwargs) -> "MazeEnv":
@@ -220,9 +221,14 @@ class MazeEnv:
     # -- episode ----------------------------------------------------------
 
     def reset(self, start: StartConfig, goal: Goal):
+        state = self.start_state(start, goal)
+        return state, self.rasterize(state)
+
+    def start_state(self, start: StartConfig, goal: Goal) -> EnvState:
+        """`reset` without the observation."""
         if not self.in_bounds(start.pos) or self.wall[start.pos]:
             raise MazeError(f"start cell {start.pos} is not free")
-        state = EnvState(
+        return EnvState(
             pos=start.pos,
             orientation=start.orientation % 4,
             held=None,
@@ -236,9 +242,13 @@ class MazeEnv:
             terminal=False,
             success=False,
         )
-        return state, self.rasterize(state)
 
     def step(self, state: EnvState, action: int):
+        new_state, reward, terminal, success = self.transition(state, action)
+        return new_state, self.rasterize(new_state), reward, terminal, success
+
+    def transition(self, state: EnvState, action: int):
+        """`step` without the observation: (state, reward, terminal, success)."""
         if state.terminal:
             raise TerminalStateError("cannot step a terminal state")
         if not 0 <= action < N_ACTIONS:
@@ -325,15 +335,17 @@ class MazeEnv:
             terminal=terminal,
             success=success,
         )
-        return new_state, self.rasterize(new_state), reward, terminal, success
+        return new_state, reward, terminal, success
 
     def rasterize(self, state: EnvState) -> Observation:
-        from .raster import rasterize
-
-        return rasterize(self, state)
+        return raster.rasterize(self, state)
 
 
 def door_requirements(color: int) -> tuple[int, int]:
     if color not in DOOR_REQUIREMENTS:
         raise MazeError(f"unknown door color {color}")
     return DOOR_REQUIREMENTS[color]
+
+
+# imported last: the raster reads this module's constants and Observation
+from . import raster  # noqa: E402

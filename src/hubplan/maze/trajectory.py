@@ -88,10 +88,10 @@ def load_trajectory(base: Path) -> Trajectory:
 
 def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:
     """Re-run the recorded actions; returns the ground-truth state sequence."""
-    state, _obs = env.reset(traj.start, traj.goal)
+    state = env.start_state(traj.start, traj.goal)
     states = [state]
     for action in traj.actions:
-        state, _obs, _r, _term, _succ = env.step(state, action)
+        state, _r, _term, _succ = env.transition(state, action)
         states.append(state)
     return states
 

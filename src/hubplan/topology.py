@@ -13,7 +13,6 @@ holds no observations or actions; loading checks it against the dataset.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,11 +30,20 @@ class TopologyError(RuntimeError):
     pass
 
 
-def bucket_of(z: np.ndarray, epsilon: float) -> ClusterId:
-    """Per-coordinate tolerance bucket of a latent vector."""
+def bucket_rows(zs: np.ndarray, epsilon: float) -> list[ClusterId]:
+    """Per-coordinate tolerance bucket of every row of a latent matrix."""
     if epsilon <= 0.0:
         raise ValueError("tolerance must be positive")
-    return tuple(int(math.floor(v / epsilon)) for v in z)
+    floors = np.floor(zs / epsilon)
+    # a NaN fails both comparisons; astype would wrap what int64 cannot hold
+    if not np.all((floors >= -2.0 ** 63) & (floors < 2.0 ** 63)):
+        raise ValueError(f"latent / {epsilon!r} is not finite or outside int64")
+    return [tuple(row) for row in floors.astype(np.int64).tolist()]
+
+
+def bucket_of(z: np.ndarray, epsilon: float) -> ClusterId:
+    """Per-coordinate tolerance bucket of a latent vector."""
+    return bucket_rows(z[None, :], epsilon)[0]
 
 
 @dataclass
@@ -146,7 +154,7 @@ def detect_hubs(latent_trajectories: list[LatentTrajectory], epsilon: float) -> 
     terminals: dict[ClusterId, set] = {}
 
     for lt in latent_trajectories:
-        clusters = [bucket_of(z, epsilon) for z in lt.zs]
+        clusters = bucket_rows(lt.zs, epsilon)
         for t, c in enumerate(clusters):
             if c not in counts:
                 order.append(c)
@@ -192,8 +200,8 @@ def collapse_to_hub_sequence(lt: LatentTrajectory, hubs: list[Hub], epsilon: flo
     cluster_to_hub = {h.cluster: h.id for h in hubs}
     visits: list[tuple[int, int]] = []
     last = None
-    for t, z in enumerate(lt.zs):
-        hub = cluster_to_hub.get(bucket_of(z, epsilon))
+    for t, cluster in enumerate(bucket_rows(lt.zs, epsilon)):
+        hub = cluster_to_hub.get(cluster)
         if hub is not None and hub != last:
             visits.append((hub, t))
             last = hub

@@ -1,7 +1,9 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+import raster_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +28,9 @@ from hubplan.maze import (
     all_goals,
     door_requirements,
 )
-from hubplan.demos import generate_success_demo
+from hubplan.demos import build_dataset, generate_success_demo
+from hubplan.maze import raster, replay_states
+from hubplan.scenarios import VARIANT_MAP, build_scenario
 
 DATA = Path(__file__).parent / "data"
 
@@ -219,6 +223,45 @@ class TestRasterize:
         i = traj.actions.index(TOGGLE)
         golden = np.loadtxt(DATA / "golden_door_view.txt")
         np.testing.assert_array_equal(traj.observations[i].view, golden)
+
+
+def assert_same_raster(env, state):
+    new = raster.rasterize(env, state)
+    ref = raster_reference.rasterize(env, state)
+    for a, b in ((new.view, ref.view), (new.barrel_vec, ref.barrel_vec)):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes(), state
+    return ref
+
+
+class TestRasterMatchesReference:
+    """The table-driven raster against the per-cell reference, byte for byte."""
+
+    def test_seed0_demo_states(self, env):
+        for traj in build_dataset(env, seed=0).trajectories:
+            states = replay_states(env, traj)
+            for state, obs in zip(states, traj.observations):
+                assert obs == assert_same_raster(env, state)
+
+    def test_variant_map_scenario_states(self):
+        scenario = build_scenario()
+        for traj in scenario.trajectories:
+            for state in replay_states(scenario.env, traj):
+                assert_same_raster(scenario.env, state)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.tuples(*[st.sampled_from((LOCKED, HALF_OPEN, OPEN))] * 4),
+           st.tuples(*[st.booleans()] * 4), st.tuples(*[st.booleans()] * 4),
+           st.lists(st.integers(0, 3), max_size=2))
+    def test_every_pose_of_both_maps(self, door_phase, key_present, diamond_present, barrel):
+        for env in (MazeEnv(), MazeEnv(VARIANT_MAP)):
+            state, _ = env.reset(env.starts[0], Goal(RED, BLUE))
+            state = dataclasses.replace(state, door_phase=door_phase, key_present=key_present,
+                                        diamond_present=diamond_present, barrel=tuple(barrel))
+            for x, y in zip(*np.nonzero(~env.wall)):
+                for orientation in range(4):
+                    assert_same_raster(env, dataclasses.replace(
+                        state, pos=(int(x), int(y)), orientation=orientation))
 
 
 def diamond_locations(env, state):

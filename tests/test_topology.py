@@ -1,9 +1,15 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hubplan.maze import Goal
+from hubplan.demos import generate_failure_demo, generate_success_demo
+from hubplan.demos.expert import enumerate_failure_specs
+from hubplan.latent.oracle import OracleEncoder
+from hubplan.maze import Goal, MazeEnv, raster, replay_states
 from hubplan.topology import (
     CONVERGENCE,
     DIVERGENCE,
@@ -12,9 +18,11 @@ from hubplan.topology import (
     Hub,
     LatentTrajectory,
     bucket_of,
+    bucket_rows,
     build_topology,
     collapse_to_hub_sequence,
     detect_hubs,
+    encode_dataset,
     load_topology,
     matches_hub,
     save_topology,
@@ -45,6 +53,8 @@ class TestBucketOf:
     def test_non_positive_tolerance_rejected(self):
         with pytest.raises(ValueError):
             bucket_of(np.zeros(3), 0.0)
+        with pytest.raises(ValueError):
+            bucket_rows(np.zeros((2, 3)), -1.0)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(-50, 50), min_size=1, max_size=8))
@@ -53,6 +63,51 @@ class TestBucketOf:
         b1 = bucket_of(z, EPS)
         assert b1 == tuple(codes[i] * 10 for i in range(len(codes)))
         assert bucket_of(z, EPS) == b1
+
+    @pytest.mark.parametrize("epsilon", [EPS, 0.25, 1.0, 3.0])
+    def test_matches_math_floor_reference(self, epsilon):
+        k = np.arange(-6, 7, dtype=np.float64)
+        zs = np.stack([
+            k * epsilon,                                    # exact boundaries
+            np.nextafter(k * epsilon, -np.inf),             # just below them
+            (k + 0.5) * -epsilon,                           # negatives, mid-bucket
+            np.linspace(-1e12, 1e12, 13) * epsilon,         # large magnitudes
+            np.array([-2.0 ** 63, 2.0 ** 63 - 1024, 2.0 ** 62] + [-0.0] * 10) * epsilon,
+        ])
+        reference = [tuple(math.floor(v / epsilon) for v in row) for row in zs]
+        assert bucket_rows(zs, epsilon) == reference
+        assert [bucket_of(row, epsilon) for row in zs] == reference
+        assert all(type(v) is int for v in bucket_of(zs[3], epsilon))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 63, -2.0 ** 64, 1e300])
+    def test_non_finite_or_beyond_int64_rejected(self, bad):
+        z = np.array([0.0, bad, 1.0])
+        with pytest.raises(ValueError):
+            bucket_of(z, 1.0)
+        with pytest.raises(ValueError):
+            bucket_rows(np.stack([z, z]), 1.0)
+
+
+class TestEncodeDataset:
+    def test_oracle_encode_replays_without_rasterizing(self, monkeypatch):
+        env = MazeEnv()
+        goal = Goal(0, 1)
+        trajectories = [generate_success_demo(env, 0, goal),
+                        generate_failure_demo(env, 1, goal, enumerate_failure_specs(goal)[0])]
+        calls = []
+        rasterize = raster.rasterize
+        monkeypatch.setattr(raster, "rasterize", lambda *a: calls.append(a) or rasterize(*a))
+        latent = encode_dataset(env, SimpleNamespace(trajectories=trajectories), OracleEncoder())
+        assert calls == []
+        for traj, lt in zip(trajectories, latent):
+            state, _ = env.reset(traj.start, traj.goal)
+            stepped = [state]
+            for action in traj.actions:
+                state, *_ = env.step(state, action)
+                stepped.append(state)
+            assert replay_states(env, traj) == stepped
+            assert len(lt.zs) == len(stepped)
+        assert len(calls) == sum(len(traj) + 1 for traj in trajectories)
 
 
 def brute_force_hubs(latent_trajs, eps):
