@@ -25,6 +25,13 @@ from .topology import BehaviorTopology, Segment
 
 MODEL_KIND = "policy"
 OBS_DIM = VIEW_SIZE + 2
+# early stopping: from MIN_EPOCHS on, every CHECK_EVERY epochs stop once greedy
+# replay of every segment is exact, or once the loss has not improved by a
+# relative PLATEAU_REL for PLATEAU_PATIENCE epochs
+MIN_EPOCHS = 10
+CHECK_EVERY = 5
+PLATEAU_PATIENCE = 40
+PLATEAU_REL = 1e-4
 
 
 class DeadEdgeError(RuntimeError):
@@ -35,10 +42,6 @@ class DeadEdgeError(RuntimeError):
 class PolicyTrainConfig:
     lr: float = 1e-3
     epochs: int = 200
-    min_epochs: int = 10
-    check_every: int = 5
-    plateau_patience: int = 40
-    plateau_rel: float = 1e-4
     p_canonical: float = 0.8
     p_truncated: float = 0.1
     p_preroll: float = 0.1
@@ -46,8 +49,6 @@ class PolicyTrainConfig:
     obs_noise: float = 0.01
     label_smoothing: float = 0.05
     max_segments_per_edge: int = 4
-    enc_hidden: int = 128
-    gru_hidden: int = 64
     seed: int = 0
 
 
@@ -238,7 +239,7 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
                          hub_id: int, embeddings: np.ndarray,
                          config: PolicyTrainConfig, rng: np.random.Generator):
     segs = _segments_for_hub(topology, hub_id, config.max_segments_per_edge)
-    policy = EdgePolicy(rng, embeddings.shape[1], config.enc_hidden, config.gru_hidden)
+    policy = EdgePolicy(rng, embeddings.shape[1])
     opt = nn.Adam(policy.parameters(), lr=config.lr)
     losses: list[float] = []
     best = np.inf
@@ -277,16 +278,16 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
         opt.step(grads)
         losses.append(loss)
 
-        if losses[-1] < best * (1.0 - config.plateau_rel):
+        if losses[-1] < best * (1.0 - PLATEAU_REL):
             best = losses[-1]
             stale = 0
         else:
             stale += 1
-        if epoch + 1 >= config.min_epochs:
-            if ((epoch + 1) % config.check_every == 0
+        if epoch + 1 >= MIN_EPOCHS:
+            if ((epoch + 1) % CHECK_EVERY == 0
                     and _greedy_exact(policy, segs, embeddings, obs_rows, act_rows)):
                 break
-            if stale >= config.plateau_patience:
+            if stale >= PLATEAU_PATIENCE:
                 break
     return policy, losses
 

@@ -120,15 +120,6 @@ class CachedDist:
         return self.model.dist_from_hidden(self.hidden_for(history), history[-1], self.topology)
 
 
-def make_training_examples(sequences: list[list[int]]) -> list[tuple[tuple[int, ...], int]]:
-    """Every proper prefix of every sequence paired with its successor."""
-    out = []
-    for seq in sequences:
-        for m in range(1, len(seq)):
-            out.append((tuple(seq[:m]), seq[m]))
-    return out
-
-
 def topology_mask_matrix(topology: BehaviorTopology, n_hubs: int) -> np.ndarray:
     mask = np.full((n_hubs, n_hubs), -np.inf)
     for s, t in topology.edges:

@@ -18,18 +18,19 @@ from ..maze.raster import VIEW_SIZE, channel_weights
 from ..maze.trajectory import Trajectory
 from .model import LowLevelModel
 
+# weights of the per-step loss terms: latent prediction, view reconstruction,
+# barrel classification, terminal prediction
+W_Z = 1.0
+W_VIS = 1.0
+W_BARREL = 1.0
+W_TERMINAL = 0.5
+
 
 @dataclass
 class LowTrainConfig:
     epochs: int = 300
     lr: float = 1e-4
     history_len: int = 75
-    w_z: float = 1.0
-    w_vis: float = 1.0
-    w_barrel: float = 1.0
-    w_terminal: float = 0.5
-    object_boost: float = 4.0
-    seed: int = 0
 
 
 def latent_prediction_loss(z_hat, z_next, weight_col: np.ndarray, normalizer: float):
@@ -67,7 +68,7 @@ def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
     obs, vis_tgt, barrel_tgt, term_tgt, actions, mask = _pack(trajectories)
     n, t_max = mask.shape
     eye = np.eye(N_ACTIONS)
-    cw = channel_weights(config.object_boost)
+    cw = channel_weights()
     cw_norm = cw / cw.sum()
     params = model.parameters()
     opt = nn.Adam(params, lr=config.lr)
@@ -107,10 +108,9 @@ def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
                         bar1, barrel_tgt[:, t + 1, 1], sample_weight=valid))
                     l_term = nn.bce_with_logits(term, term_tgt[:, t + 1], sample_weight=valid)
                     step_loss = nn.tensor.add(
-                        nn.tensor.add(nn.tensor.scale(l_z, config.w_z),
-                                      nn.tensor.scale(l_vis, config.w_vis)),
-                        nn.tensor.add(nn.tensor.scale(l_bar, config.w_barrel),
-                                      nn.tensor.scale(l_term, config.w_terminal)))
+                        nn.tensor.add(nn.tensor.scale(l_z, W_Z), nn.tensor.scale(l_vis, W_VIS)),
+                        nn.tensor.add(nn.tensor.scale(l_bar, W_BARREL),
+                                      nn.tensor.scale(l_term, W_TERMINAL)))
                     losses.append(step_loss)
                 if not losses:
                     break

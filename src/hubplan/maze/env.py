@@ -187,12 +187,6 @@ class MazeEnv:
         self._door_at = {cell: c for c, cell in self.door_cell.items()}
         self.view_tables = raster.ViewTables(self)
 
-    @classmethod
-    def from_file(cls, path, **kwargs) -> "MazeEnv":
-        from pathlib import Path
-
-        return cls(Path(path).read_text(), **kwargs)
-
     # -- queries ----------------------------------------------------------
 
     def in_bounds(self, cell) -> bool:
@@ -339,12 +333,6 @@ class MazeEnv:
 
     def rasterize(self, state: EnvState) -> Observation:
         return raster.rasterize(self, state)
-
-
-def door_requirements(color: int) -> tuple[int, int]:
-    if color not in DOOR_REQUIREMENTS:
-        raise MazeError(f"unknown door color {color}")
-    return DOOR_REQUIREMENTS[color]
 
 
 # imported last: the raster reads this module's constants and Observation

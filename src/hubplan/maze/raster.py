@@ -44,6 +44,8 @@ CH_BARREL = 2
 CH_KEY = 3      # 3..6 by color
 CH_OBJ = 7      # 7..10 door or diamond color
 CH_PHASE = 11
+# weight of the object planes (CH_BARREL on) in the reconstruction loss
+OBJECT_BOOST = 4.0
 
 # static cell codes; door, key and diamond codes are offset by color. What a
 # cell shows uses the same numbers (a door code shows the locked door), plus
@@ -157,8 +159,8 @@ def rasterize(env, state) -> Observation:
     return Observation(view=CELL_PLANES[seen].ravel(), barrel_vec=barrel_vec)
 
 
-def channel_weights(object_boost: float = 4.0) -> np.ndarray:
+def channel_weights() -> np.ndarray:
     """Per-element weights for raster reconstruction: object planes boosted."""
     w = np.ones((VIEW_W, VIEW_H, N_CHANNELS), dtype=np.float64)
-    w[:, :, CH_BARREL:] = object_boost
+    w[:, :, CH_BARREL:] = OBJECT_BOOST
     return w.ravel()

@@ -64,7 +64,3 @@ def save_metrics(records: list[TaskRecord], out_dir: Path) -> dict:
     payload = {"aggregates": agg, "per_task": [asdict(r) for r in records]}
     (out_dir / "metrics.json").write_text(json.dumps(payload, indent=1, sort_keys=True))
     return agg
-
-
-def load_metrics(out_dir: Path) -> dict:
-    return json.loads((Path(out_dir) / "metrics.json").read_text())

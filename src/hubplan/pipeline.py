@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .config import RunConfig, save_config
+from .config import ConfigError, RunConfig, save_config
 from .demos.dataset import DemoDataset, build_dataset, load_dataset, save_dataset
 from .edge_policies import PolicyBank, PolicyTrainConfig, load_bank, save_bank, train_policies
 from .execution import ExecutionResult, execute
@@ -87,14 +87,8 @@ def stage_gen_demos(cfg: RunConfig, log=print) -> DemoDataset:
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.txt")
     env = make_env(cfg)
-    ds_dir = out / "dataset"
-    if (ds_dir / "manifest.json").exists():
-        ds = load_dataset(ds_dir)
-        if ds.seed == cfg.seed and len(ds.failures) == cfg.n_failures:
-            log(f"gen-demos: reusing dataset in {ds_dir}")
-            return ds
     ds = build_dataset(env, seed=cfg.seed, n_failures=cfg.n_failures)
-    save_dataset(ds, ds_dir)
+    save_dataset(ds, out / "dataset")
     log(f"gen-demos: {len(ds.successes)} successes, {len(ds.failures)} failures")
     return ds
 
@@ -108,8 +102,7 @@ def stage_train_low(cfg: RunConfig, log=print) -> None:
     ds = load_dataset(out / "dataset")
     model = LowLevelModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x10])),
                           latent_dim=cfg.latent_dim)
-    tcfg = LowTrainConfig(epochs=cfg.low_epochs, lr=cfg.lr_low, history_len=cfg.history_len,
-                          seed=cfg.seed)
+    tcfg = LowTrainConfig(epochs=cfg.low_epochs, lr=cfg.lr_low, history_len=cfg.history_len)
     losses = train_low_level(model, ds.trajectories, tcfg)
     nn.save_params(out / "lowlevel.bin", LOW_KIND, model.tensors())
     (out / "lowlevel_loss.txt").write_text(
@@ -276,9 +269,13 @@ def run_pipeline(cfg: RunConfig, log=print) -> dict:
 
 def derive_no_memory_config(cfg: RunConfig) -> RunConfig:
     """Ablation: hub discovery from the current observation only. The oracle
-    analogue keeps pose and drops the history-dependent fields."""
+    analogue keeps pose and drops the history-dependent fields; the learned
+    backend has no such variant."""
     import dataclasses
 
+    if cfg.encoder_backend != "oracle":
+        raise ConfigError("the no-memory ablation needs the oracle backend, "
+                          f"not {cfg.encoder_backend!r}")
     return dataclasses.replace(
         cfg,
         out_dir=str(Path(cfg.out_dir) / "ablate_no_memory"),

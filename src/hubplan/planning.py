@@ -130,14 +130,6 @@ def bfs_plan(topology: BehaviorTopology, h_s: int, goal_set: set[int]) -> Plan:
     raise NoPlanError("no edge path reaches a goal hub")
 
 
-def reachable_goal(topology: BehaviorTopology, h_s: int, goal_set: set[int]) -> bool:
-    try:
-        bfs_plan(topology, h_s, goal_set)
-        return True
-    except NoPlanError:
-        return False
-
-
 def format_plan(plan: Plan, topology: BehaviorTopology) -> str:
     lines = [f"plan hubs={len(plan.history)} cost={plan.cost!r}",
              "history " + ",".join(str(h) for h in plan.history)]

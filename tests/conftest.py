@@ -1,3 +1,4 @@
+import importlib.util
 import time
 from pathlib import Path
 
@@ -6,19 +7,41 @@ import pytest
 from hubplan.config import RunConfig
 from hubplan.pipeline import derive_no_memory_config, run_pipeline
 
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
 
 def quiet(*_args, **_kwargs):
     pass
 
 
+def load_bench_module(name: str):
+    """A module of `bench/`, loaded unmodified from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.fixture(scope="session")
 def oracle_run(tmp_path_factory):
-    """Full oracle-backend pipeline run shared across the whole session."""
+    """Full oracle-backend pipeline run shared across the whole session.
+
+    It runs under the traced benchmark's tracer (`bench/tracing.py`); the
+    spans it installed and those that fired are kept for the span guard."""
     out = tmp_path_factory.mktemp("oracle_run")
     cfg = RunConfig(out_dir=str(out), seed=0, encoder_backend="oracle")
-    t0 = time.time()
-    agg = run_pipeline(cfg, log=quiet)
-    return {"cfg": cfg, "out": out, "agg": agg, "runtime": time.time() - t0}
+    tracing = load_bench_module("tracing")
+    tracer = tracing.Tracer()
+    try:
+        spans = tracing.install(tracer)
+        t0 = time.time()
+        agg = run_pipeline(cfg, log=quiet)
+        runtime = time.time() - t0
+    finally:
+        tracer.uninstall()
+    fired = {name for name in spans if tracer.calls[name]}
+    return {"cfg": cfg, "out": out, "agg": agg, "runtime": runtime,
+            "spans": spans, "fired": fired}
 
 
 @pytest.fixture(scope="session")

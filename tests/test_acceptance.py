@@ -22,7 +22,6 @@ from hubplan.hub_dynamics import HubDynamicsModel, HighTrainConfig, CachedDist, 
     pretrain_on_traversals, train_high, train_on_sequences
 from hubplan.latent import LowLevelModel, LowTrainConfig, train_low_level
 from hubplan.maze import Goal, MazeEnv, replay_states
-from hubplan.metrics import load_metrics
 from hubplan.planning import NoPlanError, SearchConfig, bfs_plan, goal_hub_set, search
 from hubplan.scenarios import build_scenario, scenario_topology
 
@@ -314,7 +313,7 @@ def test_criterion_perturbation_mix():
 
 
 def test_criterion_horizon_compression_reporting(oracle_run):
-    data = load_metrics(oracle_run["out"])
+    data = json.loads((oracle_run["out"] / "metrics.json").read_text())
     agg = data["aggregates"]
     required = ["seen_mean_edges", "unseen_mean_edges", "seen_mean_steps",
                 "unseen_mean_steps", "actions_per_edge", "seen_success_rate",

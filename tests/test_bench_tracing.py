@@ -1,14 +1,14 @@
 """The traced benchmark (`bench/run.py --trace 1`) patches hubplan functions,
-methods and `pipeline.STAGES` entries by name. Installing and removing its
-tracer here catches a rename or deletion that would break traced runs."""
+methods and `pipeline.STAGES` entries by name, and fails a run in which an
+expected span never fired. Installing and removing its tracer here catches a
+rename or deletion that would break traced runs; the session's oracle run,
+made under the same tracer, catches a call the pipeline stopped making."""
 
-import importlib.util
+import ast
 import sys
-from pathlib import Path
 
 import hubplan.pipeline
-
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+from conftest import BENCH, load_bench_module
 
 
 def hubplan_bindings() -> dict:
@@ -29,9 +29,7 @@ def hubplan_bindings() -> dict:
 
 
 def test_tracer_installs_and_restores():
-    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load_bench_module("tracing")
     before = hubplan_bindings()
     tracer = tracing.Tracer()
     try:
@@ -43,3 +41,23 @@ def test_tracer_installs_and_restores():
         tracer.uninstall()
     after = hubplan_bindings()
     assert {key: after[key] for key in before} == before
+
+
+def bench_run_constants(*names: str) -> list:
+    """Literal module constants of `bench/run.py`, read without importing it
+    (importing it sets BLAS thread variables for the whole process)."""
+    values = {}
+    for node in ast.parse((BENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                values[target.id] = ast.literal_eval(node.value)
+    return [values[name] for name in names]
+
+
+def test_oracle_run_fires_every_expected_span(oracle_run):
+    expected_spans, not_in_oracle = bench_run_constants("EXPECTED_SPANS", "NOT_IN_ORACLE")
+    # the benchmark's rule for the oracle-pipeline workload (bench/run.py per_layer)
+    expected = expected_spans.get("oracle-pipeline", set(oracle_run["spans"]) - not_in_oracle)
+    missing = sorted(expected - oracle_run["fired"])
+    assert not missing, f"expected spans that never fired: {missing}"

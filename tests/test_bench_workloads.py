@@ -5,18 +5,12 @@ calls `load_topology`, `load_high_model`, `make_encoder`, `SearchConfig`,
 already answered catches a change to any of them that would break the
 benchmark's query path."""
 
-import importlib.util
-from pathlib import Path
-
+from conftest import load_bench_module
 from hubplan.demos import load_dataset
-
-WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 
 
 def test_query_service_repeats_eval_plan_dumps(oracle_run):
-    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+    workloads = load_bench_module("workloads")
     svc = workloads.QueryService(oracle_run["cfg"])
     ds = load_dataset(oracle_run["out"] / "dataset")
     for sid, goal in (ds.seen[0], ds.unseen[0]):

@@ -10,6 +10,7 @@ import hubplan
 from hubplan.cli import main
 from hubplan.config import ConfigError, RunConfig, apply_env_overrides, parse_config, save_config
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
+from hubplan.pipeline import derive_no_memory_config
 
 
 class TestConfig:
@@ -107,6 +108,18 @@ class TestCliExitCodes:
             main(["plan", "--out", str(tmp_path), "--start", "0", "--goal", goal])
         assert exc.value.code == 2
         assert "--goal" in capsys.readouterr().err
+
+    def test_no_memory_ablation_on_learned_backend_is_exit_2(self, tmp_path, capsys):
+        # only the oracle backend has a pose-only variant; anything else would
+        # silently rerun the full-memory pipeline
+        cfg = RunConfig(out_dir=str(tmp_path / "run"), encoder_backend="learned")
+        with pytest.raises(ConfigError, match="oracle"):
+            derive_no_memory_config(cfg)
+        path = tmp_path / "learned.cfg"
+        save_config(cfg, path)
+        assert main(["ablate", "--kind", "no-memory", "--config", str(path)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_artifact_is_exit_1_and_names_stage(self, tmp_path, capsys):
         code = main(["train-high", "--out", str(tmp_path / "empty")])

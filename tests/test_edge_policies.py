@@ -6,6 +6,7 @@ import pytest
 from hubplan import nn
 from hubplan.edge_policies import (
     EdgePolicy,
+    PolicyBank,
     PolicyTrainConfig,
     load_bank,
     perturb_segment,
@@ -215,9 +216,11 @@ class TestTrainPolicies:
         assert bank_sha256(bank, tmp_path) == SCENARIO_BANK_SHA256
 
     def test_load_bank_round_trip_non_default_widths(self, trained_scenario, tmp_path):
-        sc, topo, emb = trained_scenario
-        cfg = PolicyTrainConfig(epochs=1, min_epochs=1, enc_hidden=7, gru_hidden=5)
-        bank = train_policies(topo, sc.trajectories, emb, cfg)
+        _sc, topo, emb = trained_scenario
+        bank = PolicyBank(emb_dim=emb.shape[1])
+        rng = np.random.default_rng(0)
+        for hub in sorted({s for s, _t in topo.edges}):
+            bank.policies[hub] = EdgePolicy(rng, emb.shape[1], enc_hidden=7, gru_hidden=5)
         save_bank(bank, tmp_path)
         back = load_bank(tmp_path)
         assert back.emb_dim == bank.emb_dim
@@ -236,8 +239,7 @@ class TestTrainPolicies:
 
     def test_policy_per_out_degree_hub(self, trained_scenario):
         sc, topo, emb = trained_scenario
-        cfg = PolicyTrainConfig(epochs=2, min_epochs=1)
-        bank = train_policies(topo, sc.trajectories, emb, cfg)
+        bank = train_policies(topo, sc.trajectories, emb, PolicyTrainConfig(epochs=2))
         sources = {s for s, _t in topo.edges}
         assert set(bank.policies) == sources
 

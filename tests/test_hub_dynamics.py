@@ -6,7 +6,6 @@ import pytest
 from hubplan.hub_dynamics import (
     CachedDist,
     HubDynamicsModel,
-    make_training_examples,
     next_hub_dist,
     pretrain_on_traversals,
     sample_traversals,
@@ -32,20 +31,6 @@ def toy_topology(n_hubs: int, edges: set, starts=(0,), terminals=()):
                         frozenset(kinds), terminal_meta=meta))
     return BehaviorTopology(epsilon=1e-3, latent_dim=1, hubs=hubs, edges=set(edges),
                             segments={e: ["seg"] for e in edges})
-
-
-class TestTrainingExamples:
-    def test_prefix_counts(self):
-        assert len(make_training_examples([[5, 1, 2, 3]])) == 3
-        assert len(make_training_examples([[5, 1]])) == 1
-
-    def test_examples_are_prefixes(self):
-        ex = make_training_examples([[7, 1, 4]])
-        assert ex == [((7,), 1), ((7, 1), 4)]
-
-    def test_total_over_dataset(self):
-        seqs = [[0, 1, 2], [3, 4], [5, 6, 7, 8]]
-        assert len(make_training_examples(seqs)) == sum(len(s) - 1 for s in seqs)
 
 
 class TestMasking:

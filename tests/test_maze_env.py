@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hubplan.maze import (
     BACKWARD,
     BLUE,
+    DOOR_REQUIREMENTS,
     FORWARD,
     GREEN,
     HALF_OPEN,
@@ -26,7 +27,6 @@ from hubplan.maze import (
     StartConfig,
     TerminalStateError,
     all_goals,
-    door_requirements,
 )
 from hubplan.demos import build_dataset, generate_success_demo
 from hubplan.maze import raster, replay_states
@@ -132,15 +132,15 @@ class TestDoorsAndKeys:
         return rollout
 
     def test_requirements_table(self):
-        assert set(door_requirements(RED)) == {RED, BLUE}
-        assert set(door_requirements(BLUE)) == {RED, GREEN}
-        assert set(door_requirements(GREEN)) == {BLUE, PURPLE}
-        assert set(door_requirements(PURPLE)) == {GREEN, PURPLE}
+        assert set(DOOR_REQUIREMENTS[RED]) == {RED, BLUE}
+        assert set(DOOR_REQUIREMENTS[BLUE]) == {RED, GREEN}
+        assert set(DOOR_REQUIREMENTS[GREEN]) == {BLUE, PURPLE}
+        assert set(DOOR_REQUIREMENTS[PURPLE]) == {GREEN, PURPLE}
 
     def test_every_key_opens_exactly_two_doors(self):
         counts = {c: 0 for c in range(4)}
         for door in range(4):
-            for k in door_requirements(door):
+            for k in DOOR_REQUIREMENTS[door]:
                 counts[k] += 1
         assert all(v == 2 for v in counts.values())
 

@@ -53,12 +53,19 @@ class TestDeterminism:
         assert (out / "metrics.json").read_bytes() == before
         assert (out / "metrics.txt").read_text().startswith("start goal")
 
-    def test_gen_demos_reuses_existing_dataset(self, oracle_run, capsys):
+    def test_gen_demos_rebuilds_dataset_for_new_config(self, tmp_path):
+        # a dataset left by another configuration with the same seed and
+        # failure count must not be reused: the wrong-key penalty changes rewards
         from hubplan.pipeline import stage_gen_demos
 
-        ds = stage_gen_demos(oracle_run["cfg"])
-        assert len(ds.successes) == 18
-        assert "reusing dataset" in capsys.readouterr().out
+        cfg = RunConfig(out_dir=str(tmp_path), seed=0, wrong_key_penalty=0.0)
+        stage_gen_demos(cfg, log=lambda *a: None)
+        stage_gen_demos(dataclasses.replace(cfg, wrong_key_penalty=-5.0), log=lambda *a: None)
+        ds = load_dataset(tmp_path / "dataset")
+        wrong = [traj for traj, (_sid, _goal, spec) in zip(ds.failures, ds.failure_specs)
+                 if spec.kind == "wrong_key"]
+        assert len(wrong) == 70
+        assert [traj.rewards[-1] for traj in wrong] == [-5.1] * len(wrong)
 
 
 class TestStageGuards:
@@ -136,6 +143,6 @@ class TestMapFile:
     def test_env_from_file(self, tmp_path):
         path = tmp_path / "maze.txt"
         path.write_text(DEFAULT_MAP)
-        env = MazeEnv.from_file(path)
+        env = MazeEnv(path.read_text())
         assert env.starts[0].pos == (3, 3)
         assert env.barrel_cell == (4, 7)
