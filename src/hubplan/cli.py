@@ -3,11 +3,16 @@
 Subcommands: gen-demos, train-low, build-topology, train-high,
 train-policies, plan, eval, ablate, run-all. Exit codes: 0 success,
 1 stage failure, 2 configuration error.
+
+Without --config, every subcommand but gen-demos and run-all continues the
+run in its directory (--out or HUBPLAN_OUT) with that run's config.txt, if
+any; --out, --seed and the environment overrides apply on top.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -56,7 +61,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
-    cfg = parse_config(args.config) if args.config else RunConfig()
+    path = args.config
+    run_dir = os.environ.get("HUBPLAN_OUT", args.out)
+    if path is None and run_dir and args.command not in ("gen-demos", "run-all"):
+        saved = Path(run_dir) / "config.txt"
+        path = saved if saved.exists() else None
+    cfg = parse_config(path) if path else RunConfig()
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:

@@ -19,12 +19,11 @@ import numpy as np
 
 from . import nn
 from .maze.env import N_ACTIONS
-from .maze.raster import VIEW_SIZE
+from .maze.raster import OBS_SIZE, VIEW_SIZE
 from .maze.trajectory import Trajectory
 from .topology import BehaviorTopology, Segment
 
 MODEL_KIND = "policy"
-OBS_DIM = VIEW_SIZE + 2
 # early stopping: from MIN_EPOCHS on, every CHECK_EVERY epochs stop once greedy
 # replay of every segment is exact, or once the loss has not improved by a
 # relative PLATEAU_REL for PLATEAU_PATIENCE epochs
@@ -92,7 +91,7 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
 
 
 class EdgePolicy:
-    """Observation encoder -> GRU -> action head, conditioned on a target embedding.
+    """Encoder -> GRU -> action head, conditioned on a target embedding.
 
     Training and inference run in plain numpy: `forward_step` is one step and
     `sequence_loss_and_grads` backpropagates through a whole batch by hand.
@@ -103,7 +102,7 @@ class EdgePolicy:
         self.emb_dim = emb_dim
         self.enc_hidden = enc_hidden
         self.gru_hidden = gru_hidden
-        in_dim = OBS_DIM + emb_dim
+        in_dim = OBS_SIZE + emb_dim
         self.enc_w = nn.init_weight(rng, in_dim, enc_hidden, "pol.enc_w")
         self.enc_b = nn.init_bias(enc_hidden, "pol.enc_b")
         self.gru = nn.GruCellParams.create(rng, enc_hidden, gru_hidden, "pol.gru")
@@ -119,7 +118,7 @@ class EdgePolicy:
         for attr in ("enc_w", "enc_b", "head_w", "head_b"):
             setattr(policy, attr, nn.parameter(tensors[f"pol.{attr}"], f"pol.{attr}"))
         policy.gru = nn.GruCellParams.from_tensors(tensors, "pol.gru")
-        policy.emb_dim = policy.enc_w.data.shape[0] - OBS_DIM
+        policy.emb_dim = policy.enc_w.data.shape[0] - OBS_SIZE
         policy.enc_hidden = policy.gru.input_size
         policy.gru_hidden = policy.gru.hidden_size
         return policy
@@ -131,7 +130,7 @@ class EdgePolicy:
         return {p.name: p.data for p in self.parameters()}
 
     def forward_step(self, x: np.ndarray, h: np.ndarray):
-        """One step on (batch, OBS_DIM + emb_dim) inputs and (batch, gru_hidden) memory.
+        """One step on (batch, OBS_SIZE + emb_dim) inputs and (batch, gru_hidden) memory.
 
         Returns (encoder pre-activation, GRU cache, new memory, logits).
         """
@@ -154,7 +153,7 @@ def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray
     """Loss of a padded batch of sequences and its gradients, by backpropagation
     through time.
 
-    `xs` is (n, T, OBS_DIM + emb_dim), `acts` and `mask` are (n, T); `mask`
+    `xs` is (n, T, OBS_SIZE + emb_dim), `acts` and `mask` are (n, T); `mask`
     is 1 on real steps. Each step's weighted-mean cross-entropy counts with
     its share of the real steps. Returns (loss, {parameter: gradient}).
     Values and gradients are bit-identical to recording the same steps op by
@@ -223,14 +222,14 @@ def _segments_for_hub(topology: BehaviorTopology, hub_id: int, cap: int) -> list
 
 
 def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarray,
-                  obs_rows: dict[int, np.ndarray], act_rows: dict[int, np.ndarray]) -> bool:
+                  trajectories: list[Trajectory]) -> bool:
     for seg in segs:
         memory = policy.initial_memory()
         emb = embeddings[seg.target]
-        rows, acts = obs_rows[seg.traj_id], act_rows[seg.traj_id]
+        traj = trajectories[seg.traj_id]
         for t in range(seg.begin, seg.end):
-            probs, memory = policy.act(rows[t], emb, memory)
-            if int(np.argmax(probs)) != acts[t]:
+            probs, memory = policy.act(traj.observations[t], emb, memory)
+            if int(np.argmax(probs)) != traj.actions[t]:
                 return False
     return True
 
@@ -245,13 +244,7 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     best = np.inf
     stale = 0
 
-    # observation vectors and actions of every trajectory the hub's segments come
-    # from, one row per step; a variant is a run of rows ending where its segment does
-    tids = sorted({s.traj_id for s in segs})
-    obs_rows = {tid: np.stack([o.as_vector() for o in trajectories[tid].observations])
-                for tid in tids}
-    act_rows = {tid: np.array(trajectories[tid].actions, dtype=np.intp) for tid in tids}
-    in_dim = OBS_DIM + embeddings.shape[1]
+    in_dim = OBS_SIZE + embeddings.shape[1]
 
     for epoch in range(config.epochs):
         variants = [perturb_segment(s, rng, config.p_canonical, config.p_truncated,
@@ -263,13 +256,13 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
         acts = np.zeros((n, t_max), dtype=np.intp)
         mask = np.zeros((n, t_max))
         for i, v in enumerate(variants):
-            tid, length = v.base.traj_id, v.base.end - v.begin
-            xs[i, :length, :OBS_DIM] = obs_rows[tid][v.begin:v.base.end]
+            traj, length = trajectories[v.base.traj_id], v.base.end - v.begin
+            xs[i, :length, :OBS_SIZE] = traj.observations[v.begin:v.base.end]
             if config.obs_noise > 0:
                 xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, config.obs_noise,
                                                          size=(length, VIEW_SIZE))
-            xs[i, :length, OBS_DIM:] = embeddings[v.base.target]
-            acts[i, :length] = act_rows[tid][v.begin:v.base.end]
+            xs[i, :length, OBS_SIZE:] = embeddings[v.base.target]
+            acts[i, :length] = traj.actions[v.begin:v.base.end]
             mask[i, :length] = 1.0
 
         loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, config.label_smoothing)
@@ -285,7 +278,7 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
             stale += 1
         if epoch + 1 >= MIN_EPOCHS:
             if ((epoch + 1) % CHECK_EVERY == 0
-                    and _greedy_exact(policy, segs, embeddings, obs_rows, act_rows)):
+                    and _greedy_exact(policy, segs, embeddings, trajectories)):
                 break
             if stale >= PLATEAU_PATIENCE:
                 break

@@ -73,7 +73,7 @@ def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
         reached = False
         edge_steps = 0
         while edge_steps < budget:
-            probs, memory = bank.act(source, emb, obs.as_vector(), memory)
+            probs, memory = bank.act(source, emb, obs, memory)
             action = int(np.argmax(probs))
             state, obs, _reward, terminal, success = env.step(state, action)
             total_steps += 1

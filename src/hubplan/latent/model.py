@@ -11,27 +11,29 @@ from __future__ import annotations
 import numpy as np
 
 from .. import nn
-from ..maze.env import N_ACTIONS, Observation
-from ..maze.raster import VIEW_SIZE
+from ..maze.env import N_ACTIONS
+from ..maze.raster import OBS_SIZE, VIEW_SIZE
 
-OBS_DIM = VIEW_SIZE + 2
 N_BARREL_CLASSES = 5  # empty + four colors
+# every parameter but the encoder's GRU cell, in file order, with the cell's
+# tensors after the first four; each is the attribute named with "_" for "."
+PARAM_NAMES = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "enc.corr_w", "enc.corr_b",
+               "dyn.wz", "dyn.wa", "dyn.b1", "dyn.w2", "dyn.b2", "dec.w1", "dec.b1",
+               "dec.vis_w", "dec.vis_b", "dec.bar0_w", "dec.bar0_b", "dec.bar1_w", "dec.bar1_b",
+               "dec.term_w", "dec.term_b")
 
 
 class LowLevelModel:
-    def __init__(self, rng: np.random.Generator, latent_dim: int = 64, hidden: int = 128,
-                 memoryless: bool = False):
+    def __init__(self, rng: np.random.Generator, latent_dim: int = 64, hidden: int = 128):
         self.latent_dim = latent_dim
         self.hidden = hidden
-        self.memoryless = memoryless
-        self.enc_w1 = nn.init_weight(rng, OBS_DIM, hidden, "enc.w1")
+        self.enc_w1 = nn.init_weight(rng, OBS_SIZE, hidden, "enc.w1")
         self.enc_b1 = nn.init_bias(hidden, "enc.b1")
         self.enc_w2 = nn.init_weight(rng, hidden, latent_dim, "enc.w2")
         self.enc_b2 = nn.init_bias(latent_dim, "enc.b2")
-        if not memoryless:
-            self.gru = nn.GruCellParams.create(rng, latent_dim, latent_dim, "enc.gru")
-            self.corr_w = nn.init_weight(rng, latent_dim, latent_dim, "enc.corr_w")
-            self.corr_b = nn.init_bias(latent_dim, "enc.corr_b")
+        self.gru = nn.GruCellParams.create(rng, latent_dim, latent_dim, "enc.gru")
+        self.enc_corr_w = nn.init_weight(rng, latent_dim, latent_dim, "enc.corr_w")
+        self.enc_corr_b = nn.init_bias(latent_dim, "enc.corr_b")
         self.dyn_wz = nn.init_weight(rng, latent_dim, hidden, "dyn.wz")
         self.dyn_wa = nn.init_weight(rng, N_ACTIONS, hidden, "dyn.wa")
         self.dyn_b1 = nn.init_bias(hidden, "dyn.b1")
@@ -39,34 +41,33 @@ class LowLevelModel:
         self.dyn_b2 = nn.init_bias(latent_dim, "dyn.b2")
         self.dec_w1 = nn.init_weight(rng, latent_dim, hidden, "dec.w1")
         self.dec_b1 = nn.init_bias(hidden, "dec.b1")
-        self.vis_w = nn.init_weight(rng, hidden, VIEW_SIZE, "dec.vis_w")
-        self.vis_b = nn.init_bias(VIEW_SIZE, "dec.vis_b")
-        self.bar0_w = nn.init_weight(rng, hidden, N_BARREL_CLASSES, "dec.bar0_w")
-        self.bar0_b = nn.init_bias(N_BARREL_CLASSES, "dec.bar0_b")
-        self.bar1_w = nn.init_weight(rng, hidden, N_BARREL_CLASSES, "dec.bar1_w")
-        self.bar1_b = nn.init_bias(N_BARREL_CLASSES, "dec.bar1_b")
-        self.term_w = nn.init_weight(rng, hidden, 2, "dec.term_w")
-        self.term_b = nn.init_bias(2, "dec.term_b")
+        self.dec_vis_w = nn.init_weight(rng, hidden, VIEW_SIZE, "dec.vis_w")
+        self.dec_vis_b = nn.init_bias(VIEW_SIZE, "dec.vis_b")
+        self.dec_bar0_w = nn.init_weight(rng, hidden, N_BARREL_CLASSES, "dec.bar0_w")
+        self.dec_bar0_b = nn.init_bias(N_BARREL_CLASSES, "dec.bar0_b")
+        self.dec_bar1_w = nn.init_weight(rng, hidden, N_BARREL_CLASSES, "dec.bar1_w")
+        self.dec_bar1_b = nn.init_bias(N_BARREL_CLASSES, "dec.bar1_b")
+        self.dec_term_w = nn.init_weight(rng, hidden, 2, "dec.term_w")
+        self.dec_term_b = nn.init_bias(2, "dec.term_b")
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "LowLevelModel":
+        """Model whose parameters are the given arrays (not copies), with no
+        random initialisation; the latent and hidden widths come from their
+        shapes."""
+        model = cls.__new__(cls)
+        for name in PARAM_NAMES:
+            setattr(model, name.replace(".", "_"), nn.parameter(tensors[name], name))
+        model.gru = nn.GruCellParams.from_tensors(tensors, "enc.gru")
+        model.hidden, model.latent_dim = model.enc_w2.data.shape
+        return model
 
     def parameters(self) -> list[nn.Tensor]:
-        out = [self.enc_w1, self.enc_b1, self.enc_w2, self.enc_b2]
-        if not self.memoryless:
-            out.extend(self.gru.tensors().values())
-            out.extend([self.corr_w, self.corr_b])
-        out.extend([
-            self.dyn_wz, self.dyn_wa, self.dyn_b1, self.dyn_w2, self.dyn_b2,
-            self.dec_w1, self.dec_b1, self.vis_w, self.vis_b,
-            self.bar0_w, self.bar0_b, self.bar1_w, self.bar1_b,
-            self.term_w, self.term_b,
-        ])
-        return out
+        plain = [getattr(self, name.replace(".", "_")) for name in PARAM_NAMES]
+        return plain[:4] + list(self.gru.tensors().values()) + plain[4:]
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
-
-    def load_tensors(self, tensors: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            p.data = np.array(tensors[p.name], dtype=np.float64)
 
     # -- network pieces -----------------------------------------------------
 
@@ -77,10 +78,8 @@ class LowLevelModel:
     def encode_step(self, obs_batch, h_prev):
         """One encoding step; returns (latent, new hidden)."""
         imm = self.immediate_summary(obs_batch)
-        if self.memoryless:
-            return imm, h_prev
         h_new = nn.gru_step(self.gru, imm, h_prev)
-        z = imm + (nn.matmul(h_new, self.corr_w) + self.corr_b)
+        z = imm + (nn.matmul(h_new, self.enc_corr_w) + self.enc_corr_b)
         return z, h_new
 
     def predict_next(self, z, action_onehot) -> nn.Tensor:
@@ -89,10 +88,10 @@ class LowLevelModel:
 
     def decode(self, z_hat):
         d = nn.relu(nn.matmul(z_hat, self.dec_w1) + self.dec_b1)
-        vis = nn.matmul(d, self.vis_w) + self.vis_b
-        bar0 = nn.matmul(d, self.bar0_w) + self.bar0_b
-        bar1 = nn.matmul(d, self.bar1_w) + self.bar1_b
-        term = nn.matmul(d, self.term_w) + self.term_b
+        vis = nn.matmul(d, self.dec_vis_w) + self.dec_vis_b
+        bar0 = nn.matmul(d, self.dec_bar0_w) + self.dec_bar0_b
+        bar1 = nn.matmul(d, self.dec_bar1_w) + self.dec_bar1_b
+        term = nn.matmul(d, self.dec_term_w) + self.dec_term_b
         return vis, bar0, bar1, term
 
 
@@ -111,8 +110,7 @@ class LearnedEncoder:
     def begin_episode(self) -> None:
         self.hidden = np.zeros((1, self.model.latent_dim))
 
-    def encode(self, obs: Observation, state=None) -> np.ndarray:
-        vec = obs.as_vector()[None, :]
-        z, h = self.model.encode_step(nn.Tensor(vec), nn.Tensor(self.hidden))
+    def encode(self, obs: np.ndarray, state=None) -> np.ndarray:
+        z, h = self.model.encode_step(nn.Tensor(obs[None, :]), nn.Tensor(self.hidden))
         self.hidden = h.data
         return z.data[0]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..maze.env import EnvState, Observation
+from ..maze.env import EnvState
 
 ALL_FIELDS = ("position", "orientation", "held", "doors", "barrel")
 MEMORYLESS_FIELDS = ("position", "orientation")
@@ -58,7 +58,7 @@ class OracleEncoder:
             out.extend(s + 1 for s in slots)
         return out
 
-    def encode(self, obs: Observation | None, state: EnvState) -> np.ndarray:
+    def encode(self, obs: np.ndarray | None, state: EnvState) -> np.ndarray:
         if state is None:
             raise ValueError("oracle encoding needs the ground-truth state")
         codes = self.codes(state)

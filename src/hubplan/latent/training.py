@@ -1,6 +1,8 @@
 """Training loop for the low-level latent model.
 
-Trajectories are padded into one batch and processed in fixed windows of
+Each trajectory's observation matrix is copied once into a zero-padded
+(trajectories, steps + 1, OBS_SIZE) batch; the view and barrel targets are
+read from that batch. The batch is processed in fixed windows of
 `history_len` transitions; the recurrent hidden state crosses window
 boundaries by value only (detached), which clips backpropagation through
 time to the window. Each window is one optimizer step.
@@ -14,7 +16,7 @@ import numpy as np
 
 from .. import nn
 from ..maze.env import N_ACTIONS
-from ..maze.raster import VIEW_SIZE, channel_weights
+from ..maze.raster import OBS_SIZE, VIEW_SIZE, channel_weights
 from ..maze.trajectory import Trajectory
 from .model import LowLevelModel
 
@@ -43,23 +45,20 @@ def latent_prediction_loss(z_hat, z_next, weight_col: np.ndarray, normalizer: fl
 def _pack(trajectories: list[Trajectory]):
     n = len(trajectories)
     t_max = max(len(t) for t in trajectories)
-    obs = np.zeros((n, t_max + 1, VIEW_SIZE + 2))
-    vis_tgt = np.zeros((n, t_max + 1, VIEW_SIZE))
-    barrel_tgt = np.zeros((n, t_max + 1, 2), dtype=np.intp)
+    obs = np.zeros((n, t_max + 1, OBS_SIZE))
     term_tgt = np.zeros((n, t_max + 1, 2))
     actions = np.zeros((n, t_max), dtype=np.intp)
     mask = np.zeros((n, t_max))
     for i, traj in enumerate(trajectories):
         ln = len(traj)
-        for t, o in enumerate(traj.observations):
-            obs[i, t] = o.as_vector()
-            vis_tgt[i, t] = o.view
-            barrel_tgt[i, t] = o.barrel_vec
+        obs[i, :ln + 1] = traj.observations
         actions[i, :ln] = traj.actions
         mask[i, :ln] = 1.0
         term_tgt[i, ln, 0] = 1.0
         term_tgt[i, ln, 1] = 1.0 if traj.success else 0.0
-    return obs, vis_tgt, barrel_tgt, term_tgt, actions, mask
+    # a barrel slot holds (color + 1) / 4, exactly, so 4x is its class id
+    barrel_tgt = (obs[:, :, VIEW_SIZE:] * 4).astype(np.intp)
+    return obs, obs[:, :, :VIEW_SIZE], barrel_tgt, term_tgt, actions, mask
 
 
 def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],

@@ -4,7 +4,10 @@ The agent walks cell-snapped with 90-degree turns, carries at most one item,
 opens a door by applying its two required key colors (keys are consumed and
 respawn at their home cells), and must deposit two diamonds into the barrel
 in the requested order. Wrong-key door attempts and wrong deposits end the
-episode. All transitions are pure functions of (state, action).
+episode. All transitions are pure functions of (state, action). `reset` and
+`step` also return the new state's observation: one float64 row of
+`raster.OBS_SIZE` values, the egocentric view planes followed by the two
+barrel slots (see `raster`).
 """
 
 from __future__ import annotations
@@ -117,24 +120,6 @@ class EnvState:
     step_count: int
     terminal: bool
     success: bool
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Egocentric channel raster plus the two-slot barrel vector."""
-
-    view: np.ndarray        # flattened (VIEW_W * VIEW_H * N_CHANNELS,)
-    barrel_vec: np.ndarray  # (2,) ints, 0 empty else color id + 1
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.view, self.barrel_vec.astype(np.float64) / 4.0])
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Observation)
-            and np.array_equal(self.view, other.view)
-            and np.array_equal(self.barrel_vec, other.barrel_vec)
-        )
 
 
 class MazeEnv:
@@ -331,9 +316,9 @@ class MazeEnv:
         )
         return new_state, reward, terminal, success
 
-    def rasterize(self, state: EnvState) -> Observation:
+    def rasterize(self, state: EnvState) -> np.ndarray:
         return raster.rasterize(self, state)
 
 
-# imported last: the raster reads this module's constants and Observation
+# imported last: the raster reads this module's constants
 from . import raster  # noqa: E402

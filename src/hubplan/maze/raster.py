@@ -1,8 +1,11 @@
-"""Egocentric channel-plane raster of the maze state.
+"""Egocentric channel-plane raster of the maze state, as the observation row
+the networks read.
 
-A 7x7 window in the agent's frame, agent at the bottom-center cell looking
-"up". Held items contribute nothing, so two states differing only in the
-carried object rasterize identically.
+A row holds OBS_SIZE float64 values: the VIEW_SIZE raveled view planes, then
+the two barrel slots, each (deposited color + 1) / 4 or 0 when empty. The
+view is a 7x7 window in the agent's frame, agent at the bottom-center cell
+looking "up". Held items contribute nothing, so two states differing only in
+the carried object rasterize identically.
 
 Channel planes (12): 0 wall, 1 open floor, 2 barrel, 3-6 key presence by
 color, 7-10 door/diamond color, 11 door phase (1.0 locked, 0.5 half-open).
@@ -23,20 +26,21 @@ distance from the agent with the cells it can be seen through, is the same
 for every env. A call gathers the 49 codes, builds a 16-entry transparency
 and shown-contents lookup from the door phases and the present keys and
 diamonds, propagates visibility in that order, and gathers each cell's
-planes from a fixed table of cell contents into a fresh float64 array.
+planes from a fixed table of cell contents into a fresh row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .env import DIR, HALF_OPEN, OPEN, Observation
+from .env import DIR, HALF_OPEN, OPEN
 
 VIEW_W = 7
 VIEW_H = 7
 N_CHANNELS = 12
 AGENT_VIEW_POS = (3, 6)
 VIEW_SIZE = VIEW_W * VIEW_H * N_CHANNELS
+OBS_SIZE = VIEW_SIZE + 2  # view planes, then the two barrel slots
 
 CH_WALL = 0
 CH_FLOOR = 1
@@ -122,7 +126,7 @@ class ViewTables:
                 for ahead, right in VIEW_FRAME])
 
 
-def rasterize(env, state) -> Observation:
+def rasterize(env, state) -> np.ndarray:
     tables = env.view_tables
     grid = tables.codes
     at = state.pos[0] * tables.stride + state.pos[1]
@@ -153,10 +157,11 @@ def rasterize(env, state) -> Observation:
             seen[cell] = shown[code]
             lit[cell] = clear[code]
 
-    barrel_vec = np.zeros(2, dtype=np.int64)
+    row = np.zeros(OBS_SIZE)
+    np.take(CELL_PLANES, seen, axis=0, out=row[:VIEW_SIZE].reshape(-1, N_CHANNELS))
     for i, c in enumerate(state.barrel[:2]):
-        barrel_vec[i] = c + 1
-    return Observation(view=CELL_PLANES[seen].ravel(), barrel_vec=barrel_vec)
+        row[VIEW_SIZE + i] = (c + 1) / 4
+    return row
 
 
 def channel_weights() -> np.ndarray:

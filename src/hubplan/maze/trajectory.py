@@ -1,9 +1,11 @@
 """Recorded episodes and their on-disk form.
 
-A trajectory is the full (observation, action) record of one episode plus
-its task labels. On disk: a line-delimited log (step, action, reward,
-terminal) with a few header comments, and a sidecar binary observation
-file holding the view and barrel tensors.
+A trajectory is one episode's observation matrix, one `raster` row per
+step including the last, its action array and rewards, plus its task
+labels. On disk: a line-delimited log (step, action, reward, terminal) with
+a few header comments, and a sidecar binary observation file holding the
+rows split into a `view` tensor and a `barrel` tensor of the slots'
+(color + 1) codes.
 """
 
 from __future__ import annotations
@@ -14,22 +16,25 @@ from pathlib import Path
 import numpy as np
 
 from ..nn.io import ArtifactError, load_params, save_params
-from .env import EnvState, Goal, MazeEnv, Observation, StartConfig
+from .env import EnvState, Goal, MazeEnv, StartConfig
+from .raster import OBS_SIZE, VIEW_SIZE
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     start_id: int
     start: StartConfig
     goal: Goal
     success: bool                 # the y label
-    observations: list[Observation]
-    actions: list[int]
+    observations: np.ndarray      # (T + 1, OBS_SIZE); a list of rows is stacked
+    actions: np.ndarray           # (T,) np.intp; a list is converted
     rewards: list[float]
 
     def __post_init__(self):
-        if len(self.observations) != len(self.actions) + 1:
-            raise ValueError("need exactly one more observation than actions")
+        self.observations = np.asarray(self.observations, dtype=np.float64)
+        self.actions = np.asarray(self.actions, dtype=np.intp)
+        if self.observations.shape != (len(self.actions) + 1, OBS_SIZE):
+            raise ValueError("need one observation row of OBS_SIZE values more than actions")
 
     def __len__(self) -> int:
         return len(self.actions)
@@ -44,14 +49,14 @@ def save_trajectory(traj: Trajectory, base: Path) -> None:
         f"# goal {traj.goal}",
         f"# success {int(traj.success)}",
     ]
-    n = len(traj.actions)
-    for t in range(n):
+    n = len(traj)
+    for t, action in enumerate(traj.actions.tolist()):
         terminal = 1 if t == n - 1 else 0
-        lines.append(f"{t} {traj.actions[t]} {traj.rewards[t]!r} {terminal}")
+        lines.append(f"{t} {action} {traj.rewards[t]!r} {terminal}")
     base.with_suffix(".log").write_text("\n".join(lines) + "\n")
-    view = np.stack([o.view for o in traj.observations])
-    barrel = np.stack([o.barrel_vec.astype(np.float64) for o in traj.observations])
-    save_params(base.with_suffix(".obs"), "trajectory", {"view": view, "barrel": barrel})
+    obs = traj.observations
+    save_params(base.with_suffix(".obs"), "trajectory",
+                {"view": obs[:, :VIEW_SIZE], "barrel": obs[:, VIEW_SIZE:] * 4})
 
 
 def load_trajectory(base: Path) -> Trajectory:
@@ -69,18 +74,16 @@ def load_trajectory(base: Path) -> Trajectory:
         actions.append(int(act))
         rewards.append(float(rew))
     kind, tensors = load_params(base.with_suffix(".obs"), expect_kind="trajectory")
-    view = tensors["view"]
-    barrel = tensors["barrel"].astype(np.int64)
+    view, barrel = tensors["view"], tensors["barrel"]
     if view.shape[0] != len(actions) + 1:
         raise ArtifactError(f"{base}: observation count does not match action count")
-    observations = [Observation(view=view[t], barrel_vec=barrel[t]) for t in range(view.shape[0])]
     sx, sy, so = header["start"].split()
     return Trajectory(
         start_id=int(header["start_id"]),
         start=StartConfig((int(sx), int(sy)), int(so)),
         goal=Goal.parse(header["goal"]),
         success=bool(int(header["success"])),
-        observations=observations,
+        observations=np.concatenate([view, barrel / 4], axis=1),
         actions=actions,
         rewards=rewards,
     )
@@ -90,7 +93,7 @@ def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:
     """Re-run the recorded actions; returns the ground-truth state sequence."""
     state = env.start_state(traj.start, traj.goal)
     states = [state]
-    for action in traj.actions:
+    for action in traj.actions.tolist():
         state, _r, _term, _succ = env.transition(state, action)
         states.append(state)
     return states
@@ -99,11 +102,11 @@ def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:
 def replay_check(env: MazeEnv, traj: Trajectory) -> bool:
     """True when replaying reproduces the stored observations and outcome."""
     state, obs = env.reset(traj.start, traj.goal)
-    if obs != traj.observations[0]:
+    if not np.array_equal(obs, traj.observations[0]):
         return False
     terminal = success = False
-    for t, action in enumerate(traj.actions):
+    for t, action in enumerate(traj.actions.tolist()):
         state, obs, _r, terminal, success = env.step(state, action)
-        if obs != traj.observations[t + 1]:
+        if not np.array_equal(obs, traj.observations[t + 1]):
             return False
     return terminal and success == traj.success

@@ -75,10 +75,10 @@ def make_encoder(cfg: RunConfig, out: Path):
                              fields=cfg.oracle_field_tuple())
     path = _require(out / "lowlevel.bin", "make-encoder", "train-low")
     _kind, tensors = nn.load_params(path, expect_kind=LOW_KIND)
-    memoryless = not any(name.startswith("enc.gru") for name in tensors)
-    model = LowLevelModel(np.random.default_rng(0), latent_dim=cfg.latent_dim,
-                          memoryless=memoryless)
-    model.load_tensors(tensors)
+    model = LowLevelModel.from_tensors(tensors)
+    if model.latent_dim != cfg.latent_dim:
+        raise StageError("make-encoder", f"{path.name} holds {model.latent_dim}-wide latents but "
+                                         f"latent_dim is {cfg.latent_dim}; run stage train-low again")
     return LearnedEncoder(model)
 
 

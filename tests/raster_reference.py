@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hubplan.maze.env import DIR, HALF_OPEN, LOCKED, Observation
+from hubplan.maze.env import DIR, HALF_OPEN, LOCKED
 from hubplan.maze.raster import (
     AGENT_VIEW_POS, CH_BARREL, CH_FLOOR, CH_KEY, CH_OBJ, CH_PHASE, CH_WALL, N_CHANNELS, VIEW_H,
     VIEW_W,
@@ -58,7 +58,7 @@ def _visibility(env, state) -> np.ndarray:
     return vis
 
 
-def rasterize(env, state) -> Observation:
+def rasterize(env, state) -> np.ndarray:
     planes = np.zeros((VIEW_W, VIEW_H, N_CHANNELS), dtype=np.float64)
     vis = _visibility(env, state)
     for vx in range(VIEW_W):
@@ -95,5 +95,5 @@ def rasterize(env, state) -> Observation:
     barrel_vec = np.zeros(2, dtype=np.int64)
     for i, c in enumerate(state.barrel[:2]):
         barrel_vec[i] = c + 1
-    return Observation(view=planes.ravel(), barrel_vec=barrel_vec)
+    return np.concatenate([planes.ravel(), barrel_vec.astype(np.float64) / 4.0])
 

@@ -190,7 +190,7 @@ def test_criterion_gradient_correctness():
 
     errors["encoder"] = nn.finite_diff_check(
         f_encoder, [model.enc_w1, model.enc_b1, model.enc_w2, model.enc_b2,
-                    model.corr_w, model.corr_b] + list(model.gru.tensors().values()))
+                    model.enc_corr_w, model.enc_corr_b] + list(model.gru.tensors().values()))
 
     from hubplan.latent.training import latent_prediction_loss
     from hubplan.maze.raster import VIEW_SIZE, channel_weights
@@ -413,7 +413,7 @@ def test_criterion_learned_backend_smoke(oracle_run):
     policy = EdgePolicy(np.random.default_rng(2), emb_dim=4)
     emb = np.zeros((2, 4))
     opt = nn.Adam(policy.parameters(), lr=5e-3)
-    xs = np.stack([np.concatenate([traj.observations[t].as_vector(), emb[1]])
+    xs = np.stack([np.concatenate([traj.observations[t], emb[1]])
                    for t in range(seg.begin, seg.end)])[None]
     acts = np.array([traj.actions[seg.begin:seg.end]])
     for _ in range(400):

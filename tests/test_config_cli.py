@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import hubplan
-from hubplan.cli import main
+from hubplan.cli import _build_parser, _load_config, main
 from hubplan.config import ConfigError, RunConfig, apply_env_overrides, parse_config, save_config
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
 from hubplan.pipeline import derive_no_memory_config
@@ -53,6 +53,58 @@ class TestConfig:
         monkeypatch.setenv("HUBPLAN_SEED", "soon")
         with pytest.raises(ConfigError):
             apply_env_overrides(RunConfig())
+
+
+class TestRunDirectoryConfig:
+    """A subcommand that continues a run reads the run directory's config.txt
+    when it is given no --config; gen-demos and run-all start from defaults."""
+
+    CONTINUING = [["train-low"], ["build-topology"], ["train-high"], ["train-policies"],
+                  ["eval"], ["plan", "--start", "0", "--goal", "red,blue"],
+                  ["ablate", "--kind", "bfs"], ["ablate", "--kind", "no-memory"]]
+
+    @pytest.fixture(autouse=True)
+    def no_env_overrides(self, monkeypatch):
+        monkeypatch.delenv("HUBPLAN_OUT", raising=False)
+        monkeypatch.delenv("HUBPLAN_SEED", raising=False)
+
+    @pytest.fixture
+    def run_dir(self, tmp_path):
+        run = tmp_path / "run"
+        run.mkdir()
+        save_config(RunConfig(out_dir="moved/away", seed=4, encoder_backend="learned",
+                              lr_policy=0.02, max_segments_per_edge=2), run / "config.txt")
+        return run
+
+    @staticmethod
+    def load(*argv):
+        return _load_config(_build_parser().parse_args(list(argv)))
+
+    @pytest.mark.parametrize("argv", CONTINUING, ids=[
+        "train-low", "build-topology", "train-high", "train-policies", "eval", "plan",
+        "ablate-bfs", "ablate-no-memory"])
+    def test_reads_run_config(self, run_dir, argv):
+        cfg = self.load(*argv, "--out", str(run_dir))
+        assert (cfg.encoder_backend, cfg.lr_policy, cfg.max_segments_per_edge) == \
+            ("learned", 0.02, 2)
+        assert (cfg.out_dir, cfg.seed) == (str(run_dir), 4)
+
+    @pytest.mark.parametrize("command", ["gen-demos", "run-all"])
+    def test_new_run_starts_from_defaults(self, run_dir, command):
+        assert self.load(command, "--out", str(run_dir)) == RunConfig(out_dir=str(run_dir))
+
+    def test_overrides_apply_on_top(self, run_dir, tmp_path, monkeypatch):
+        assert self.load("eval", "--out", str(run_dir), "--seed", "9").seed == 9
+        monkeypatch.setenv("HUBPLAN_OUT", str(run_dir))
+        monkeypatch.setenv("HUBPLAN_SEED", "7")
+        cfg = self.load("eval")
+        assert (cfg.out_dir, cfg.seed, cfg.encoder_backend) == (str(run_dir), 7, "learned")
+        explicit = tmp_path / "explicit.cfg"
+        save_config(RunConfig(lr_policy=0.5), explicit)
+        assert self.load("eval", "--config", str(explicit)).lr_policy == 0.5
+
+    def test_run_without_config_file_uses_defaults(self, tmp_path):
+        assert self.load("eval", "--out", str(tmp_path)) == RunConfig(out_dir=str(tmp_path))
 
 
 def records_fixture():

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hubplan.demos import (
@@ -119,7 +120,8 @@ class TestBuildDataset:
 
     def test_seeded_determinism(self, env, dataset):
         again = build_dataset(env, seed=0)
-        assert [t.actions for t in again.trajectories] == [t.actions for t in dataset.trajectories]
+        assert [t.actions.tolist() for t in again.trajectories] == \
+            [t.actions.tolist() for t in dataset.trajectories]
         assert again.failure_specs == dataset.failure_specs
 
     def test_different_seed_changes_sample(self, env, dataset):
@@ -131,8 +133,9 @@ class TestBuildDataset:
         back = load_dataset(tmp_path / "ds")
         assert len(back.trajectories) == len(dataset.trajectories)
         for a, b in zip(dataset.trajectories, back.trajectories):
-            assert a.actions == b.actions
+            assert a.actions.dtype == b.actions.dtype == np.intp
+            np.testing.assert_array_equal(a.actions, b.actions)
             assert a.success == b.success
-            assert all(x == y for x, y in zip(a.observations, b.observations))
+            assert a.observations.tobytes() == b.observations.tobytes()
         for traj in back.successes[:3] + back.failures[:3]:
             assert replay_check(env, traj)

@@ -57,14 +57,6 @@ def padded_batch(rng, lengths, in_dim):
     return xs, acts, mask
 
 
-class FakeObs:
-    def __init__(self, vec):
-        self._vec = np.asarray(vec, dtype=np.float64)
-
-    def as_vector(self):
-        return self._vec
-
-
 def make_segment(n_actions=6, begin=5):
     """Span of trajectory 0, a `FakeTrajectory`."""
     return Segment(0, 1, 0, begin, begin + n_actions)
@@ -72,7 +64,7 @@ def make_segment(n_actions=6, begin=5):
 
 class FakeTrajectory:
     def __init__(self, length=30):
-        self.observations = [FakeObs(np.full(590, 0.1 * t)) for t in range(length + 1)]
+        self.observations = np.repeat(0.1 * np.arange(length + 1.0)[:, None], 590, axis=1)
         self.actions = [t % 6 for t in range(length)]
 
 
@@ -259,7 +251,7 @@ class TestTrainPolicies:
         memory = policy.initial_memory()
         for obs, action in zip(traj.observations[seg.begin:seg.end],
                                traj.actions[seg.begin:seg.end]):
-            probs, memory = policy.act(obs.as_vector(), emb[target], memory)
+            probs, memory = policy.act(obs, emb[target], memory)
             assert int(np.argmax(probs)) == action
 
     def test_conditioning_separates_targets(self, trained_scenario):
@@ -280,15 +272,15 @@ class TestTrainPolicies:
         argmaxes = set()
         for target in targets[:2]:
             seg = topo.segments[(hub, target)][0]
-            probs, _m = policy.act(first_obs.as_vector(), emb[target], policy.initial_memory())
+            probs, _m = policy.act(first_obs, emb[target], policy.initial_memory())
             if first_step(seg)[1] != first_action:
                 argmaxes.add(int(np.argmax(probs)))
         # demonstrated first actions differ between the two targets here
         obs_a, action_a = first_step(topo.segments[(hub, targets[0])][0])
         obs_b, action_b = first_step(topo.segments[(hub, targets[1])][0])
         assert action_a != action_b
-        pa, _ = policy.act(obs_a.as_vector(), emb[targets[0]], policy.initial_memory())
-        pb, _ = policy.act(obs_b.as_vector(), emb[targets[1]], policy.initial_memory())
+        pa, _ = policy.act(obs_a, emb[targets[0]], policy.initial_memory())
+        pb, _ = policy.act(obs_b, emb[targets[1]], policy.initial_memory())
         assert int(np.argmax(pa)) == action_a
         assert int(np.argmax(pb)) == action_b
         assert int(np.argmax(pa)) != int(np.argmax(pb))

@@ -24,6 +24,8 @@ from hubplan.maze import (
     Goal,
     MazeEnv,
     MazeError,
+    OBS_SIZE,
+    VIEW_SIZE,
     StartConfig,
     TerminalStateError,
     all_goals,
@@ -53,13 +55,14 @@ class TestReset:
     def test_barrel_vec_starts_empty(self, env):
         for goal in all_goals()[:3]:
             _, obs = env.reset(env.starts[0], goal)
-            np.testing.assert_array_equal(obs.barrel_vec, [0, 0])
+            assert obs.shape == (OBS_SIZE,)
+            np.testing.assert_array_equal(obs[VIEW_SIZE:], [0, 0])
 
     def test_reset_deterministic(self, env):
         s1, o1 = env.reset(env.starts[1], Goal(GREEN, RED))
         s2, o2 = env.reset(env.starts[1], Goal(GREEN, RED))
         assert s1 == s2
-        assert o1 == o2
+        np.testing.assert_array_equal(o1, o2)
 
     def test_start_in_wall_rejected(self, env):
         with pytest.raises(MazeError):
@@ -199,14 +202,14 @@ class TestRasterize:
         held_state = rollout.state
         assert held_state.held == ("key", RED)
         bare = held_state.__class__(**{**held_state.__dict__, "held": None})
-        np.testing.assert_array_equal(env.rasterize(held_state).view, env.rasterize(bare).view)
+        np.testing.assert_array_equal(env.rasterize(held_state), env.rasterize(bare))
 
     def test_cells_beyond_wall_occluded(self, env):
         # start A faces east; the key room beyond the divider wall is hidden
         state, obs = env.reset(StartConfig((2, 2), 3), Goal(RED, BLUE))  # facing north
         from hubplan.maze import N_CHANNELS, VIEW_H, VIEW_W
 
-        view = obs.view.reshape(VIEW_W, VIEW_H, N_CHANNELS)
+        view = obs[:VIEW_SIZE].reshape(VIEW_W, VIEW_H, N_CHANNELS)
         # row vy=4 is two cells ahead: world row 0 is the boundary wall,
         # so everything farther (vy<=3) must be all-zero planes
         assert view[:, :4, :].sum() == 0.0
@@ -216,21 +219,20 @@ class TestRasterize:
         for a in [FORWARD, FORWARD, FORWARD, TURN_RIGHT]:
             state, obs, *_ = env.step(state, a)
         golden = np.loadtxt(DATA / "golden_room_view.txt")
-        np.testing.assert_array_equal(obs.view, golden)
+        np.testing.assert_array_equal(obs[:VIEW_SIZE], golden)
 
     def test_golden_door_view(self, env):
         traj = generate_success_demo(env, 0, Goal(RED, BLUE))
-        i = traj.actions.index(TOGGLE)
+        i = np.flatnonzero(traj.actions == TOGGLE)[0]
         golden = np.loadtxt(DATA / "golden_door_view.txt")
-        np.testing.assert_array_equal(traj.observations[i].view, golden)
+        np.testing.assert_array_equal(traj.observations[i, :VIEW_SIZE], golden)
 
 
 def assert_same_raster(env, state):
     new = raster.rasterize(env, state)
     ref = raster_reference.rasterize(env, state)
-    for a, b in ((new.view, ref.view), (new.barrel_vec, ref.barrel_vec)):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert a.tobytes() == b.tobytes(), state
+    assert (new.dtype, new.shape) == (ref.dtype, ref.shape) == (np.float64, (OBS_SIZE,))
+    assert new.tobytes() == ref.tobytes(), state
     return ref
 
 
@@ -241,7 +243,7 @@ class TestRasterMatchesReference:
         for traj in build_dataset(env, seed=0).trajectories:
             states = replay_states(env, traj)
             for state, obs in zip(states, traj.observations):
-                assert obs == assert_same_raster(env, state)
+                assert obs.tobytes() == assert_same_raster(env, state).tobytes()
 
     def test_variant_map_scenario_states(self):
         scenario = build_scenario()

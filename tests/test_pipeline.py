@@ -10,10 +10,11 @@ from hubplan import nn
 from hubplan.cli import main
 from hubplan.config import RunConfig
 from hubplan.demos import load_dataset
-from hubplan.maze import DEFAULT_MAP, MazeEnv
+from hubplan.maze import DEFAULT_MAP, Goal, MazeEnv
 from hubplan.hub_dynamics import HubDynamicsModel
-from hubplan.pipeline import (HIGH_KIND, StageError, evaluate, load_high_model, stage_eval,
-                              stage_train_high)
+from hubplan.latent import LearnedEncoder, LowLevelModel
+from hubplan.pipeline import (HIGH_KIND, LOW_KIND, StageError, evaluate, load_high_model,
+                              make_encoder, stage_eval, stage_train_high)
 from hubplan.topology import load_topology
 
 
@@ -35,6 +36,15 @@ class TestArtifacts:
         copy = out / "highlevel_copy.bin"
         nn.save_params(copy, kind, tensors)
         assert copy.read_bytes() == (out / "highlevel.bin").read_bytes()
+
+    def test_text_artifacts_hold_no_numpy_reprs(self, oracle_run):
+        out = oracle_run["out"]
+        paths = sorted((out / "dataset").glob("*.log"))
+        assert len(paths) == 138
+        paths += [out / name for name in
+                  ("topology.txt", "config.txt", "high_loss.txt", "policy_loss.txt")]
+        for path in paths:
+            assert "np." not in path.read_text(), path.name
 
     def test_corrupted_artifact_rejected(self, oracle_run, tmp_path):
         blob = bytearray((oracle_run["out"] / "highlevel.bin").read_bytes())
@@ -83,6 +93,19 @@ class TestStageGuards:
                                       model.embeddings())
         with pytest.raises(StageError, match="train-high"):
             load_high_model(cfg, "train-policies", 7)
+
+    def test_low_level_model_loads_its_own_widths(self, tmp_path):
+        cfg = RunConfig(out_dir=str(tmp_path), encoder_backend="learned", latent_dim=8)
+        model = LowLevelModel(np.random.default_rng(0), latent_dim=8, hidden=16)
+        nn.save_params(tmp_path / "lowlevel.bin", LOW_KIND, model.tensors())
+        encoder = make_encoder(cfg, tmp_path)
+        assert (encoder.model.latent_dim, encoder.model.hidden) == (8, 16)
+        assert list(encoder.model.tensors()) == list(model.tensors())
+        env = MazeEnv()
+        _state, obs = env.reset(env.starts[0], Goal(0, 1))
+        np.testing.assert_array_equal(encoder.encode(obs), LearnedEncoder(model).encode(obs))
+        with pytest.raises(StageError, match="train-low"):
+            make_encoder(dataclasses.replace(cfg, latent_dim=64), tmp_path)
 
     def test_train_high_reads_topology_without_encoder(self, oracle_run, tmp_path):
         # the hub sequences come from topology.txt, so the learned backend
