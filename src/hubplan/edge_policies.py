@@ -6,6 +6,24 @@ data, read through each segment's step span from its trajectory. Segment
 starts are stochastically perturbed during training (canonical / truncated /
 preroll), observations get small additive noise on the raster channels, and
 action labels are smoothed.
+
+Training backpropagates through time by hand, and its values and gradients
+are bit-identical to recording the same steps op by op on a tape. It stacks,
+and does not merge: only the two recurrences, the GRU memory update forward
+and the memory-gradient chain backward, run as Python step loops. Every
+other op (encoder, GRU input projections, head, cross-entropy, input
+gradients, head and bias gradients) runs once on a (T, batch, width)
+stack, which numpy computes as one GEMM or reduction per time slice, each
+bit-identical to the 2-d op of that step; each parameter's per-step
+gradients are then summed in reverse time order, as the tape sums them.
+Merging the steps into one (T * batch, width) GEMM would round
+differently, so the encoder and GRU weight gradients stay per-step GEMMs,
+each summed in place into one accumulator (stacking those large products
+measured slower than summing them while they are in cache). The numpy
+facts this rests on held for 1 to 16 rows and 1 to 40 steps under numpy
+2.4 with OpenBLAS 0.3.31; `tests/test_nn_core.py::TestStackedNumpyFacts`
+rechecks them at the trainer's shapes, and the tape comparison and the
+pinned scenario-bank hash in `tests/test_edge_policies.py` check the whole.
 """
 
 from __future__ import annotations
@@ -93,7 +111,7 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
 class EdgePolicy:
     """Encoder -> GRU -> action head, conditioned on a target embedding.
 
-    Training and inference run in plain numpy: `forward_step` is one step and
+    Training and inference run in plain numpy: `act` is one step and
     `sequence_loss_and_grads` backpropagates through a whole batch by hand.
     """
 
@@ -129,23 +147,45 @@ class EdgePolicy:
     def tensors(self) -> dict[str, np.ndarray]:
         return {p.name: p.data for p in self.parameters()}
 
-    def forward_step(self, x: np.ndarray, h: np.ndarray):
-        """One step on (batch, OBS_SIZE + emb_dim) inputs and (batch, gru_hidden) memory.
+    def encode(self, x: np.ndarray) -> np.ndarray:
+        """ReLU encoder of (batch, OBS_SIZE + emb_dim) inputs or a stack of them."""
+        return np.maximum(x @ self.enc_w.data + self.enc_b.data, 0.0)
 
-        Returns (encoder pre-activation, GRU cache, new memory, logits).
+    def head(self, h: np.ndarray) -> np.ndarray:
+        """Action logits of (batch, gru_hidden) memory or a stack of it."""
+        return h @ self.head_w.data + self.head_b.data
+
+    def unroll(self, enc: np.ndarray, h: np.ndarray):
+        """Run the GRU over a (T, batch, enc_hidden) stack of encodings from
+        (batch, gru_hidden) memory `h`.
+
+        Returns the (T + 1, batch, gru_hidden) memory stack, whose first
+        slice is `h`, and the T per-step caches.
         """
-        pre = x @ self.enc_w.data + self.enc_b.data
-        h, cache = nn.gru_forward(self.gru, np.maximum(pre, 0.0), h)
-        return pre, cache, h, h @ self.head_w.data + self.head_b.data
+        xw = nn.gru_input_proj(self.gru, enc)
+        hs = np.empty((enc.shape[0] + 1, *h.shape))
+        hs[0] = h
+        caches = []
+        for t in range(enc.shape[0]):
+            h, cache = nn.gru_cell(self.gru, (xw[0][t], xw[1][t], xw[2][t]), h)
+            hs[t + 1] = h
+            caches.append(cache)
+        return hs, caches
 
     def initial_memory(self) -> np.ndarray:
         return np.zeros((1, self.gru_hidden))
 
     def act(self, obs_vec: np.ndarray, target_emb: np.ndarray, memory: np.ndarray):
         """Action distribution for one observation; returns (probs, new memory)."""
-        x = np.concatenate([obs_vec, target_emb])[None, :]
-        _pre, _cache, h, logits = self.forward_step(x, memory)
-        return nn.softmax_np(logits)[0], h
+        enc = self.encode(np.concatenate([obs_vec, target_emb])[None, :])
+        h, _cache = nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, enc), memory)
+        return nn.softmax_np(self.head(h))[0], h
+
+
+def _reverse_time_sum(per_step: np.ndarray) -> np.ndarray:
+    """Sum of a (T, ...) stack from its last step to its first, as a left
+    fold: the order in which the tape accumulates a parameter's gradient."""
+    return np.add.reduce(per_step[::-1], axis=0)
 
 
 def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray,
@@ -154,49 +194,60 @@ def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray
     through time.
 
     `xs` is (n, T, OBS_SIZE + emb_dim), `acts` and `mask` are (n, T); `mask`
-    is 1 on real steps. Each step's weighted-mean cross-entropy counts with
-    its share of the real steps. Returns (loss, {parameter: gradient}).
-    Values and gradients are bit-identical to recording the same steps op by
-    op on a tape: every sum is taken in the order the tape would take it.
+    is 1 on real steps, and the batch ends before its first step with no
+    real row. Each step's weighted-mean cross-entropy counts with its share
+    of the real steps. Returns (loss, {parameter: gradient}). Values and
+    gradients are bit-identical to recording the same steps op by op on a
+    tape: every sum is taken in the order the tape would take it.
     """
     total = mask.sum()
-    h = np.zeros((xs.shape[0], policy.gru_hidden))
-    steps = []
-    loss = None
-    for t in range(xs.shape[1]):
-        w = mask[:, t]
-        if w.sum() == 0:
-            break
-        x = xs[:, t]
-        pre, cache, h, logits = policy.forward_step(x, h)
-        ce, dce = nn.softmax_cross_entropy_np(logits, acts[:, t], sample_weight=w,
-                                              label_smoothing=label_smoothing)
-        share = float(w.sum() / total)
-        loss = ce * share if loss is None else loss + ce * share
-        steps.append((x, pre, cache, h, dce * share))
+    step_w = np.ascontiguousarray(mask.T)
+    real = step_w.sum(axis=1)
+    empty = np.flatnonzero(real == 0)
+    steps = int(empty[0]) if empty.size else xs.shape[1]
+    if steps == 0:
+        raise ValueError("batch has no real step: its mask is zero at the first step")
 
-    grads: dict[nn.Tensor, np.ndarray] = {}
+    x = xs[:, :steps].swapaxes(0, 1)                       # (T, n, in) view
+    enc = policy.encode(x)
+    hs, caches = policy.unroll(enc, np.zeros((xs.shape[0], policy.gru_hidden)))
+    ce, dce = nn.softmax_cross_entropy_np(policy.head(hs[1:]), acts[:, :steps].T,
+                                          sample_weight=step_w[:steps],
+                                          label_smoothing=label_smoothing)
+    share = real[:steps] / total
+    loss = np.add.accumulate(ce * share)[-1]                # running sum over steps
+    dlogits = dce * share[:, None, None]
 
-    def acc(param, g):  # every g is a fresh array, so the sum can go in place
-        if param in grads:
-            grads[param] += g
-        else:
-            grads[param] = g
-
-    gru_params = list(policy.gru.tensors().values())
+    # the memory-gradient chain: the next step's contributions to dh come
+    # first, the head's last
+    dh_head = dlogits @ policy.head_w.data.T
+    da = tuple(np.empty(hs[1:].shape) for _ in range(3))
     dh_next: list[np.ndarray] = []
-    for t in reversed(range(len(steps))):
-        x, pre, cache, h, dlogits = steps[t]
-        acc(policy.head_b, dlogits.sum(axis=0))
-        acc(policy.head_w, h.T @ dlogits)
-        # the next step's contributions to dh come first, the head's last
-        dh = reduce(np.add, [*dh_next, dlogits @ policy.head_w.data.T])
-        dx, dh_next, dparams = nn.gru_backward(policy.gru, cache, dh, need_h=t > 0)
-        for param, d in zip(gru_params, dparams):
-            acc(param, d)
-        dpre = reduce(np.add, dx) * (pre > 0.0)
-        acc(policy.enc_b, dpre.sum(axis=0))
-        acc(policy.enc_w, x.T @ dpre)
+    gru_grads: list[np.ndarray] = []
+    for t in reversed(range(steps)):
+        dh = reduce(np.add, [*dh_next, dh_head[t]])
+        da_t, dh_next = nn.gru_cell_backward(policy.gru, caches[t], dh, need_h=t > 0)
+        for stack, d in zip(da, da_t):
+            stack[t] = d
+        # per step and summed in place: stacked, these (T, width, hidden)
+        # products would go through memory twice and measured slower
+        step_grads = nn.gru_param_grads(enc[t], hs[t], caches[t].rh, da_t)
+        if gru_grads:
+            for acc, g in zip(gru_grads, step_grads):
+                acc += g
+        else:
+            gru_grads = step_grads
+
+    grads = dict(zip(policy.gru.tensors().values(), gru_grads))
+    grads[policy.head_b] = _reverse_time_sum(dlogits.sum(axis=1))
+    grads[policy.head_w] = _reverse_time_sum(hs[1:].swapaxes(1, 2) @ dlogits)
+    dpre = reduce(np.add, nn.gru_input_grads(policy.gru, da)) * (enc > 0.0)
+    grads[policy.enc_b] = _reverse_time_sum(dpre.sum(axis=1))
+    # per step, not one merged GEMM, to keep the tape's rounding
+    d_enc_w = x[steps - 1].T @ dpre[steps - 1]
+    for t in reversed(range(steps - 1)):
+        d_enc_w += x[t].T @ dpre[t]
+    grads[policy.enc_w] = d_enc_w
     return float(loss), grads
 
 
@@ -223,14 +274,18 @@ def _segments_for_hub(topology: BehaviorTopology, hub_id: int, cap: int) -> list
 
 def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarray,
                   trajectories: list[Trajectory]) -> bool:
+    """Whether the argmax action of a step-by-step replay (`policy.act` from
+    fresh memory) reproduces every segment; each segment runs as one
+    (steps, 1, width) stack, bit-identical to those one-row steps."""
+    in_dim = OBS_SIZE + embeddings.shape[1]
     for seg in segs:
-        memory = policy.initial_memory()
-        emb = embeddings[seg.target]
-        traj = trajectories[seg.traj_id]
-        for t in range(seg.begin, seg.end):
-            probs, memory = policy.act(traj.observations[t], emb, memory)
-            if int(np.argmax(probs)) != traj.actions[t]:
-                return False
+        x = np.empty((seg.end - seg.begin, 1, in_dim))
+        x[:, 0, :OBS_SIZE] = trajectories[seg.traj_id].observations[seg.begin:seg.end]
+        x[:, 0, OBS_SIZE:] = embeddings[seg.target]
+        hs, _caches = policy.unroll(policy.encode(x), policy.initial_memory())
+        greedy = nn.softmax_np(policy.head(hs[1:])).argmax(axis=-1)[:, 0]
+        if not np.array_equal(greedy, trajectories[seg.traj_id].actions[seg.begin:seg.end]):
+            return False
     return True
 
 
@@ -265,7 +320,10 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
             acts[i, :length] = traj.actions[v.begin:v.base.end]
             mask[i, :length] = 1.0
 
-        loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, config.label_smoothing)
+        try:
+            loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, config.label_smoothing)
+        except nn.NonFiniteError as err:
+            raise nn.NonFiniteError(f"policy for hub {hub_id}: {err}") from err
         if not np.isfinite(loss):
             raise nn.NonFiniteError(f"non-finite policy loss for hub {hub_id}")
         opt.step(grads)

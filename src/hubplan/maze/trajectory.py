@@ -98,15 +98,3 @@ def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:
         states.append(state)
     return states
 
-
-def replay_check(env: MazeEnv, traj: Trajectory) -> bool:
-    """True when replaying reproduces the stored observations and outcome."""
-    state, obs = env.reset(traj.start, traj.goal)
-    if not np.array_equal(obs, traj.observations[0]):
-        return False
-    terminal = success = False
-    for t, action in enumerate(traj.actions.tolist()):
-        state, obs, _r, terminal, success = env.step(state, action)
-        if not np.array_equal(obs, traj.observations[t + 1]):
-            return False
-    return terminal and success == traj.success

@@ -1,14 +1,29 @@
 """Dense and gated-recurrent building blocks on top of the tape engine.
 
-The gated recurrent step is written once as plain numpy (`gru_forward`,
-`gru_backward`). `gru_step` records it on the tape as a single node, and
-callers that run their own backward pass (the edge policies) use the two
-helpers directly.
+The gated recurrent step is written once as plain numpy, in pieces: the
+input projection (`gru_input_proj`), the recurrent cell update
+(`gru_cell`), its backward to the gate pre-activations and the previous
+memory (`gru_cell_backward`), and the non-recurrent gradients of the input
+(`gru_input_grads`) and of the parameters (`gru_param_grads`). `gru_step`
+records one step on the tape as a single node; callers that run their own
+backward pass (the edge policies) call the pieces directly.
+
+Stack, don't merge: the input projection and the input gradients take
+(batch, width) arrays or (T, batch, width) stacks of T steps. numpy runs
+a stacked matmul as one GEMM per slice, each bit-identical to the 2-d
+product of that step, one-row batches included, so a caller can move
+them out of its step loop without changing a bit. Merging the steps into
+one (T * batch, width) GEMM is faster but rounds differently.
+`tests/test_nn_core.py` checks these facts at the policies' shapes. The
+parameter gradients are per step: their (width, hidden) products are
+large, and summing each into an accumulator while it is in cache
+measured faster than stacking them and summing the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +39,8 @@ from .tensor import (
     parameter,
 )
 
-__all__ = ["init_weight", "GruCellParams", "gru_forward", "gru_backward", "gru_step",
+__all__ = ["init_weight", "GruCellParams", "GruCache", "gru_input_proj", "gru_cell",
+           "gru_cell_backward", "gru_input_grads", "gru_param_grads", "gru_step",
            "finite_diff_check", "finite_diff_error"]
 
 _GRU_TAGS = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
@@ -89,46 +105,76 @@ class GruCellParams:
         return {getattr(self, tag).name: getattr(self, tag) for tag in _GRU_TAGS}
 
 
-def gru_forward(p: GruCellParams, x: np.ndarray, h: np.ndarray):
+class GruCache(NamedTuple):
+    """What one cell update keeps for its backward: the previous memory,
+    the update and reset gates, reset * memory, the candidate and 1 - update."""
+
+    h: np.ndarray
+    u: np.ndarray
+    r: np.ndarray
+    rh: np.ndarray
+    c: np.ndarray
+    omu: np.ndarray
+
+
+def gru_input_proj(p: GruCellParams, x: np.ndarray):
+    """The update, reset and candidate input projections x @ W of a
+    (batch, input) array or a (T, batch, input) stack."""
+    return x @ p.w_update.data, x @ p.w_reset.data, x @ p.w_cand.data
+
+
+def gru_cell(p: GruCellParams, xw, h: np.ndarray):
     """h_t = (1 - u) * h_prev + u * candidate on (batch, width) arrays.
 
-    Returns (h_t, cache); `gru_backward` takes the cache.
+    `xw` is this step's `gru_input_proj` (2-d, or one slice of a stack);
+    each gate pre-activation adds it, the recurrent product and the bias in
+    that order. Returns (h_t, GruCache).
     """
-    u = _sigmoid_np(x @ p.w_update.data + h @ p.u_update.data + p.b_update.data)
-    r = _sigmoid_np(x @ p.w_reset.data + h @ p.u_reset.data + p.b_reset.data)
+    xu, xr, xc = xw
+    u = _sigmoid_np(xu + h @ p.u_update.data + p.b_update.data)
+    r = _sigmoid_np(xr + h @ p.u_reset.data + p.b_reset.data)
     rh = r * h
-    c = np.tanh(x @ p.w_cand.data + rh @ p.u_cand.data + p.b_cand.data)
+    c = np.tanh(xc + rh @ p.u_cand.data + p.b_cand.data)
     omu = 1.0 - u
-    return omu * h + u * c, (x, h, u, r, rh, c, omu)
+    return omu * h + u * c, GruCache(h, u, r, rh, c, omu)
 
 
-def gru_backward(p: GruCellParams, cache, g: np.ndarray, need_x: bool = True,
-                 need_h: bool = True):
-    """Hand-written backward of `gru_forward` for upstream gradient g = dL/dh_t.
+def gru_cell_backward(p: GruCellParams, cache: GruCache, g: np.ndarray, need_h: bool = True):
+    """Hand-written backward of `gru_cell` for upstream gradient g = dL/dh_t.
 
-    Returns (dx parts, dh parts, parameter gradients in `tensors()` order).
-    The input and hidden gradients come as separate parts, in the order the
-    unfused composition of primitive ops adds them up; summing the parts
-    left to right (after anything a later consumer of the same tensor
-    already added) reproduces that composition's gradient bit for bit.
-    A part list is empty when its `need_*` flag is off.
+    Returns (da, dh parts): da = (da_u, da_r, da_c) are the gradients of
+    the update, reset and candidate pre-activations, which
+    `gru_input_grads` (one step or stacked) and `gru_param_grads` (one
+    step) take. The previous memory's gradient comes as separate parts, in
+    the order the unfused composition of primitive ops adds them up;
+    summing the parts left to right (after anything a later consumer of the
+    same tensor already added) reproduces that composition's gradient bit
+    for bit. The part list is empty when `need_h` is off.
     """
-    x, h, u, r, rh, c, omu = cache
-    # da_*: gradients of the update, reset and candidate pre-activations
+    h, u, r, _rh, c, omu = cache
     du = g * c + -(g * h)
     da_c = g * u * (1.0 - c * c)
     drh = da_c @ p.u_cand.data.T
     da_r = drh * h * r * (1.0 - r)
     da_u = du * u * (1.0 - u)
-    dparams = [x.T @ da_u, h.T @ da_u, da_u.sum(axis=0),
-               x.T @ da_r, h.T @ da_r, da_r.sum(axis=0),
-               x.T @ da_c, rh.T @ da_c, da_c.sum(axis=0)]
-    dx, dh = [], []
-    if need_x:
-        dx = [da_c @ p.w_cand.data.T, da_r @ p.w_reset.data.T, da_u @ p.w_update.data.T]
-    if need_h:
-        dh = [g * omu, drh * r, da_r @ p.u_reset.data.T, da_u @ p.u_update.data.T]
-    return dx, dh, dparams
+    dh = [g * omu, drh * r, da_r @ p.u_reset.data.T, da_u @ p.u_update.data.T] if need_h else []
+    return (da_u, da_r, da_c), dh
+
+
+def gru_input_grads(p: GruCellParams, da) -> list[np.ndarray]:
+    """The input gradient's parts, to be summed left to right like the
+    memory's; `da` as from `gru_cell_backward`, one step or stacked."""
+    da_u, da_r, da_c = da
+    return [da_c @ p.w_cand.data.T, da_r @ p.w_reset.data.T, da_u @ p.w_update.data.T]
+
+
+def gru_param_grads(x: np.ndarray, h: np.ndarray, rh: np.ndarray, da) -> list[np.ndarray]:
+    """Parameter gradients of one step in `GruCellParams.tensors()` order,
+    from its (batch, width) input, previous memory, reset * memory and `da`."""
+    da_u, da_r, da_c = da
+    return [x.T @ da_u, h.T @ da_u, da_u.sum(axis=0),
+            x.T @ da_r, h.T @ da_r, da_r.sum(axis=0),
+            x.T @ da_c, rh.T @ da_c, da_c.sum(axis=0)]
 
 
 def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
@@ -137,7 +183,8 @@ def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
     With all-zero parameters the update gate sits at 0.5 and the candidate
     at 0, so h_t = 0.5 * h_prev. Inputs are (batch, input_size) and
     (batch, hidden_size); plain 1-d arrays are promoted to a single row.
-    Records one tape node whose backward is `gru_backward`.
+    Records one tape node whose backward is `gru_cell_backward` and the
+    gradient helpers.
     """
     if not isinstance(x_t, Tensor):
         x_t = Tensor(np.atleast_2d(np.asarray(x_t, dtype=np.float64)))
@@ -151,15 +198,16 @@ def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
         raise ShapeError(f"gru hidden width {h_prev.data.shape[1]} != {params.hidden_size}")
 
     weights = tuple(params.tensors().values())
-    data, cache = gru_forward(params, x_t.data, h_prev.data)
+    data, cache = gru_cell(params, gru_input_proj(params, x_t.data), h_prev.data)
 
     def backward(g):
-        dx, dh, dparams = gru_backward(params, cache, g, x_t.requires_grad, h_prev.requires_grad)
-        for w, d in zip(weights, dparams):
+        da, dh = gru_cell_backward(params, cache, g, h_prev.requires_grad)
+        for w, d in zip(weights, gru_param_grads(x_t.data, cache.h, cache.rh, da)):
             if w.requires_grad:
                 _accum(w, d)
-        for d in dx:
-            _accum(x_t, d)
+        if x_t.requires_grad:
+            for d in gru_input_grads(params, da):
+                _accum(x_t, d)
         for d in dh:
             _accum(h_prev, d)
 

@@ -11,8 +11,9 @@ recurrent step in `layers.py`) runs a whole hand-written backward in one
 call and passes each contribution to a parent separately, in the order the
 unfused composition would, so its gradients are bit-identical to it.
 
-Everything is float64. Shapes are at most rank 2; broadcasting is limited
-to the usual (B, n) + (n,) bias pattern.
+Everything is float64. Tensor shapes are at most rank 2; broadcasting is
+limited to the usual (B, n) + (n,) bias pattern. The plain-numpy softmax
+helpers also take stacks of such batches along leading axes.
 """
 
 from __future__ import annotations
@@ -301,18 +302,19 @@ def gather_rows(table: Tensor, idx) -> Tensor:
 
 
 def _masked_log_softmax_parts(x: np.ndarray):
-    # rows with at least one finite entry assumed; exp(-inf) is an exact 0
-    m = x.max(axis=1, keepdims=True)
+    # over the last axis; rows with at least one finite entry assumed; exp(-inf) is an exact 0
+    m = x.max(axis=-1, keepdims=True)
     shifted = x - m
     shifted[~np.isfinite(x)] = -np.inf
     e = np.exp(shifted)
-    z = e.sum(axis=1, keepdims=True)
+    z = e.sum(axis=-1, keepdims=True)
     log_z = m + np.log(z)
     return e / z, log_z
 
 
 def softmax_np(logits: np.ndarray, additive_mask: np.ndarray | None = None) -> np.ndarray:
-    """Plain-numpy masked softmax for inference paths. Masked entries get exact 0."""
+    """Plain-numpy masked softmax over the last axis for inference paths.
+    Masked entries get exact 0."""
     x = np.asarray(logits, dtype=np.float64)
     if additive_mask is not None:
         x = x + additive_mask
@@ -330,29 +332,44 @@ def softmax_cross_entropy_np(
     """Plain-numpy `softmax_cross_entropy`: (loss, d loss / d logits).
 
     The gradient is None when every sample weight is zero (the loss is 0).
+    `logits` may also be a stack (T, n, k) of T independent batches, with
+    (T, n) targets and weights: the loss is then the (T,) per-batch losses,
+    each bit-identical to the 2-d call on its slice, and every batch needs
+    a positive weight. Logits must be finite; mask classes with
+    `additive_mask`.
     """
-    target_idx = np.asarray(target_idx, dtype=np.intp)
-    n, k = logits.shape
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("non-finite logits")
+    k = logits.shape[-1]
     x = logits if additive_mask is None else logits + additive_mask
     valid = np.isfinite(x)
-    if not valid.any(axis=1).all():
+    if not valid.any(axis=-1).all():
         raise ShapeError("softmax row with every class masked")
     probs, log_z = _masked_log_softmax_parts(x)
 
-    q = np.zeros((n, k), dtype=np.float64)
-    q[np.arange(n), target_idx] = 1.0 - label_smoothing
+    # every row's target entry, through (rows, k) views of the fresh arrays
+    target = (np.arange(logits.size // k), np.asarray(target_idx, dtype=np.intp).ravel())
+    q = np.zeros(logits.shape, dtype=np.float64)
+    q.reshape(-1, k)[target] = 1.0 - label_smoothing
     if label_smoothing > 0.0:
-        q += valid * (label_smoothing / valid.sum(axis=1, keepdims=True))
-    if not valid[np.arange(n), target_idx].all():
+        q += valid * (label_smoothing / valid.sum(axis=-1, keepdims=True))
+    if not valid.reshape(-1, k)[target].all():
         raise ShapeError("target class is masked out")
 
-    w = np.ones(n, dtype=np.float64) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
-    total = w.sum()
-    if total <= 0.0:
-        return np.asarray(0.0), None
+    if sample_weight is None:
+        w = np.ones(logits.shape[:-1], dtype=np.float64)
+    else:
+        # contiguous rows, so each batch's sums run in the same order as a 2-d call's
+        w = np.ascontiguousarray(sample_weight, dtype=np.float64)
+    total = w.sum(axis=-1, keepdims=True)
+    if not (total > 0.0).all():
+        if logits.ndim == 2:
+            return np.asarray(0.0), None
+        raise ValueError("every batch of a stack needs a positive total sample weight")
 
-    per_row = log_z[:, 0] - (q * np.where(valid, logits, 0.0)).sum(axis=1)
-    return np.asarray((per_row * w).sum() / total), (probs - q) * (w / total)[:, None]
+    per_row = log_z[..., 0] - (q * np.where(valid, logits, 0.0)).sum(axis=-1)
+    loss = (per_row * w).sum(axis=-1) / total[..., 0]
+    return np.asarray(loss), (probs - q) * (w / total)[..., None]
 
 
 def softmax_cross_entropy(

@@ -17,9 +17,9 @@ from hubplan.maze import (
     Goal,
     MazeEnv,
     all_goals,
-    replay_check,
     replay_states,
 )
+from replay_reference import replay_check
 
 
 @pytest.fixture(scope="module")

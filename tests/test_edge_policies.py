@@ -8,6 +8,7 @@ from hubplan.edge_policies import (
     EdgePolicy,
     PolicyBank,
     PolicyTrainConfig,
+    _greedy_exact,
     load_bank,
     perturb_segment,
     save_bank,
@@ -45,8 +46,8 @@ def tape_sequence_loss(policy, xs, acts, mask, label_smoothing):
         return loss, nn.backprop(tape, loss)
 
 
-def padded_batch(rng, lengths, in_dim):
-    n, t_max = len(lengths), max(lengths)
+def padded_batch(rng, lengths, in_dim, t_max=None):
+    n, t_max = len(lengths), t_max or max(lengths)
     xs = np.zeros((n, t_max, in_dim))
     acts = np.zeros((n, t_max), dtype=np.intp)
     mask = np.zeros((n, t_max))
@@ -55,6 +56,19 @@ def padded_batch(rng, lengths, in_dim):
         acts[i, :steps] = rng.integers(0, 6, size=steps)
         mask[i, :steps] = 1.0
     return xs, acts, mask
+
+
+def greedy_exact_by_act(policy, segs, embeddings, trajectories):
+    """Reference for `_greedy_exact`: replay each segment one `policy.act`
+    call per step and stop at the first argmax that misses its action."""
+    for seg in segs:
+        memory = policy.initial_memory()
+        traj = trajectories[seg.traj_id]
+        for t in range(seg.begin, seg.end):
+            probs, memory = policy.act(traj.observations[t], embeddings[seg.target], memory)
+            if int(np.argmax(probs)) != traj.actions[t]:
+                return False
+    return True
 
 
 def make_segment(n_actions=6, begin=5):
@@ -154,18 +168,55 @@ class TestEdgePolicy:
             assert np.array_equal(probs, nn.softmax_np(logits.data)[0])
             assert np.array_equal(memory, h.data)
 
-    @pytest.mark.parametrize("widths", [(6, 5), (128, 64)])
-    def test_bptt_bit_identical_to_tape(self, widths):
+    @pytest.mark.parametrize("widths, lengths, t_max", [
+        ((6, 5), [5, 2, 4], None),
+        ((128, 64), [5, 2, 4], None),
+        ((128, 64), [4], None),
+        ((128, 64), [3, 1, 3], 4),
+    ], ids=["widths0", "widths1", "one_sequence", "last_step_masked"])
+    def test_bptt_bit_identical_to_tape(self, widths, lengths, t_max):
         enc_hidden, gru_hidden = widths
         policy = EdgePolicy(np.random.default_rng(7), emb_dim=4, enc_hidden=enc_hidden,
                             gru_hidden=gru_hidden)
-        xs, acts, mask = padded_batch(np.random.default_rng(8), [5, 2, 4], 594)
+        xs, acts, mask = padded_batch(np.random.default_rng(8), lengths, 594, t_max)
         loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)
         ref_loss, ref_grads = tape_sequence_loss(policy, xs, acts, mask, 0.05)
         assert loss == float(ref_loss.data)
         assert set(grads) == set(ref_grads) == set(policy.parameters())
         for p in policy.parameters():
             assert np.array_equal(grads[p], ref_grads[p]), p.name
+
+    def test_all_zero_mask_rejected(self):
+        policy = EdgePolicy(np.random.default_rng(7), emb_dim=4, enc_hidden=6, gru_hidden=5)
+        xs, acts, mask = padded_batch(np.random.default_rng(8), [3, 2], 594)
+        with pytest.raises(ValueError, match="no real step"):
+            sequence_loss_and_grads(policy, xs, acts, np.zeros_like(mask))
+
+    def test_non_finite_logits_rejected(self):
+        policy = EdgePolicy(np.random.default_rng(7), emb_dim=4, enc_hidden=6, gru_hidden=5)
+        policy.head_w.data[:] = np.nan
+        xs, acts, mask = padded_batch(np.random.default_rng(8), [3, 2], 594)
+        with pytest.raises(nn.NonFiniteError, match="non-finite logits"):
+            sequence_loss_and_grads(policy, xs, acts, mask)
+
+    def test_stacked_greedy_replay_matches_act(self):
+        rng = np.random.default_rng(11)
+        policy = EdgePolicy(rng, emb_dim=4)
+        emb = rng.normal(size=(3, 4))
+        traj = FakeTrajectory(length=20)
+        traj.observations = rng.uniform(size=traj.observations.shape)
+        segs = [Segment(0, 1, 0, 2, 9), Segment(0, 2, 0, 9, 20)]
+        # label every step with the policy's own greedy action, so replay passes
+        for seg in segs:
+            memory = policy.initial_memory()
+            for t in range(seg.begin, seg.end):
+                probs, memory = policy.act(traj.observations[t], emb[seg.target], memory)
+                traj.actions[t] = int(np.argmax(probs))
+        assert greedy_exact_by_act(policy, segs, emb, [traj])
+        assert _greedy_exact(policy, segs, emb, [traj])
+        traj.actions[15] = (traj.actions[15] + 1) % 6
+        assert not greedy_exact_by_act(policy, segs, emb, [traj])
+        assert not _greedy_exact(policy, segs, emb, [traj])
 
     def test_gradient_check(self):
         policy = EdgePolicy(np.random.default_rng(5), emb_dim=4, enc_hidden=6, gru_hidden=5)
@@ -291,6 +342,13 @@ class TestTrainPolicies:
         logits = nn.Tensor(np.array([[50.0, 0, 0, 0, 0, 0]]))
         loss = nn.softmax_cross_entropy(logits, np.array([0]), label_smoothing=0.05)
         assert float(loss.data) > 0.1  # confident-correct still pays the floor
+
+    def test_non_finite_logits_name_the_hub(self, trained_scenario):
+        sc, topo, emb = trained_scenario
+        emb = np.full_like(emb, np.nan)
+        with pytest.raises(nn.NonFiniteError, match="hub 0: non-finite logits"):
+            train_policy_for_hub(topo, sc.trajectories, 0, emb, PolicyTrainConfig(epochs=2),
+                                 np.random.default_rng(0))
 
     def test_train_losses_decrease(self, trained_scenario):
         sc, topo, emb = trained_scenario

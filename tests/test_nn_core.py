@@ -292,6 +292,75 @@ class TestSoftmaxCrossEntropy:
         grads = nn.backprop(tape, loss)
         np.testing.assert_array_equal(grads[logits][1], 0.0)
 
+    @pytest.mark.parametrize("n", [1, 3, 12])
+    def test_stack_matches_per_batch_calls(self, n):
+        rng = np.random.default_rng(n)
+        logits = rng.normal(size=(5, n, 6))
+        targets = rng.integers(0, 6, size=(5, n))
+        weights = (rng.uniform(size=(5, n)) < 0.7).astype(float)
+        weights[:, 0] = 1.0
+        loss, dlogits = nn.softmax_cross_entropy_np(logits, targets, sample_weight=weights,
+                                                    label_smoothing=0.05)
+        assert loss.shape == (5,)
+        for t in range(5):
+            want, dwant = nn.softmax_cross_entropy_np(logits[t], targets[t],
+                                                      sample_weight=weights[t],
+                                                      label_smoothing=0.05)
+            assert loss[t] == want
+            assert np.array_equal(dlogits[t], dwant)
+
+
+STACKED_BLAS_BROKEN = (
+    "numpy/BLAS no longer computes a {} bit-identically to the per-step form; "
+    "the edge-policy trainer's stacked backpropagation through time relies on it, "
+    "so policy banks would change bytes")
+
+
+class TestStackedNumpyFacts:
+    """The numpy facts that let policy training move non-recurrent ops out of
+    its step loop without changing a bit, at the trainer's shapes."""
+
+    @pytest.mark.parametrize("steps", [1, 7, 40])
+    def test_stacked_matmul_is_per_slice_gemm(self, steps):
+        rng = np.random.default_rng(steps)
+        w = rng.normal(size=(622, 128))
+        for n in range(1, 9):
+            xs = rng.normal(size=(n, steps, 622))       # batch-major, as the trainer pads
+            stack = xs.swapaxes(0, 1)
+            got = stack @ w
+            rows = np.ascontiguousarray(stack[:, :1]) @ w  # (T, 1, 622), one-row steps
+            for t in range(steps):
+                assert np.array_equal(got[t], xs[:, t] @ w), STACKED_BLAS_BROKEN.format(
+                    f"({steps}, {n}, 622) @ (622, 128) stack")
+                assert np.array_equal(rows[t], stack[t, :1].copy() @ w), \
+                    STACKED_BLAS_BROKEN.format(f"({steps}, 1, 622) @ (622, 128) stack")
+            a, d = rng.normal(size=(steps, n, 64)), rng.normal(size=(steps, n, 6))
+            got = a.swapaxes(-1, -2) @ d
+            for t in range(steps):
+                assert np.array_equal(got[t], a[t].T @ d[t]), STACKED_BLAS_BROKEN.format(
+                    "transposed-operand stack")
+
+    @pytest.mark.parametrize("shape", [(40, 64, 6), (40, 128), (1, 64, 6)])
+    def test_reversed_reduce_is_sequential_fold(self, shape):
+        per_step = np.random.default_rng(0).normal(size=shape)
+        acc = per_step[-1].copy()
+        for t in reversed(range(shape[0] - 1)):
+            acc += per_step[t]
+        assert np.array_equal(np.add.reduce(per_step[::-1], axis=0), acc), \
+            STACKED_BLAS_BROKEN.format("reversed np.add.reduce over time")
+
+    def test_stacked_sums_are_per_step_sums(self):
+        rng = np.random.default_rng(1)
+        for n in (1, 5, 8, 13):
+            stack = rng.normal(size=(7, n, 128))
+            rows = rng.normal(size=(n, 7))
+            by_step = np.ascontiguousarray(rows.T).sum(axis=1)
+            for t in range(7):
+                assert np.array_equal(stack.sum(axis=1)[t], stack[t].sum(axis=0)), \
+                    STACKED_BLAS_BROKEN.format("column sum of a stack")
+                assert by_step[t] == rows[:, t].sum(), \
+                    STACKED_BLAS_BROKEN.format("row sum of a stack")
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
