@@ -166,10 +166,11 @@ class EdgePolicy:
         hs = np.empty((enc.shape[0] + 1, *h.shape))
         hs[0] = h
         caches = []
-        for t in range(enc.shape[0]):
-            h, cache = nn.gru_cell(self.gru, (xw[0][t], xw[1][t], xw[2][t]), h)
-            hs[t + 1] = h
-            caches.append(cache)
+        with np.errstate(over="ignore"):
+            for t in range(enc.shape[0]):
+                h, cache = nn.gru_cell(self.gru, (xw[0][t], xw[1][t], xw[2][t]), h)
+                hs[t + 1] = h
+                caches.append(cache)
         return hs, caches
 
     def initial_memory(self) -> np.ndarray:
@@ -178,7 +179,8 @@ class EdgePolicy:
     def act(self, obs_vec: np.ndarray, target_emb: np.ndarray, memory: np.ndarray):
         """Action distribution for one observation; returns (probs, new memory)."""
         enc = self.encode(np.concatenate([obs_vec, target_emb])[None, :])
-        h, _cache = nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, enc), memory)
+        with np.errstate(over="ignore"):
+            h, _cache = nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, enc), memory)
         return nn.softmax_np(self.head(h))[0], h
 
 

@@ -66,7 +66,8 @@ class HubDynamicsModel:
 
     def advance(self, hidden: np.ndarray, hub_id: int) -> np.ndarray:
         x = self.emb.data[hub_id][None, :]
-        return nn.gru_step(self.gru, x, hidden).data
+        with np.errstate(over="ignore"):
+            return nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, x), hidden)[0]
 
     def dist_from_hidden(self, hidden: np.ndarray, last_hub: int,
                          topology: BehaviorTopology) -> np.ndarray:

@@ -4,6 +4,16 @@ The encoder compresses one observation into an immediate summary and adds a
 recurrent history correction; the dynamics head predicts the next latent
 from (latent, action); the decoder reconstructs next-observation content
 (raster, the two barrel slots, terminal status) from the predicted latent.
+
+`LowLevelModel` records its steps on the tape, for training only.
+`LearnedEncoder.encode` is plain numpy: it runs the encoder MLP, the GRU
+input projections and the correction head once over a (T, 1, width) stack
+of a whole observation matrix, and only the GRU memory update per step.
+numpy computes a stacked matmul as one GEMM per slice, so every latent is
+bit-identical to encoding the rows one at a time, and to the tape's
+`encode_step`; merging the steps into one (T, width) GEMM would round
+differently and move the learned topology. `tests/test_latent.py` and
+`tests/test_nn_core.py::TestStackedNumpyFacts` check both.
 """
 
 from __future__ import annotations
@@ -111,6 +121,21 @@ class LearnedEncoder:
         self.hidden = np.zeros((1, self.model.latent_dim))
 
     def encode(self, obs: np.ndarray, state=None) -> np.ndarray:
-        z, h = self.model.encode_step(nn.Tensor(obs[None, :]), nn.Tensor(self.hidden))
-        self.hidden = h.data
-        return z.data[0]
+        """Latent of one (OBS_SIZE,) observation, or the (T, latent_dim)
+        latents of a (T, OBS_SIZE) observation matrix, continuing from the
+        episode's memory and leaving the last step's memory there; encoding
+        a matrix equals encoding its rows in order."""
+        m = self.model
+        x = obs.reshape(-1, 1, obs.shape[-1])             # (T, 1, OBS_SIZE); a row is T = 1
+        hid = np.maximum(x @ m.enc_w1.data + m.enc_b1.data, 0.0)
+        imm = np.tanh(hid @ m.enc_w2.data + m.enc_b2.data)
+        xw = nn.gru_input_proj(m.gru, imm)
+        hs = np.empty_like(imm)
+        h = self.hidden
+        with np.errstate(over="ignore"):
+            for t in range(x.shape[0]):
+                h, _cache = nn.gru_cell(m.gru, (xw[0][t], xw[1][t], xw[2][t]), h)
+                hs[t] = h
+        self.hidden = h
+        z = imm + (hs @ m.enc_corr_w.data + m.enc_corr_b.data)
+        return z.reshape(obs.shape[:-1] + (m.latent_dim,))

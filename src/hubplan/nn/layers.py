@@ -5,8 +5,11 @@ input projection (`gru_input_proj`), the recurrent cell update
 (`gru_cell`), its backward to the gate pre-activations and the previous
 memory (`gru_cell_backward`), and the non-recurrent gradients of the input
 (`gru_input_grads`) and of the parameters (`gru_param_grads`). `gru_step`
-records one step on the tape as a single node; callers that run their own
-backward pass (the edge policies) call the pieces directly.
+records one step on the tape as a single node for the tape-trained models;
+inference and the edge policies' hand-written backward pass call the pieces
+directly. The cell's gates saturate to exactly 0 or 1 where exp overflows:
+a caller of `gru_cell` enters `np.errstate(over="ignore")` once around its
+step loop.
 
 Stack, don't merge: the input projection and the input gradients take
 (batch, width) arrays or (T, batch, width) stacks of T steps. numpy runs
@@ -27,21 +30,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tensor import (
-    NonFiniteError,
-    ShapeError,
-    Tape,
-    Tensor,
-    _accum,
-    _node,
-    _sigmoid_np,
-    backprop,
-    parameter,
-)
+from .tensor import ShapeError, Tensor, _accum, _node, _sigmoid_np, parameter
 
 __all__ = ["init_weight", "GruCellParams", "GruCache", "gru_input_proj", "gru_cell",
-           "gru_cell_backward", "gru_input_grads", "gru_param_grads", "gru_step",
-           "finite_diff_check", "finite_diff_error"]
+           "gru_cell_backward", "gru_input_grads", "gru_param_grads", "gru_step"]
 
 _GRU_TAGS = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
              "w_cand", "u_cand", "b_cand")
@@ -128,7 +120,8 @@ def gru_cell(p: GruCellParams, xw, h: np.ndarray):
 
     `xw` is this step's `gru_input_proj` (2-d, or one slice of a stack);
     each gate pre-activation adds it, the recurrent product and the bias in
-    that order. Returns (h_t, GruCache).
+    that order. Returns (h_t, GruCache). Call it inside
+    `np.errstate(over="ignore")`: a saturated gate overflows exp.
     """
     xu, xr, xc = xw
     u = _sigmoid_np(xu + h @ p.u_update.data + p.b_update.data)
@@ -198,7 +191,8 @@ def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
         raise ShapeError(f"gru hidden width {h_prev.data.shape[1]} != {params.hidden_size}")
 
     weights = tuple(params.tensors().values())
-    data, cache = gru_cell(params, gru_input_proj(params, x_t.data), h_prev.data)
+    with np.errstate(over="ignore"):
+        data, cache = gru_cell(params, gru_input_proj(params, x_t.data), h_prev.data)
 
     def backward(g):
         da, dh = gru_cell_backward(params, cache, g, h_prev.requires_grad)
@@ -213,48 +207,3 @@ def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
 
     return _node(data, (x_t, h_prev, *weights), backward)
 
-
-def finite_diff_check(f, params: list[Tensor], h: float = 1e-5) -> float:
-    """Max relative error between tape gradients of f() and central differences.
-
-    `f` rebuilds the scalar loss tensor from the current parameter values
-    each call; see `finite_diff_error`.
-    """
-    with Tape() as tape:
-        loss = f()
-    if not np.isfinite(loss.data):
-        raise NonFiniteError("loss is not finite")
-    grads = backprop(tape, loss)
-    return finite_diff_error(lambda: float(f().data), grads, params, h)
-
-
-def finite_diff_error(loss_fn, grads: dict[Tensor, np.ndarray], params: list[Tensor],
-                      h: float = 1e-5) -> float:
-    """Max relative error between given gradients and central differences of loss_fn().
-
-    `loss_fn` returns the scalar loss as a float from the current parameter
-    values; `grads` maps parameters to their analytic gradients (missing
-    means zero). Relative error per coordinate is
-    |analytic - numeric| / max(1, |numeric|).
-    """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
-    worst = 0.0
-    for p in params:
-        analytic = grads.get(p)
-        if analytic is None:
-            analytic = np.zeros_like(p.data)
-        flat = p.data.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = loss_fn()
-            flat[i] = orig - h
-            lo = loss_fn()
-            flat[i] = orig
-            if not (np.isfinite(hi) and np.isfinite(lo)):
-                raise NonFiniteError("loss is not finite during finite differencing")
-            numeric = (hi - lo) / (2.0 * h)
-            err = abs(analytic.ravel()[i] - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -3,7 +3,8 @@
 A small tape-based engine. While a Tape is active, every operation records
 its output node; backprop walks the tape once in reverse creation order
 (creation order is already topological). With no active tape, operations
-just compute values, which is what inference paths use.
+just compute values. Only training records on a tape (the hub and low-level
+models); every inference path is plain numpy.
 
 A node's backward is any closure that hands gradients to its parents with
 `_accum`. Most ops here are one primitive each; a fused node (the gated
@@ -250,13 +251,16 @@ def relu(a) -> Tensor:
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):  # saturates to exactly 0 or 1
-        return 1.0 / (1.0 + np.exp(-x))
+    """Logistic function; saturates to exactly 0 or 1, where exp(-x)
+    overflows. Callers enter `np.errstate(over="ignore")` once around
+    their loop, not once per call."""
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a) -> Tensor:
     a = _wrap(a)
-    data = _sigmoid_np(a.data)
+    with np.errstate(over="ignore"):
+        data = _sigmoid_np(a.data)
 
     def backward(g):
         if a.requires_grad:
@@ -408,7 +412,8 @@ def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = 
 
     per = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     data = np.asarray((per * w[:, None]).sum() / total)
-    sig = _sigmoid_np(x)
+    with np.errstate(over="ignore"):
+        sig = _sigmoid_np(x)
 
     def backward(g):
         if logits.requires_grad:

@@ -126,18 +126,21 @@ class BehaviorTopology:
 
 
 def encode_dataset(env, dataset, encoder) -> list[LatentTrajectory]:
-    """Encode every trajectory (successes first, then failures, in dataset order)."""
+    """Encode every trajectory (successes first, then failures, in dataset order).
+
+    The oracle encodes each replayed state; the learned encoder takes a
+    trajectory's whole observation matrix in one call."""
     from .maze.trajectory import replay_states
 
     out = []
     needs_state = getattr(encoder, "name", "") == "oracle"
     for tid, traj in enumerate(dataset.trajectories):
         encoder.begin_episode()
-        states = replay_states(env, traj) if needs_state else [None] * (len(traj) + 1)
-        zs = np.stack([
-            encoder.encode(obs, state)
-            for obs, state in zip(traj.observations, states)
-        ])
+        if needs_state:
+            zs = np.stack([encoder.encode(obs, state)
+                           for obs, state in zip(traj.observations, replay_states(env, traj))])
+        else:
+            zs = encoder.encode(traj.observations)
         out.append(LatentTrajectory(tid, traj.start_id, traj.goal, traj.success, zs))
     return out
 

@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .demos.expert import Rollout, apply_key_to_door, fetch_key, goto_and_face
-from .latent.oracle import OracleEncoder
-from .maze.env import BLUE, GREEN, PURPLE, RED, TURN_RIGHT, Goal, MazeEnv
-from .maze.trajectory import Trajectory
-from .topology import BehaviorTopology, build_topology, detect_hubs, encode_dataset
+from hubplan.demos.expert import (Rollout, apply_key_to_door, collect_and_deposit, fetch_key,
+                                  goto_and_face)
+from hubplan.latent.oracle import OracleEncoder
+from hubplan.maze.env import BLUE, GREEN, PURPLE, RED, TURN_RIGHT, Goal, MazeEnv
+from hubplan.maze.trajectory import Trajectory
+from hubplan.topology import BehaviorTopology, build_topology, detect_hubs, encode_dataset
 
 HELD_BLIND_FIELDS = ("position", "orientation", "doors", "barrel")
 
@@ -64,8 +65,6 @@ class _ScenarioDataset:
 
 
 def _success_demo(env: MazeEnv) -> Trajectory:
-    from .demos.expert import collect_and_deposit
-
     rollout = Rollout(env, 0, env.starts[0], Goal(RED, BLUE))
     collect_and_deposit(rollout, RED)
     collect_and_deposit(rollout, BLUE)

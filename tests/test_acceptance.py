@@ -23,8 +23,9 @@ from hubplan.hub_dynamics import HubDynamicsModel, HighTrainConfig, CachedDist, 
 from hubplan.latent import LowLevelModel, LowTrainConfig, train_low_level
 from hubplan.maze import Goal, MazeEnv, replay_states
 from hubplan.planning import NoPlanError, SearchConfig, bfs_plan, goal_hub_set, search
-from hubplan.scenarios import build_scenario, scenario_topology
 
+from gradient_reference import finite_diff_check, finite_diff_error
+from scenarios import build_scenario, scenario_topology
 from test_planning import enumerate_best, pseudo_random_dist, toy_topology
 from test_topology import brute_force_hubs
 
@@ -188,7 +189,7 @@ def test_criterion_gradient_correctness():
         z, _ = model.encode_step(nn.Tensor(obs), h)
         return nn.sum_all(nn.tensor.mul(z, z))
 
-    errors["encoder"] = nn.finite_diff_check(
+    errors["encoder"] = finite_diff_check(
         f_encoder, [model.enc_w1, model.enc_b1, model.enc_w2, model.enc_b2,
                     model.enc_corr_w, model.enc_corr_b] + list(model.gru.tensors().values()))
 
@@ -213,7 +214,7 @@ def test_criterion_gradient_correctness():
         loss = nn.tensor.add(loss, nn.softmax_cross_entropy(b1, bar_tgt[:, 1]))
         return nn.tensor.add(loss, nn.bce_with_logits(term, term_tgt))
 
-    errors["low-all-heads"] = nn.finite_diff_check(f_low, model.parameters())
+    errors["low-all-heads"] = finite_diff_check(f_low, model.parameters())
 
     topo = toy_topology(4, {(0, 1), (0, 2), (1, 3), (2, 3)}, terminals=(3,))
     high = HubDynamicsModel(rng, 4, emb_dim=3, hidden=4)
@@ -233,7 +234,7 @@ def test_criterion_gradient_correctness():
             loss = ce if loss is None else nn.tensor.add(loss, ce)
         return loss
 
-    errors["high-model"] = nn.finite_diff_check(f_high, high.parameters())
+    errors["high-model"] = finite_diff_check(f_high, high.parameters())
 
     # the policy trains with hand-written backpropagation through time, so
     # its gradients are checked directly
@@ -245,7 +246,7 @@ def test_criterion_gradient_correctness():
     def f_policy():
         return sequence_loss_and_grads(policy, xs, acts, steps, label_smoothing=0.05)
 
-    errors["policy"] = nn.finite_diff_error(lambda: f_policy()[0], f_policy()[1],
+    errors["policy"] = finite_diff_error(lambda: f_policy()[0], f_policy()[1],
                                             policy.parameters())
 
     worst = max(errors.values())

@@ -16,8 +16,10 @@ from hubplan.edge_policies import (
     train_policies,
     train_policy_for_hub,
 )
-from hubplan.scenarios import build_scenario, scenario_topology
 from hubplan.topology import Segment
+
+from gradient_reference import finite_diff_error
+from scenarios import build_scenario, scenario_topology
 
 
 def tape_step(policy, x, h):
@@ -226,7 +228,7 @@ class TestEdgePolicy:
             return sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)[0]
 
         _loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)
-        assert nn.finite_diff_error(loss_fn, grads, policy.parameters(), h=1e-5) < 1e-4
+        assert finite_diff_error(loss_fn, grads, policy.parameters(), h=1e-5) < 1e-4
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,8 @@ from hubplan.edge_policies import EdgePolicy, PolicyBank, PolicyTrainConfig, tra
 from hubplan.execution import EDGE_BUDGET_FACTOR, MIN_EDGE_BUDGET, edge_budget, execute
 from hubplan.hub_dynamics import HubDynamicsModel
 from hubplan.planning import Plan
-from hubplan.scenarios import build_scenario, scenario_topology
+
+from scenarios import build_scenario, scenario_topology
 
 
 @pytest.fixture(scope="module")

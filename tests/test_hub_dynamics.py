@@ -14,6 +14,8 @@ from hubplan.hub_dynamics import (
 from hubplan.maze import Goal
 from hubplan.topology import START, TERMINAL, BehaviorTopology, Hub
 
+from gradient_reference import finite_diff_check
+
 
 def toy_topology(n_hubs: int, edges: set, starts=(0,), terminals=()):
     hubs = []
@@ -168,7 +170,19 @@ class TestTraining:
                 loss = ce if loss is None else nn.tensor.add(loss, ce)
             return loss
 
-        assert nn.finite_diff_check(f, model.parameters(), h=1e-5) < 1e-4
+        assert finite_diff_check(f, model.parameters(), h=1e-5) < 1e-4
+
+
+class TestAdvance:
+    def test_advance_equals_tape_gru_step(self):
+        from hubplan import nn
+
+        model = HubDynamicsModel(np.random.default_rng(2), 6)
+        h = model.initial_hidden()
+        for hub in (0, 3, 3, 5, 1):
+            want = nn.gru_step(model.gru, model.emb.data[hub][None, :], h).data
+            h = model.advance(h, hub)
+            assert np.array_equal(h, want)
 
 
 class TestCachedDist:

@@ -14,7 +14,10 @@ from hubplan.latent import (
 )
 from hubplan.maze import RED, Goal, MazeEnv, replay_states
 from hubplan.maze.env import TURN_LEFT, TURN_RIGHT
+from hubplan.maze.raster import OBS_SIZE
 from hubplan.topology import bucket_of
+
+from gradient_reference import finite_diff_check
 
 EPS = 1e-3
 
@@ -154,6 +157,37 @@ class TestLearnedEncoder:
         for o, z in zip(seq, ref):
             np.testing.assert_array_equal(enc.encode(o), z)
 
+    @pytest.mark.parametrize("steps", [1, 2, 225])
+    def test_matrix_encode_equals_row_encodes(self, steps):
+        """One call over an observation matrix gives the latents and final
+        memory of encoding its rows in order, bit for bit, and a matrix split
+        in two continues from the first half's memory."""
+        rng = np.random.default_rng(steps)
+        model = LowLevelModel(rng)
+        obs = rng.uniform(size=(steps, OBS_SIZE))
+        rows = LearnedEncoder(model)
+        by_row = np.stack([rows.encode(o) for o in obs])
+        whole = LearnedEncoder(model)
+        got = whole.encode(obs)
+        assert got.shape == (steps, model.latent_dim)
+        assert np.array_equal(got, by_row)
+        assert np.array_equal(whole.hidden, rows.hidden)
+        halves = LearnedEncoder(model)
+        split = np.concatenate([halves.encode(obs[:steps // 2]), halves.encode(obs[steps // 2:])])
+        assert np.array_equal(split, by_row)
+        assert np.array_equal(halves.hidden, rows.hidden)
+
+    def test_row_encode_equals_tape_encode_step(self):
+        rng = np.random.default_rng(4)
+        model = LowLevelModel(rng)
+        enc = LearnedEncoder(model)
+        h = np.zeros((1, model.latent_dim))
+        for obs in rng.uniform(size=(5, OBS_SIZE)):
+            z, h_t = model.encode_step(nn.Tensor(obs[None, :]), nn.Tensor(h))
+            h = h_t.data
+            assert np.array_equal(enc.encode(obs), z.data[0])
+            assert np.array_equal(enc.hidden, h)
+
 
 class TestLowLevelTraining:
     def test_latent_prediction_loss_zero_iff_equal(self):
@@ -242,7 +276,7 @@ class TestLowLevelTraining:
             loss = nn.tensor.add(loss, nn.bce_with_logits(term, term_tgt))
             return loss
 
-        err = nn.finite_diff_check(f, model.parameters(), h=1e-5)
+        err = finite_diff_check(f, model.parameters(), h=1e-5)
         assert err < 1e-4
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

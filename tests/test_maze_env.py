@@ -32,7 +32,8 @@ from hubplan.maze import (
 )
 from hubplan.demos import build_dataset, generate_success_demo
 from hubplan.maze import raster, replay_states
-from hubplan.scenarios import VARIANT_MAP, build_scenario
+
+from scenarios import VARIANT_MAP, build_scenario
 
 DATA = Path(__file__).parent / "data"
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubplan import nn
+from hubplan.maze.raster import OBS_SIZE
 from hubplan.nn import tensor as T
+
+from gradient_reference import finite_diff_check
 
 
 def make_gru(rng, n_in, n_h):
@@ -116,7 +120,7 @@ class TestBackprop:
             logits = T.add(nn.matmul(h, w2), b2)
             return nn.softmax_cross_entropy(logits, tgt)
 
-        err = nn.finite_diff_check(f, [w1, b1, w2, b2], h=1e-5)
+        err = finite_diff_check(f, [w1, b1, w2, b2], h=1e-5)
         assert err < 1e-4
 
     def test_forward_twice_is_bit_identical(self):
@@ -236,7 +240,7 @@ class TestFiniteDiffCheck:
         def f():
             return nn.sum_all(T.mul(x, x))
 
-        assert nn.finite_diff_check(f, [x]) < 1e-8
+        assert finite_diff_check(f, [x]) < 1e-8
 
     def test_gru_sequence_cross_entropy(self):
         rng = np.random.default_rng(5)
@@ -253,7 +257,7 @@ class TestFiniteDiffCheck:
             return nn.softmax_cross_entropy(logits, tgt)
 
         params = list(p.tensors().values()) + [head]
-        assert nn.finite_diff_check(f, params) < 1e-4
+        assert finite_diff_check(f, params) < 1e-4
 
     def test_constant_function_zero_error(self):
         x = nn.parameter(np.array([[2.0]]), "x")
@@ -261,7 +265,7 @@ class TestFiniteDiffCheck:
         def f():
             return nn.sum_all(T.mul(nn.Tensor(np.zeros((1, 1))), x))
 
-        assert nn.finite_diff_check(f, [x]) == 0.0
+        assert finite_diff_check(f, [x]) == 0.0
 
 
 class TestSoftmaxCrossEntropy:
@@ -316,6 +320,12 @@ STACKED_BLAS_BROKEN = (
     "so policy banks would change bytes")
 
 
+LEARNED_ENCODE_BROKEN = (
+    "numpy/BLAS no longer computes a {} stack as per-slice GEMMs; the learned "
+    "encoder's stacked encode relies on it, so learned latents, and with them "
+    "the learned run's topology.txt, would change bytes")
+
+
 class TestStackedNumpyFacts:
     """The numpy facts that let policy training move non-recurrent ops out of
     its step loop without changing a bit, at the trainer's shapes."""
@@ -340,6 +350,19 @@ class TestStackedNumpyFacts:
                 assert np.array_equal(got[t], a[t].T @ d[t]), STACKED_BLAS_BROKEN.format(
                     "transposed-operand stack")
 
+    @pytest.mark.parametrize("steps", [1, 2, 225])
+    def test_one_row_stacks_at_learned_encoder_shapes(self, steps):
+        """The encoder MLP, the GRU input projections and the correction head
+        of `LearnedEncoder.encode`, on a (T, 1, width) stack of one-row steps."""
+        rng = np.random.default_rng(steps)
+        for k, m in ((OBS_SIZE, 128), (128, 64), (64, 64)):
+            w = rng.normal(size=(k, m))
+            stack = rng.normal(size=(steps, 1, k))
+            got = stack @ w
+            for t in range(steps):
+                assert np.array_equal(got[t], stack[t] @ w), LEARNED_ENCODE_BROKEN.format(
+                    f"({steps}, 1, {k}) @ ({k}, {m})")
+
     @pytest.mark.parametrize("shape", [(40, 64, 6), (40, 128), (1, 64, 6)])
     def test_reversed_reduce_is_sequential_fold(self, shape):
         per_step = np.random.default_rng(0).normal(size=shape)
@@ -360,6 +383,81 @@ class TestStackedNumpyFacts:
                     STACKED_BLAS_BROKEN.format("column sum of a stack")
                 assert by_step[t] == rows[:, t].sum(), \
                     STACKED_BLAS_BROKEN.format("row sum of a stack")
+
+
+def saturate(p: nn.GruCellParams, rng) -> np.ndarray:
+    """Zero the cell's weights and set its gate biases to +-1000, so that
+    every update and reset pre-activation is exactly +1000 or -1000. Returns
+    the units whose update gate is 1 (their reset gate is 0)."""
+    for t in p.tensors().values():
+        t.data[...] = 0.0
+    on = np.arange(p.hidden_size) % 2 == 0
+    p.b_update.data[:] = np.where(on, 1000.0, -1000.0)
+    p.b_reset.data[:] = -p.b_update.data
+    p.b_cand.data[:] = rng.normal(size=p.hidden_size)
+    return on
+
+
+class TestSaturatedGates:
+    """Gate pre-activations of +-1000 give gates of exactly 0 and 1, and the
+    overflow of exp(1000) warns nowhere: every loop that calls the bare
+    sigmoid runs inside `np.errstate(over="ignore")`. An updated unit takes
+    the candidate tanh(b_cand), a kept one keeps its memory."""
+
+    @pytest.fixture(autouse=True)
+    def warnings_are_errors(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_unroll_and_act(self):
+        from hubplan.edge_policies import EdgePolicy
+
+        rng = np.random.default_rng(0)
+        policy = EdgePolicy(rng, emb_dim=4)
+        on = saturate(policy.gru, rng)
+        h0 = rng.normal(size=(2, policy.gru_hidden))
+        want = np.where(on, np.tanh(policy.gru.b_cand.data), h0)
+        hs, caches = policy.unroll(rng.normal(size=(3, 2, policy.enc_hidden)), h0)
+        for cache in caches:
+            assert np.array_equal(cache.u, np.broadcast_to(on, cache.u.shape).astype(float))
+            assert np.array_equal(cache.r, np.broadcast_to(~on, cache.r.shape).astype(float))
+        assert np.array_equal(hs[-1], want)
+        _probs, h = policy.act(rng.uniform(size=OBS_SIZE), rng.normal(size=4), h0[:1])
+        assert np.array_equal(h, want[:1])
+
+    def test_learned_encode(self):
+        from hubplan.latent import LearnedEncoder, LowLevelModel
+
+        rng = np.random.default_rng(1)
+        model = LowLevelModel(rng)
+        on = saturate(model.gru, rng)
+        enc = LearnedEncoder(model)
+        h0 = rng.normal(size=(1, model.latent_dim))
+        enc.hidden = h0
+        enc.encode(rng.uniform(size=(3, OBS_SIZE)))
+        assert np.array_equal(enc.hidden, np.where(on, np.tanh(model.gru.b_cand.data), h0))
+
+    def test_advance(self):
+        from hubplan.hub_dynamics import HubDynamicsModel
+
+        rng = np.random.default_rng(2)
+        model = HubDynamicsModel(rng, 5)
+        on = saturate(model.gru, rng)
+        h0 = rng.normal(size=(1, model.hidden))
+        assert np.array_equal(model.advance(h0, 3),
+                              np.where(on, np.tanh(model.gru.b_cand.data), h0))
+
+    def test_tape_nodes(self):
+        rng = np.random.default_rng(3)
+        p = make_gru(rng, 3, 4)
+        on = saturate(p, rng)
+        h0 = rng.normal(size=(1, 4))
+        h = nn.gru_step(p, rng.normal(size=(1, 3)), h0)
+        assert np.array_equal(h.data, np.where(on, np.tanh(p.b_cand.data), h0))
+        x = nn.Tensor(np.array([[-1000.0, 1000.0]]))
+        assert np.array_equal(nn.sigmoid(x).data, [[0.0, 1.0]])
+        assert float(nn.bce_with_logits(x, np.array([[0.0, 1.0]])).data) == 0.0
 
 
 class TestAdam:
