@@ -30,15 +30,12 @@ class RunConfig:
     latent_dim: int = 64
     history_len: int = 75
     oracle_fields: str = "position,orientation,held,doors,barrel"
-    # dataset
-    n_failures: int = 120
     # low-level model
     low_epochs: int = 300
     lr_low: float = 1e-4
     # hub dynamics model
     lr_high: float = 2e-4
     high_epochs: int = 150
-    hub_emb_dim: int = 32
     pretrain_traversals: int = 2000
     pretrain_max_len: int = 64
     pretrain_epochs: int = 3
@@ -56,7 +53,6 @@ class RunConfig:
     p_min: float = 1e-3
     eta: float = 0.01
     depth_limit: int = 64
-    match_tol: float = -1.0  # negative means "use epsilon"
     # environment
     wrong_key_penalty: float = 0.0
 
@@ -75,7 +71,8 @@ class RunConfig:
 
     @property
     def effective_match_tol(self) -> float:
-        return self.epsilon if self.match_tol < 0 else self.match_tol
+        """Start- and arrival-matching tolerance: the hub bucket width."""
+        return self.epsilon
 
     def oracle_field_tuple(self) -> tuple[str, ...]:
         return tuple(f.strip() for f in self.oracle_fields.split(",") if f.strip())

@@ -57,12 +57,12 @@ def failure_candidates(seen: list[tuple[int, Goal]]) -> list[tuple[int, Goal, Fa
     return out
 
 
-def build_dataset(env: MazeEnv, seed: int, n_failures: int = N_FAILURES) -> DemoDataset:
+def build_dataset(env: MazeEnv, seed: int) -> DemoDataset:
     seen, unseen = seen_unseen_split()
     successes = [generate_success_demo(env, sid, goal) for sid, goal in seen]
     candidates = failure_candidates(seen)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFA11]))
-    chosen = sorted(rng.choice(len(candidates), size=n_failures, replace=False))
+    chosen = sorted(rng.choice(len(candidates), size=N_FAILURES, replace=False))
     picked = [candidates[i] for i in chosen]
     failures = [generate_failure_demo(env, sid, goal, spec) for sid, goal, spec in picked]
     return DemoDataset(

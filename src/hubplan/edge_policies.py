@@ -36,6 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .config import RunConfig
 from .maze.env import N_ACTIONS
 from .maze.raster import OBS_SIZE, VIEW_SIZE
 from .maze.trajectory import Trajectory
@@ -56,20 +57,6 @@ class DeadEdgeError(RuntimeError):
 
 
 @dataclass
-class PolicyTrainConfig:
-    lr: float = 1e-3
-    epochs: int = 200
-    p_canonical: float = 0.8
-    p_truncated: float = 0.1
-    p_preroll: float = 0.1
-    max_perturbation: int = 3
-    obs_noise: float = 0.01
-    label_smoothing: float = 0.05
-    max_segments_per_edge: int = 4
-    seed: int = 0
-
-
-@dataclass
 class EdgeTrainingSegment:
     base: Segment
     variant: str            # canonical | truncated | preroll
@@ -78,21 +65,20 @@ class EdgeTrainingSegment:
 
 
 def perturb_segment(segment: Segment, rng: np.random.Generator,
-                    p_canonical: float = 0.8, p_truncated: float = 0.1,
-                    p_preroll: float = 0.1, max_perturbation: int = 3) -> EdgeTrainingSegment:
-    """Draw a boundary-perturbed variant of an edge segment.
+                    cfg: RunConfig) -> EdgeTrainingSegment:
+    """Draw a boundary-perturbed variant of an edge segment with the
+    probabilities `cfg.p_canonical`, `cfg.p_truncated` and `cfg.p_preroll`.
 
-    Truncation drops up to `max_perturbation` leading steps but never empties
-    the segment; preroll prepends true predecessor steps from the origin
-    trajectory and falls back to canonical at the trajectory start.
+    Truncation drops up to `cfg.max_perturbation` leading steps but never
+    empties the segment; preroll prepends true predecessor steps from the
+    origin trajectory and falls back to canonical at the trajectory start.
     """
     if segment.end - segment.begin < 1:
         raise ValueError("segment must contain at least one action")
-    total = p_canonical + p_truncated + p_preroll
-    r = rng.random() * total
-    if r < p_canonical:
+    r = rng.random() * (cfg.p_canonical + cfg.p_truncated + cfg.p_preroll)
+    if r < cfg.p_canonical:
         variant = "canonical"
-    elif r < p_canonical + p_truncated:
+    elif r < cfg.p_canonical + cfg.p_truncated:
         variant = "truncated"
     else:
         variant = "preroll"
@@ -100,10 +86,10 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
     if variant == "truncated":
         room = segment.end - segment.begin - 1
         if room >= 1:
-            cut = min(int(rng.integers(1, max_perturbation + 1)), room)
+            cut = min(int(rng.integers(1, cfg.max_perturbation + 1)), room)
             return EdgeTrainingSegment(segment, "truncated", cut, segment.begin + cut)
     if variant == "preroll" and segment.begin >= 1:
-        ext = min(int(rng.integers(1, max_perturbation + 1)), segment.begin)
+        ext = min(int(rng.integers(1, cfg.max_perturbation + 1)), segment.begin)
         return EdgeTrainingSegment(segment, "preroll", ext, segment.begin - ext)
     return EdgeTrainingSegment(segment, "canonical", 0, segment.begin)
 
@@ -293,20 +279,18 @@ def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarra
 
 def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajectory],
                          hub_id: int, embeddings: np.ndarray,
-                         config: PolicyTrainConfig, rng: np.random.Generator):
-    segs = _segments_for_hub(topology, hub_id, config.max_segments_per_edge)
+                         cfg: RunConfig, rng: np.random.Generator):
+    segs = _segments_for_hub(topology, hub_id, cfg.max_segments_per_edge)
     policy = EdgePolicy(rng, embeddings.shape[1])
-    opt = nn.Adam(policy.parameters(), lr=config.lr)
+    opt = nn.Adam(policy.parameters(), lr=cfg.lr_policy)
     losses: list[float] = []
     best = np.inf
     stale = 0
 
     in_dim = OBS_SIZE + embeddings.shape[1]
 
-    for epoch in range(config.epochs):
-        variants = [perturb_segment(s, rng, config.p_canonical, config.p_truncated,
-                                    config.p_preroll, config.max_perturbation)
-                    for s in segs]
+    for epoch in range(cfg.policy_epochs):
+        variants = [perturb_segment(s, rng, cfg) for s in segs]
         n = len(variants)
         t_max = max(v.base.end - v.begin for v in variants)
         xs = np.zeros((n, t_max, in_dim))
@@ -315,15 +299,15 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
         for i, v in enumerate(variants):
             traj, length = trajectories[v.base.traj_id], v.base.end - v.begin
             xs[i, :length, :OBS_SIZE] = traj.observations[v.begin:v.base.end]
-            if config.obs_noise > 0:
-                xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, config.obs_noise,
+            if cfg.obs_noise > 0:
+                xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, cfg.obs_noise,
                                                          size=(length, VIEW_SIZE))
             xs[i, :length, OBS_SIZE:] = embeddings[v.base.target]
             acts[i, :length] = traj.actions[v.begin:v.base.end]
             mask[i, :length] = 1.0
 
         try:
-            loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, config.label_smoothing)
+            loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, cfg.label_smoothing)
         except nn.NonFiniteError as err:
             raise nn.NonFiniteError(f"policy for hub {hub_id}: {err}") from err
         if not np.isfinite(loss):
@@ -346,15 +330,14 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
 
 
 def train_policies(topology: BehaviorTopology, trajectories: list[Trajectory],
-                   embeddings: np.ndarray, config: PolicyTrainConfig,
-                   log=None) -> PolicyBank:
+                   embeddings: np.ndarray, cfg: RunConfig, log=None) -> PolicyBank:
     """One policy per hub with out-degree >= 1, trained independently."""
     bank = PolicyBank(emb_dim=embeddings.shape[1])
     sources = sorted({s for s, _t in topology.edges})
     for hub_id in sources:
-        rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x90, hub_id]))
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x90, hub_id]))
         policy, losses = train_policy_for_hub(topology, trajectories, hub_id,
-                                              embeddings, config, rng)
+                                              embeddings, cfg, rng)
         bank.policies[hub_id] = policy
         bank.train_losses[hub_id] = losses
         if log is not None:

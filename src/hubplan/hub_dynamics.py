@@ -10,20 +10,14 @@ during training too) spends no capacity on unreachable classes.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn
+from .config import RunConfig
 from .topology import BehaviorTopology
 
 MODEL_KIND = "highlevel"
-
-
-@dataclass
-class HighTrainConfig:
-    lr: float = 2e-4
-    epochs: int = 150
 
 
 class HubDynamicsModel:
@@ -200,15 +194,16 @@ def train_on_sequences(model: HubDynamicsModel, sequences: list[list[int]],
 
 
 def pretrain_on_traversals(model: HubDynamicsModel, topology: BehaviorTopology,
-                           n_traversals: int, max_len: int, seed: int,
-                           lr: float, epochs: int) -> list[float]:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x7EA7]))
-    walks = sample_traversals(topology, n_traversals, max_len, rng)
+                           cfg: RunConfig) -> list[float]:
+    """`cfg.pretrain_epochs` epochs at `cfg.lr_high` on `cfg.pretrain_traversals`
+    random walks of at most `cfg.pretrain_max_len` hubs, drawn from the seed."""
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7EA7]))
+    walks = sample_traversals(topology, cfg.pretrain_traversals, cfg.pretrain_max_len, rng)
     if not walks:
         return []
-    return train_on_sequences(model, walks, topology, lr, epochs)
+    return train_on_sequences(model, walks, topology, cfg.lr_high, cfg.pretrain_epochs)
 
 
 def train_high(model: HubDynamicsModel, sequences: list[list[int]],
-               topology: BehaviorTopology, config: HighTrainConfig) -> list[float]:
-    return train_on_sequences(model, sequences, topology, config.lr, config.epochs)
+               topology: BehaviorTopology, cfg: RunConfig) -> list[float]:
+    return train_on_sequences(model, sequences, topology, cfg.lr_high, cfg.high_epochs)

@@ -10,11 +10,10 @@ time to the window. Each window is one optimizer step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import nn
+from ..config import RunConfig
 from ..maze.env import N_ACTIONS
 from ..maze.raster import OBS_SIZE, VIEW_SIZE, channel_weights
 from ..maze.trajectory import Trajectory
@@ -26,13 +25,6 @@ W_Z = 1.0
 W_VIS = 1.0
 W_BARREL = 1.0
 W_TERMINAL = 0.5
-
-
-@dataclass
-class LowTrainConfig:
-    epochs: int = 300
-    lr: float = 1e-4
-    history_len: int = 75
 
 
 def latent_prediction_loss(z_hat, z_next, weight_col: np.ndarray, normalizer: float):
@@ -62,19 +54,20 @@ def _pack(trajectories: list[Trajectory]):
 
 
 def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
-                    config: LowTrainConfig) -> list[float]:
-    """Returns the per-epoch mean loss; raises on a non-finite loss."""
+                    cfg: RunConfig) -> list[float]:
+    """`cfg.low_epochs` epochs at `cfg.lr_low` in windows of `cfg.history_len`
+    transitions. Returns the per-epoch mean loss; raises on a non-finite loss."""
     obs, vis_tgt, barrel_tgt, term_tgt, actions, mask = _pack(trajectories)
     n, t_max = mask.shape
     eye = np.eye(N_ACTIONS)
     cw = channel_weights()
     cw_norm = cw / cw.sum()
     params = model.parameters()
-    opt = nn.Adam(params, lr=config.lr)
-    windows = [(a, min(a + config.history_len, t_max)) for a in range(0, t_max, config.history_len)]
+    opt = nn.Adam(params, lr=cfg.lr_low)
+    windows = [(a, min(a + cfg.history_len, t_max)) for a in range(0, t_max, cfg.history_len)]
 
     epoch_losses: list[float] = []
-    for epoch in range(config.epochs):
+    for epoch in range(cfg.low_epochs):
         hidden = np.zeros((n, model.latent_dim))
         total, steps = 0.0, 0
         for a, b in windows:

@@ -16,18 +16,12 @@ import numpy as np
 from . import nn
 from .config import ConfigError, RunConfig, save_config
 from .demos.dataset import DemoDataset, build_dataset, load_dataset, save_dataset
-from .edge_policies import PolicyBank, PolicyTrainConfig, load_bank, save_bank, train_policies
+from .edge_policies import PolicyBank, load_bank, save_bank, train_policies
 from .execution import ExecutionResult, execute
-from .hub_dynamics import (
-    CachedDist,
-    HighTrainConfig,
-    HubDynamicsModel,
-    pretrain_on_traversals,
-    train_high,
-)
+from .hub_dynamics import CachedDist, HubDynamicsModel, pretrain_on_traversals, train_high
 from .latent.model import LearnedEncoder, LowLevelModel
 from .latent.oracle import OracleEncoder
-from .latent.training import LowTrainConfig, train_low_level
+from .latent.training import train_low_level
 from .maze.env import Goal, MazeEnv
 from .metrics import TaskRecord, save_metrics
 from .planning import (
@@ -87,7 +81,7 @@ def stage_gen_demos(cfg: RunConfig, log=print) -> DemoDataset:
     out.mkdir(parents=True, exist_ok=True)
     save_config(cfg, out / "config.txt")
     env = make_env(cfg)
-    ds = build_dataset(env, seed=cfg.seed, n_failures=cfg.n_failures)
+    ds = build_dataset(env, seed=cfg.seed)
     save_dataset(ds, out / "dataset")
     log(f"gen-demos: {len(ds.successes)} successes, {len(ds.failures)} failures")
     return ds
@@ -102,8 +96,7 @@ def stage_train_low(cfg: RunConfig, log=print) -> None:
     ds = load_dataset(out / "dataset")
     model = LowLevelModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x10])),
                           latent_dim=cfg.latent_dim)
-    tcfg = LowTrainConfig(epochs=cfg.low_epochs, lr=cfg.lr_low, history_len=cfg.history_len)
-    losses = train_low_level(model, ds.trajectories, tcfg)
+    losses = train_low_level(model, ds.trajectories, cfg)
     nn.save_params(out / "lowlevel.bin", LOW_KIND, model.tensors())
     (out / "lowlevel_loss.txt").write_text(
         "".join(f"epoch {i} loss {v!r}\n" for i, v in enumerate(losses)))
@@ -136,11 +129,9 @@ def stage_train_high(cfg: RunConfig, log=print) -> HubDynamicsModel:
     out = Path(cfg.out_dir)
     _ds, topo = _load_topology(cfg, "train-high")
     model = HubDynamicsModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x41])),
-                             n_hubs=len(topo.hubs), emb_dim=cfg.hub_emb_dim)
-    pre = pretrain_on_traversals(model, topo, cfg.pretrain_traversals, cfg.pretrain_max_len,
-                                 seed=cfg.seed, lr=cfg.lr_high, epochs=cfg.pretrain_epochs)
-    hcfg = HighTrainConfig(lr=cfg.lr_high, epochs=cfg.high_epochs)
-    losses = train_high(model, topo.hub_sequences(), topo, hcfg)
+                             n_hubs=len(topo.hubs))
+    pre = pretrain_on_traversals(model, topo, cfg)
+    losses = train_high(model, topo.hub_sequences(), topo, cfg)
     nn.save_params(out / "highlevel.bin", HIGH_KIND, model.tensors())
     with open(out / "high_loss.txt", "w") as fh:
         for i, v in enumerate(pre):
@@ -167,14 +158,8 @@ def stage_train_policies(cfg: RunConfig, log=print) -> PolicyBank:
     out = Path(cfg.out_dir)
     ds, topo = _load_topology(cfg, "train-policies")
     model = load_high_model(cfg, "train-policies", len(topo.hubs))
-    pcfg = PolicyTrainConfig(
-        lr=cfg.lr_policy, epochs=cfg.policy_epochs, p_canonical=cfg.p_canonical,
-        p_truncated=cfg.p_truncated, p_preroll=cfg.p_preroll,
-        max_perturbation=cfg.max_perturbation, obs_noise=cfg.obs_noise,
-        label_smoothing=cfg.label_smoothing, max_segments_per_edge=cfg.max_segments_per_edge,
-        seed=cfg.seed)
     lines: list[str] = []
-    bank = train_policies(topo, ds.trajectories, model.embeddings(), pcfg, log=lines.append)
+    bank = train_policies(topo, ds.trajectories, model.embeddings(), cfg, log=lines.append)
     save_bank(bank, out / "policies")
     (out / "policy_loss.txt").write_text("".join(line + "\n" for line in lines))
     log(f"train-policies: {len(bank.policies)} policies")
@@ -186,8 +171,7 @@ def _plan_for(cfg: RunConfig, topo: BehaviorTopology, dist, start_hub: int,
     goal_set = goal_hub_set(goal, topo)
     if cfg.planner_backend == "bfs":
         return bfs_plan(topo, start_hub, goal_set)
-    scfg = SearchConfig(p_min=cfg.p_min, eta=cfg.eta, depth_limit=cfg.depth_limit,
-                        match_tol=cfg.effective_match_tol)
+    scfg = SearchConfig(p_min=cfg.p_min, eta=cfg.eta, depth_limit=cfg.depth_limit)
     return search(topo, dist, start_hub, goal_set, scfg)
 
 
@@ -228,7 +212,7 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
             start_id=start_id, goal=str(goal), seen=seen, success=result.success,
             steps=result.steps, edges_crossed=result.edges_crossed,
             planned_edges=result.planned_edges,
-            plan_cost=plan.cost if plan is not None else float("nan"),
+            plan_cost=float(plan.cost) if plan is not None else float("nan"),
             failure_reason=result.failure_reason))
         log(f"eval: start={start_id} goal={goal} seen={int(seen)} "
             f"success={int(result.success)} steps={result.steps}")

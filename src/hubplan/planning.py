@@ -29,7 +29,7 @@ class SearchConfig:
     p_min: float = 1e-3
     eta: float = 0.01
     depth_limit: int = 64
-    match_tol: float | None = None  # defaults to the topology tolerance
+    match_tol: float | None = None  # unread; kept because bench/workloads.py passes it
 
     def __post_init__(self):
         if not 0.0 <= self.p_min < 1.0:

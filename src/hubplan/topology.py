@@ -215,18 +215,14 @@ def collapse_to_hub_sequence(lt: LatentTrajectory, hubs: list[Hub], epsilon: flo
 
 def build_topology(latent_trajectories: list[LatentTrajectory],
                    hubs: list[Hub], epsilon: float) -> BehaviorTopology:
-    latent_dim = latent_trajectories[0].zs.shape[1]
-    topo = BehaviorTopology(epsilon=epsilon, latent_dim=latent_dim, hubs=hubs,
-                            edges=set(), segments={})
+    segments: dict = {}
     for lt in latent_trajectories:
         visits = collapse_to_hub_sequence(lt, hubs, epsilon)
         for (h_a, t_a), (h_b, t_b) in zip(visits, visits[1:]):
-            topo.edges.add((h_a, h_b))
-            topo.segments.setdefault((h_a, h_b), []).append(
+            segments.setdefault((h_a, h_b), []).append(
                 Segment(source=h_a, target=h_b, traj_id=lt.traj_id, begin=t_a, end=t_b))
-    # rebuild adjacency now that edges exist
-    topo.__post_init__()
-    return topo
+    return BehaviorTopology(epsilon=epsilon, latent_dim=latent_trajectories[0].zs.shape[1],
+                            hubs=hubs, edges=set(segments), segments=segments)
 
 
 # -- serialization ----------------------------------------------------------

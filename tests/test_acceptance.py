@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from hubplan import nn
+from hubplan.config import RunConfig
 from hubplan.demos import load_dataset
-from hubplan.edge_policies import (EdgePolicy, PolicyTrainConfig, perturb_segment,
-                                    sequence_loss_and_grads, train_policies)
+from hubplan.edge_policies import (EdgePolicy, perturb_segment, sequence_loss_and_grads,
+                                    train_policies)
 from hubplan.execution import execute
-from hubplan.hub_dynamics import HubDynamicsModel, HighTrainConfig, CachedDist, next_hub_dist, \
+from hubplan.hub_dynamics import HubDynamicsModel, CachedDist, next_hub_dist, \
     pretrain_on_traversals, train_high, train_on_sequences
-from hubplan.latent import LowLevelModel, LowTrainConfig, train_low_level
+from hubplan.latent import LowLevelModel, train_low_level
 from hubplan.maze import Goal, MazeEnv, replay_states
 from hubplan.planning import NoPlanError, SearchConfig, bfs_plan, goal_hub_set, search
 
@@ -44,10 +45,11 @@ def shortcut_scenario():
     sc = build_scenario()
     topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(1), n_hubs=len(topo.hubs))
-    pretrain_on_traversals(model, topo, 500, 32, seed=1, lr=2e-4, epochs=3)
-    train_high(model, topo.hub_sequences(), topo, HighTrainConfig(epochs=250))
-    bank = train_policies(topo, sc.trajectories, model.embeddings(),
-                          PolicyTrainConfig(seed=1), log=quiet)
+    pretrain_on_traversals(model, topo, RunConfig(pretrain_traversals=500, pretrain_max_len=32,
+                                                  seed=1, lr_high=2e-4, pretrain_epochs=3))
+    train_high(model, topo.hub_sequences(), topo, RunConfig(high_epochs=250))
+    bank = train_policies(topo, sc.trajectories, model.embeddings(), RunConfig(seed=1),
+                          log=quiet)
     return sc, topo, model, bank
 
 
@@ -303,8 +305,9 @@ def test_criterion_perturbation_mix():
     seg = make_segment(n_actions=8, begin=5)
     counts = {"canonical": 0, "truncated": 0, "preroll": 0}
     n = 10_000
+    cfg = RunConfig()
     for _ in range(n):
-        counts[perturb_segment(seg, rng).variant] += 1
+        counts[perturb_segment(seg, rng, cfg).variant] += 1
     fracs = {k: v / n for k, v in counts.items()}
     ok = (abs(fracs["canonical"] - 0.8) <= 0.02 and abs(fracs["truncated"] - 0.1) <= 0.02
           and abs(fracs["preroll"] - 0.1) <= 0.02)
@@ -379,7 +382,7 @@ def test_criterion_learned_backend_smoke(oracle_run):
 
     # low-level: losses over the desk dataset strictly decrease
     low = LowLevelModel(np.random.default_rng(3))
-    low_losses = train_low_level(low, ds.trajectories, LowTrainConfig(epochs=3, lr=1e-4))
+    low_losses = train_low_level(low, ds.trajectories, RunConfig(low_epochs=3, lr_low=1e-4))
     low_ok = all(b < a for a, b in zip(low_losses, low_losses[1:]))
 
     # high-level and policy losses from the pipeline's training logs
@@ -399,7 +402,7 @@ def test_criterion_learned_backend_smoke(oracle_run):
                       success=traj.success, observations=traj.observations[:2],
                       actions=traj.actions[:1], rewards=traj.rewards[:1])
     low2 = LowLevelModel(np.random.default_rng(0))
-    over_low = train_low_level(low2, [tiny], LowTrainConfig(epochs=1500, lr=3e-3))[-1]
+    over_low = train_low_level(low2, [tiny], RunConfig(low_epochs=1500, lr_low=3e-3))[-1]
 
     topo = toy_topology(3, {(0, 1), (0, 2)}, terminals=(1,))
     high2 = HubDynamicsModel(np.random.default_rng(1), 3)

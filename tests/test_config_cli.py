@@ -1,16 +1,27 @@
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hubplan
 from hubplan.cli import _build_parser, _load_config, main
 from hubplan.config import ConfigError, RunConfig, apply_env_overrides, parse_config, save_config
+from hubplan.edge_policies import perturb_segment, train_policy_for_hub
+from hubplan.hub_dynamics import HubDynamicsModel, train_high
+from hubplan.latent import LowLevelModel, train_low_level
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
 from hubplan.pipeline import derive_no_memory_config
+from hubplan.topology import Segment
+
+from scenarios import build_scenario, scenario_topology
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 class TestConfig:
@@ -53,6 +64,81 @@ class TestConfig:
         monkeypatch.setenv("HUBPLAN_SEED", "soon")
         with pytest.raises(ConfigError):
             apply_env_overrides(RunConfig())
+
+
+class TestReadmeConfigurationTable:
+    """README's configuration table names only `RunConfig` fields, each with
+    its default, so the settings are written down in one place."""
+
+    @staticmethod
+    def rows():
+        section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        for line in section.splitlines():
+            cells = line.split("|")
+            if len(cells) < 4 or not cells[1].strip().startswith("`"):
+                continue
+            keys = [k for cell in re.findall(r"`([^`]+)`", cells[1]) for k in cell.split("/")]
+            values = [v for cell in re.findall(r"`([^`]+)`", cells[2]) for v in cell.split("/")]
+            yield line, keys, values
+
+    def test_keys_are_fields_with_their_defaults(self):
+        defaults = {f.name: (f.type, f.default) for f in fields(RunConfig)}
+        casts = {"int": int, "float": float, "str": str}
+        rows = list(self.rows())
+        assert len(rows) >= 10
+        for line, keys, values in rows:
+            assert len(keys) == len(values), line
+            for key, value in zip(keys, values):
+                assert key in defaults, f"{key!r} is not a RunConfig field"
+                kind, default = defaults[key]
+                assert casts[kind](value) == default, f"{key}: README {value}, RunConfig {default}"
+
+
+class TestTrainersReadRunConfig:
+    """Each trainer takes the run configuration and reads its own fields."""
+
+    @pytest.fixture(scope="class")
+    def scenario(self):
+        sc = build_scenario()
+        return sc, scenario_topology(sc)
+
+    @staticmethod
+    def high_epochs(scenario, cfg):
+        _sc, topo = scenario
+        model = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs))
+        return len(train_high(model, topo.hub_sequences(), topo, cfg))
+
+    @staticmethod
+    def low_epochs(scenario, cfg):
+        traj = scenario[0].trajectories[0]
+        short = type(traj)(start_id=traj.start_id, start=traj.start, goal=traj.goal,
+                           success=traj.success, observations=traj.observations[:9],
+                           actions=traj.actions[:8], rewards=traj.rewards[:8])
+        return len(train_low_level(LowLevelModel(np.random.default_rng(0)), [short], cfg))
+
+    @staticmethod
+    def policy_epochs(scenario, cfg):
+        sc, topo = scenario
+        emb = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs)).embeddings()
+        _policy, losses = train_policy_for_hub(topo, sc.trajectories, 0, emb, cfg,
+                                               np.random.default_rng(0))
+        return len(losses)
+
+    @staticmethod
+    def preroll_share(_scenario, cfg):
+        rng = np.random.default_rng(0)
+        draws = [perturb_segment(Segment(0, 1, 0, begin, begin + 4), rng, cfg)
+                 for begin in range(1, 6) for _ in range(40)]
+        return sum(v.variant == "preroll" and v.begin < v.base.begin for v in draws) / len(draws)
+
+    @pytest.mark.parametrize("overrides, measure, expected", [
+        ({"high_epochs": 3}, high_epochs, 3),
+        ({"low_epochs": 2}, low_epochs, 2),
+        ({"policy_epochs": 4}, policy_epochs, 4),  # below MIN_EPOCHS: no early stop
+        ({"p_canonical": 0.0, "p_truncated": 0.0, "p_preroll": 1.0}, preroll_share, 1.0),
+    ], ids=["high_epochs", "low_epochs", "policy_epochs", "p_preroll"])
+    def test_trainer_reads_its_field(self, scenario, overrides, measure, expected):
+        assert measure(scenario, RunConfig(**overrides)) == expected
 
 
 class TestRunDirectoryConfig:

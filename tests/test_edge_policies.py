@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from hubplan import nn
+from hubplan.config import RunConfig
 from hubplan.edge_policies import (
     EdgePolicy,
     PolicyBank,
-    PolicyTrainConfig,
     _greedy_exact,
     load_bank,
     perturb_segment,
@@ -20,6 +20,8 @@ from hubplan.topology import Segment
 
 from gradient_reference import finite_diff_error
 from scenarios import build_scenario, scenario_topology
+
+DEFAULTS = RunConfig()
 
 
 def tape_step(policy, x, h):
@@ -97,7 +99,7 @@ class TestPerturbSegment:
         counts = {"canonical": 0, "truncated": 0, "preroll": 0}
         n = 10_000
         for _ in range(n):
-            counts[perturb_segment(seg, rng).variant] += 1
+            counts[perturb_segment(seg, rng, DEFAULTS).variant] += 1
         assert abs(counts["canonical"] / n - 0.8) <= 0.02
         assert abs(counts["truncated"] / n - 0.1) <= 0.02
         assert abs(counts["preroll"] / n - 0.1) <= 0.02
@@ -108,7 +110,7 @@ class TestPerturbSegment:
         traj = FakeTrajectory()
         seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            v = perturb_segment(seg, rng)
+            v = perturb_segment(seg, rng, DEFAULTS)
             if v.variant == "truncated":
                 assert 1 <= v.perturbation <= 3
                 assert len(variant_actions(v, traj)) == 8 - v.perturbation
@@ -119,7 +121,7 @@ class TestPerturbSegment:
         seg = make_segment(n_actions=1)
         traj = FakeTrajectory()
         for _ in range(200):
-            v = perturb_segment(seg, rng)
+            v = perturb_segment(seg, rng, DEFAULTS)
             assert v.variant in ("canonical", "preroll")
             assert len(variant_actions(v, traj)) >= 1
 
@@ -127,7 +129,7 @@ class TestPerturbSegment:
         rng = np.random.default_rng(2)
         seg = make_segment(n_actions=4, begin=0)
         for _ in range(200):
-            v = perturb_segment(seg, rng)
+            v = perturb_segment(seg, rng, DEFAULTS)
             assert v.variant in ("canonical", "truncated")
 
     def test_preroll_prepends_true_predecessors(self):
@@ -136,7 +138,7 @@ class TestPerturbSegment:
         traj = FakeTrajectory()
         seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            v = perturb_segment(seg, rng)
+            v = perturb_segment(seg, rng, DEFAULTS)
             if v.variant == "preroll":
                 actions = variant_actions(v, traj)
                 assert 1 <= v.perturbation <= 3
@@ -257,7 +259,7 @@ def bank_sha256(bank, out_dir):
 class TestTrainPolicies:
     def test_bank_bytes_match_tape_training(self, trained_scenario, tmp_path):
         sc, topo, emb = trained_scenario
-        bank = train_policies(topo, sc.trajectories, emb, PolicyTrainConfig(epochs=12))
+        bank = train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=12))
         assert bank_sha256(bank, tmp_path) == SCENARIO_BANK_SHA256
 
     def test_load_bank_round_trip_non_default_widths(self, trained_scenario, tmp_path):
@@ -284,7 +286,7 @@ class TestTrainPolicies:
 
     def test_policy_per_out_degree_hub(self, trained_scenario):
         sc, topo, emb = trained_scenario
-        bank = train_policies(topo, sc.trajectories, emb, PolicyTrainConfig(epochs=2))
+        bank = train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=2))
         sources = {s for s, _t in topo.edges}
         assert set(bank.policies) == sources
 
@@ -297,7 +299,7 @@ class TestTrainPolicies:
         hub = candidates[0]
         target = topo.out_neighbors(hub)[0]
         seg = topo.segments[(hub, target)][0]
-        cfg = PolicyTrainConfig(epochs=200, seed=3)
+        cfg = RunConfig(policy_epochs=200, seed=3)
         policy, _losses = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
                                                np.random.default_rng(3))
         traj = sc.trajectories[seg.traj_id]
@@ -313,7 +315,7 @@ class TestTrainPolicies:
         hub = 0
         targets = topo.out_neighbors(hub)
         assert len(targets) >= 2
-        cfg = PolicyTrainConfig(epochs=200, seed=5)
+        cfg = RunConfig(policy_epochs=200, seed=5)
         policy, _ = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
                                          np.random.default_rng(5))
 
@@ -349,12 +351,12 @@ class TestTrainPolicies:
         sc, topo, emb = trained_scenario
         emb = np.full_like(emb, np.nan)
         with pytest.raises(nn.NonFiniteError, match="hub 0: non-finite logits"):
-            train_policy_for_hub(topo, sc.trajectories, 0, emb, PolicyTrainConfig(epochs=2),
+            train_policy_for_hub(topo, sc.trajectories, 0, emb, RunConfig(policy_epochs=2),
                                  np.random.default_rng(0))
 
     def test_train_losses_decrease(self, trained_scenario):
         sc, topo, emb = trained_scenario
-        cfg = PolicyTrainConfig(epochs=30, seed=9)
+        cfg = RunConfig(policy_epochs=30, seed=9)
         policy, losses = train_policy_for_hub(topo, sc.trajectories, 0, emb, cfg,
                                               np.random.default_rng(9))
         assert losses[-1] < losses[0]

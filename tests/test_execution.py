@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hubplan.edge_policies import EdgePolicy, PolicyBank, PolicyTrainConfig, train_policies
+from hubplan.config import RunConfig
+from hubplan.edge_policies import EdgePolicy, PolicyBank, train_policies
 from hubplan.execution import EDGE_BUDGET_FACTOR, MIN_EDGE_BUDGET, edge_budget, execute
 from hubplan.hub_dynamics import HubDynamicsModel
 from hubplan.planning import Plan
@@ -14,8 +15,7 @@ def scenario_stack():
     sc = build_scenario()
     topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs))
-    bank = train_policies(topo, sc.trajectories, model.embeddings(),
-                          PolicyTrainConfig(seed=0))
+    bank = train_policies(topo, sc.trajectories, model.embeddings(), RunConfig(seed=0))
     return sc, topo, model.embeddings(), bank
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hubplan.config import RunConfig
 from hubplan.hub_dynamics import (
     CachedDist,
     HubDynamicsModel,
@@ -97,7 +98,9 @@ class TestTraversals:
 
         def run():
             model = HubDynamicsModel(np.random.default_rng(7), 5)
-            pretrain_on_traversals(model, topo, 30, 8, seed=5, lr=2e-4, epochs=2)
+            cfg = RunConfig(pretrain_traversals=30, pretrain_max_len=8, seed=5, lr_high=2e-4,
+                            pretrain_epochs=2)
+            pretrain_on_traversals(model, topo, cfg)
             return model.tensors()
 
         t1, t2 = run(), run()
@@ -113,7 +116,9 @@ class TestTraversals:
     def test_chain_pretraining_dominates(self):
         topo = toy_topology(3, {(0, 1), (1, 2)})
         model = HubDynamicsModel(np.random.default_rng(11), 3)
-        pretrain_on_traversals(model, topo, 100, 4, seed=3, lr=2e-4, epochs=3)
+        cfg = RunConfig(pretrain_traversals=100, pretrain_max_len=4, seed=3, lr_high=2e-4,
+                        pretrain_epochs=3)
+        pretrain_on_traversals(model, topo, cfg)
         assert next_hub_dist(model, (0,), topo)[1] > 0.9
 
 

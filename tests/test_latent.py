@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from hubplan import nn
+from hubplan.config import RunConfig
 from hubplan.demos.expert import Rollout, goto_and_face
 from hubplan.latent import (
     MEMORYLESS_FIELDS,
     LearnedEncoder,
     LowLevelModel,
-    LowTrainConfig,
     OracleEncoder,
     latent_prediction_loss,
     train_low_level,
@@ -131,7 +131,7 @@ class TestLearnedEncoder:
         from hubplan.demos import generate_success_demo
 
         trajs = [generate_success_demo(env, 0, Goal(0, 1))]
-        train_low_level(model, trajs, LowTrainConfig(epochs=2, lr=1e-4))
+        train_low_level(model, trajs, RunConfig(low_epochs=2, lr_low=1e-4))
         zs = []
         for rollout in probe_pair:
             enc = LearnedEncoder(model)
@@ -213,7 +213,7 @@ class TestLowLevelTraining:
 
         trajs = [generate_success_demo(env, 0, Goal(0, 1))]
         model = LowLevelModel(np.random.default_rng(7))
-        losses = train_low_level(model, trajs, LowTrainConfig(epochs=3, lr=1e-4))
+        losses = train_low_level(model, trajs, RunConfig(low_epochs=3, lr_low=1e-4))
         assert losses[-1] < losses[0]
 
     def test_dynamics_beats_shuffled_actions(self, env):
@@ -226,7 +226,7 @@ class TestLowLevelTraining:
                            observations=traj.observations[:41], actions=traj.actions[:40],
                            rewards=traj.rewards[:40])
         model = LowLevelModel(np.random.default_rng(2))
-        train_low_level(model, [short], LowTrainConfig(epochs=60, lr=1e-3))
+        train_low_level(model, [short], RunConfig(low_epochs=60, lr_low=1e-3))
 
         def mean_pred_error(actions):
             enc = LearnedEncoder(model)
@@ -287,4 +287,4 @@ class TestLowLevelTraining:
         model = LowLevelModel(np.random.default_rng(0))
         model.dyn_w2.data[:] = 1e200  # squared prediction error overflows to inf
         with pytest.raises(nn.NonFiniteError):
-            train_low_level(model, trajs, LowTrainConfig(epochs=1, lr=1e-4))
+            train_low_level(model, trajs, RunConfig(low_epochs=1, lr_low=1e-4))

@@ -42,7 +42,8 @@ class TestArtifacts:
         paths = sorted((out / "dataset").glob("*.log"))
         assert len(paths) == 138
         paths += [out / name for name in
-                  ("topology.txt", "config.txt", "high_loss.txt", "policy_loss.txt")]
+                  ("topology.txt", "config.txt", "high_loss.txt", "policy_loss.txt",
+                   "metrics.txt")]
         for path in paths:
             assert "np." not in path.read_text(), path.name
 
