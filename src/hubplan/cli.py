@@ -75,19 +75,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _cmd_plan(cfg: RunConfig, args) -> None:
-    from .hub_dynamics import CachedDist
-    from .pipeline import _load_topology, _plan_for, load_high_model, make_encoder, make_env
-    from .planning import format_plan, match_start_hub
+    from .pipeline import _load_topology, load_high_model, make_encoder, make_env, plan_task
+    from .planning import format_plan
 
     _ds, topo = _load_topology(cfg, "plan")
     model = load_high_model(cfg, "plan", len(topo.hubs))
-    env = make_env(cfg)
-    encoder = make_encoder(cfg, Path(cfg.out_dir))
-    state, obs = env.reset(env.starts[args.start], args.goal)
-    encoder.begin_episode()
-    z0 = encoder.encode(obs, state)
-    start_hub = match_start_hub(z0, topo, cfg.effective_match_tol)
-    plan = _plan_for(cfg, topo, CachedDist(model, topo), start_hub, args.goal)
+    _state, _obs, plan = plan_task(cfg, topo, model, make_env(cfg),
+                                   make_encoder(cfg, Path(cfg.out_dir)), args.start, args.goal)
     sys.stdout.write(format_plan(plan, topo))
 
 

@@ -141,24 +141,6 @@ class EdgePolicy:
         """Action logits of (batch, gru_hidden) memory or a stack of it."""
         return h @ self.head_w.data + self.head_b.data
 
-    def unroll(self, enc: np.ndarray, h: np.ndarray):
-        """Run the GRU over a (T, batch, enc_hidden) stack of encodings from
-        (batch, gru_hidden) memory `h`.
-
-        Returns the (T + 1, batch, gru_hidden) memory stack, whose first
-        slice is `h`, and the T per-step caches.
-        """
-        xw = nn.gru_input_proj(self.gru, enc)
-        hs = np.empty((enc.shape[0] + 1, *h.shape))
-        hs[0] = h
-        caches = []
-        with np.errstate(over="ignore"):
-            for t in range(enc.shape[0]):
-                h, cache = nn.gru_cell(self.gru, (xw[0][t], xw[1][t], xw[2][t]), h)
-                hs[t + 1] = h
-                caches.append(cache)
-        return hs, caches
-
     def initial_memory(self) -> np.ndarray:
         return np.zeros((1, self.gru_hidden))
 
@@ -198,7 +180,7 @@ def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray
 
     x = xs[:, :steps].swapaxes(0, 1)                       # (T, n, in) view
     enc = policy.encode(x)
-    hs, caches = policy.unroll(enc, np.zeros((xs.shape[0], policy.gru_hidden)))
+    hs, caches = nn.gru_unroll(policy.gru, enc, np.zeros((xs.shape[0], policy.gru_hidden)))
     ce, dce = nn.softmax_cross_entropy_np(policy.head(hs[1:]), acts[:, :steps].T,
                                           sample_weight=step_w[:steps],
                                           label_smoothing=label_smoothing)
@@ -270,7 +252,7 @@ def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarra
         x = np.empty((seg.end - seg.begin, 1, in_dim))
         x[:, 0, :OBS_SIZE] = trajectories[seg.traj_id].observations[seg.begin:seg.end]
         x[:, 0, OBS_SIZE:] = embeddings[seg.target]
-        hs, _caches = policy.unroll(policy.encode(x), policy.initial_memory())
+        hs, _caches = nn.gru_unroll(policy.gru, policy.encode(x), policy.initial_memory())
         greedy = nn.softmax_np(policy.head(hs[1:])).argmax(axis=-1)[:, 0]
         if not np.array_equal(greedy, trajectories[seg.traj_id].actions[seg.begin:seg.end]):
             return False

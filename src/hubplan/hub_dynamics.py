@@ -74,19 +74,6 @@ class HubDynamicsModel:
         return nn.softmax_np(logits, mask)[0]
 
 
-def next_hub_dist(model: HubDynamicsModel, history, topology: BehaviorTopology) -> np.ndarray:
-    """Masked next-hub distribution given the full hub history.
-
-    Exactly zero on non-edges; all-zero when the last hub is a dead end.
-    """
-    if len(history) == 0:
-        raise ValueError("history must be non-empty")
-    hidden = model.initial_hidden()
-    for hub in history:
-        hidden = model.advance(hidden, hub)
-    return model.dist_from_hidden(hidden, history[-1], topology)
-
-
 class CachedDist:
     """next-dist adapter for plan search with an incremental hidden-state cache.
 

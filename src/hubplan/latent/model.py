@@ -129,13 +129,7 @@ class LearnedEncoder:
         x = obs.reshape(-1, 1, obs.shape[-1])             # (T, 1, OBS_SIZE); a row is T = 1
         hid = np.maximum(x @ m.enc_w1.data + m.enc_b1.data, 0.0)
         imm = np.tanh(hid @ m.enc_w2.data + m.enc_b2.data)
-        xw = nn.gru_input_proj(m.gru, imm)
-        hs = np.empty_like(imm)
-        h = self.hidden
-        with np.errstate(over="ignore"):
-            for t in range(x.shape[0]):
-                h, _cache = nn.gru_cell(m.gru, (xw[0][t], xw[1][t], xw[2][t]), h)
-                hs[t] = h
-        self.hidden = h
-        z = imm + (hs @ m.enc_corr_w.data + m.enc_corr_b.data)
+        hs, _caches = nn.gru_unroll(m.gru, imm, self.hidden)
+        self.hidden = hs[-1]
+        z = imm + (hs[1:] @ m.enc_corr_w.data + m.enc_corr_b.data)
         return z.reshape(obs.shape[:-1] + (m.latent_dim,))

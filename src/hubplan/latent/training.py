@@ -27,10 +27,12 @@ W_BARREL = 1.0
 W_TERMINAL = 0.5
 
 
-def latent_prediction_loss(z_hat, z_next, weight_col: np.ndarray, normalizer: float):
-    """Masked mean squared latent prediction error; exactly 0 when equal."""
-    diff = nn.tensor.sub(z_hat, z_next)
-    return nn.tensor.scale(nn.sum_all(nn.tensor.mul(nn.tensor.mul(diff, diff), weight_col)),
+def weighted_sq_error(pred, target, weight: np.ndarray, normalizer: float):
+    """Sum of weight * (pred - target)^2 over every entry, divided by
+    `normalizer`; exactly 0 when equal. `weight` broadcasts against the
+    (batch, width) difference: a row mask, or a mask times channel weights."""
+    diff = nn.tensor.sub(pred, target)
+    return nn.tensor.scale(nn.sum_all(nn.tensor.mul(nn.tensor.mul(diff, diff), weight)),
                            1.0 / normalizer)
 
 
@@ -89,12 +91,10 @@ def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
                     carry = h.data
                     z_next, h = model.encode_step(nn.Tensor(obs[:, t + 1]), h)
                     w_col = valid[:, None]
-                    l_z = latent_prediction_loss(z_hat, z_next, w_col, count)
+                    l_z = weighted_sq_error(z_hat, z_next, w_col, count)
                     vis, bar0, bar1, term = model.decode(z_hat)
-                    vdiff = nn.tensor.sub(vis, nn.Tensor(vis_tgt[:, t + 1]))
-                    l_vis = nn.tensor.scale(
-                        nn.sum_all(nn.tensor.mul(nn.tensor.mul(vdiff, vdiff), w_col * cw_norm[None, :])),
-                        1.0 / count)
+                    l_vis = weighted_sq_error(vis, nn.Tensor(vis_tgt[:, t + 1]),
+                                              w_col * cw_norm[None, :], count)
                     l_bar = nn.softmax_cross_entropy(bar0, barrel_tgt[:, t + 1, 0], sample_weight=valid)
                     l_bar = nn.tensor.add(l_bar, nn.softmax_cross_entropy(
                         bar1, barrel_tgt[:, t + 1, 1], sample_weight=valid))

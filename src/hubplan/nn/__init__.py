@@ -24,6 +24,7 @@ from .layers import (
     gru_input_proj,
     gru_param_grads,
     gru_step,
+    gru_unroll,
     init_bias,
     init_weight,
 )
@@ -36,6 +37,6 @@ __all__ = [
     "sigmoid", "softmax_cross_entropy", "softmax_cross_entropy_np", "softmax_np", "sum_all",
     "tanh", "GruCellParams",
     "gru_cell", "gru_cell_backward", "gru_input_grads", "gru_input_proj", "gru_param_grads",
-    "gru_step", "init_bias", "init_weight",
+    "gru_step", "gru_unroll", "init_bias", "init_weight",
     "Adam", "ArtifactError", "load_params", "save_params",
 ]

@@ -4,12 +4,13 @@ The gated recurrent step is written once as plain numpy, in pieces: the
 input projection (`gru_input_proj`), the recurrent cell update
 (`gru_cell`), its backward to the gate pre-activations and the previous
 memory (`gru_cell_backward`), and the non-recurrent gradients of the input
-(`gru_input_grads`) and of the parameters (`gru_param_grads`). `gru_step`
-records one step on the tape as a single node for the tape-trained models;
-inference and the edge policies' hand-written backward pass call the pieces
-directly. The cell's gates saturate to exactly 0 or 1 where exp overflows:
-a caller of `gru_cell` enters `np.errstate(over="ignore")` once around its
-step loop.
+(`gru_input_grads`) and of the parameters (`gru_param_grads`).
+`gru_unroll` is the one multi-step forward (policy training and replay,
+the learned encoder); single-step inference (`act`, `advance`) calls
+`gru_cell`, and `gru_step` records one step on the tape as a single node
+for the tape-trained models. The cell's gates saturate to exactly 0 or 1
+where exp overflows: a caller of `gru_cell` enters
+`np.errstate(over="ignore")` once around its step loop.
 
 Stack, don't merge: the input projection and the input gradients take
 (batch, width) arrays or (T, batch, width) stacks of T steps. numpy runs
@@ -33,7 +34,7 @@ import numpy as np
 from .tensor import ShapeError, Tensor, _accum, _node, _sigmoid_np, parameter
 
 __all__ = ["init_weight", "GruCellParams", "GruCache", "gru_input_proj", "gru_cell",
-           "gru_cell_backward", "gru_input_grads", "gru_param_grads", "gru_step"]
+           "gru_unroll", "gru_cell_backward", "gru_input_grads", "gru_param_grads", "gru_step"]
 
 _GRU_TAGS = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
              "w_cand", "u_cand", "b_cand")
@@ -130,6 +131,25 @@ def gru_cell(p: GruCellParams, xw, h: np.ndarray):
     c = np.tanh(xc + rh @ p.u_cand.data + p.b_cand.data)
     omu = 1.0 - u
     return omu * h + u * c, GruCache(h, u, r, rh, c, omu)
+
+
+def gru_unroll(p: GruCellParams, x: np.ndarray, h: np.ndarray):
+    """Run the cell over a (T, batch, input) stack from (batch, hidden)
+    memory `h`.
+
+    Returns the (T + 1, batch, hidden) memory stack, whose first slice is
+    `h`, and the T per-step caches.
+    """
+    xw = gru_input_proj(p, x)
+    hs = np.empty((x.shape[0] + 1, *h.shape))
+    hs[0] = h
+    caches = []
+    with np.errstate(over="ignore"):
+        for t in range(x.shape[0]):
+            h, cache = gru_cell(p, (xw[0][t], xw[1][t], xw[2][t]), h)
+            hs[t + 1] = h
+            caches.append(cache)
+    return hs, caches
 
 
 def gru_cell_backward(p: GruCellParams, cache: GruCache, g: np.ndarray, need_h: bool = True):

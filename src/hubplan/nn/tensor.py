@@ -92,35 +92,12 @@ class Tensor:
         self.name = name
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self) -> str:
         return f"Tensor(name={self.name!r}, shape={self.data.shape})"
 
-    # arithmetic sugar; everything funnels into the recorded ops below
+    # `a + b` is the recorded `add`, for a layer's bias
     def __add__(self, other):
         return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def parameter(data, name: str) -> Tensor:
@@ -332,14 +309,13 @@ def softmax_cross_entropy_np(
     additive_mask: np.ndarray | None = None,
     sample_weight: np.ndarray | None = None,
     label_smoothing: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Plain-numpy `softmax_cross_entropy`: (loss, d loss / d logits).
 
-    The gradient is None when every sample weight is zero (the loss is 0).
     `logits` may also be a stack (T, n, k) of T independent batches, with
     (T, n) targets and weights: the loss is then the (T,) per-batch losses,
-    each bit-identical to the 2-d call on its slice, and every batch needs
-    a positive weight. Logits must be finite; mask classes with
+    each bit-identical to the 2-d call on its slice. Every batch needs a
+    positive total sample weight. Logits must be finite; mask classes with
     `additive_mask`.
     """
     if not np.isfinite(logits).all():
@@ -367,9 +343,7 @@ def softmax_cross_entropy_np(
         w = np.ascontiguousarray(sample_weight, dtype=np.float64)
     total = w.sum(axis=-1, keepdims=True)
     if not (total > 0.0).all():
-        if logits.ndim == 2:
-            return np.asarray(0.0), None
-        raise ValueError("every batch of a stack needs a positive total sample weight")
+        raise ValueError("every batch needs a positive total sample weight")
 
     per_row = log_z[..., 0] - (q * np.where(valid, logits, 0.0)).sum(axis=-1)
     loss = (per_row * w).sum(axis=-1) / total[..., 0]
@@ -394,21 +368,22 @@ def softmax_cross_entropy(
                                              sample_weight, label_smoothing)
 
     def backward(g):
-        if dlogits is not None and logits.requires_grad:
+        if logits.requires_grad:
             _accum(logits, dlogits * g)
 
     return _node(data, (logits,), backward)
 
 
 def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = None) -> Tensor:
-    """Stable elementwise binary cross-entropy, weighted-mean over rows."""
+    """Stable elementwise binary cross-entropy, weighted-mean over rows; the
+    sample weights need a positive sum."""
     t = np.asarray(targets, dtype=np.float64)
     x = logits.data
     n = x.shape[0]
     w = np.ones(n, dtype=np.float64) if sample_weight is None else np.asarray(sample_weight, dtype=np.float64)
     total = w.sum() * x.shape[1]
     if total <= 0.0:
-        return _node(np.asarray(0.0), (logits,), lambda g: None)
+        raise ValueError("binary cross-entropy needs a positive total sample weight")
 
     per = np.maximum(x, 0.0) - x * t + np.log1p(np.exp(-np.abs(x)))
     data = np.asarray((per * w[:, None]).sum() / total)

@@ -22,7 +22,7 @@ from .hub_dynamics import CachedDist, HubDynamicsModel, pretrain_on_traversals, 
 from .latent.model import LearnedEncoder, LowLevelModel
 from .latent.oracle import OracleEncoder
 from .latent.training import train_low_level
-from .maze.env import Goal, MazeEnv
+from .maze.env import EnvState, Goal, MazeEnv
 from .metrics import TaskRecord, save_metrics
 from .planning import (
     NoPlanError,
@@ -166,13 +166,22 @@ def stage_train_policies(cfg: RunConfig, log=print) -> PolicyBank:
     return bank
 
 
-def _plan_for(cfg: RunConfig, topo: BehaviorTopology, dist, start_hub: int,
-              goal: Goal) -> Plan:
+def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, env: MazeEnv,
+              encoder, start_id: int, goal: Goal) -> tuple[EnvState, np.ndarray, Plan]:
+    """Reset `env` to a task, encode its first observation, match the start
+    hub and plan to the goal's hubs with the configured planner.
+
+    Returns (state, observation, plan); raises NoPlanError when the start
+    matches no hub or no plan reaches the goal.
+    """
+    state, obs = env.reset(env.starts[start_id], goal)
+    encoder.begin_episode()
+    start_hub = match_start_hub(encoder.encode(obs, state), topo, cfg.effective_match_tol)
     goal_set = goal_hub_set(goal, topo)
     if cfg.planner_backend == "bfs":
-        return bfs_plan(topo, start_hub, goal_set)
+        return state, obs, bfs_plan(topo, start_hub, goal_set)
     scfg = SearchConfig(p_min=cfg.p_min, eta=cfg.eta, depth_limit=cfg.depth_limit)
-    return search(topo, dist, start_hub, goal_set, scfg)
+    return state, obs, search(topo, CachedDist(model, topo), start_hub, goal_set, scfg)
 
 
 def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal, bool]],
@@ -183,6 +192,15 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
     model = load_high_model(cfg, "eval", len(topo.hubs))
     _require(out / "policies" / "index.json", "eval", "train-policies")
     bank = load_bank(out / "policies")
+    sources = sorted({s for s, _t in topo.edges})
+    if sorted(bank.policies) != sources:
+        raise StageError("eval", f"policies/ holds {len(bank.policies)} policies for other hubs "
+                                 f"than the topology's {len(sources)} source hubs; "
+                                 f"run stage train-policies again")
+    if bank.emb_dim != model.emb_dim:
+        raise StageError("eval", f"policies/ was trained on {bank.emb_dim}-wide hub embeddings "
+                                 f"but highlevel.bin holds {model.emb_dim}-wide ones; "
+                                 f"run stage train-policies again")
     env = make_env(cfg)
     encoder = make_encoder(cfg, out)
     embeddings = model.embeddings()
@@ -191,18 +209,14 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
 
     records: list[TaskRecord] = []
     for start_id, goal, seen in pairs:
-        state, obs = env.reset(env.starts[start_id], goal)
-        encoder.begin_episode()
-        z0 = encoder.encode(obs, state)
         dump: list[str] = []
         try:
-            start_hub = match_start_hub(z0, topo, cfg.effective_match_tol)
-            plan = _plan_for(cfg, topo, CachedDist(model, topo), start_hub, goal)
+            state, obs, plan = plan_task(cfg, topo, model, env, encoder, start_id, goal)
         except NoPlanError as e:
             dump.append(f"no plan: {e}\n")
             result = ExecutionResult(False, 0, 0, 0, [], failure_reason="no-plan")
             plan = None
-        if plan is not None:
+        else:
             dump.append(format_plan(plan, topo))
             result = execute(plan, env, state, obs, bank, encoder, embeddings, topo,
                              match_tol=cfg.effective_match_tol)
@@ -219,15 +233,20 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
     return records
 
 
-def stage_eval(cfg: RunConfig, log=print) -> dict:
-    out = Path(cfg.out_dir)
-    ds, topo = _load_topology(cfg, "eval")
+def _evaluate_all(cfg: RunConfig, stage: str, subdir: str, log) -> dict:
+    """Evaluate every seen and unseen task of the dataset; plans go to
+    `subdir`/plans and the metrics to `subdir` of the run directory."""
+    ds, topo = _load_topology(cfg, stage)
     pairs = [(sid, g, True) for sid, g in ds.seen] + [(sid, g, False) for sid, g in ds.unseen]
-    records = evaluate(cfg, topo, pairs, log=log)
-    agg = save_metrics(records, out)
-    log(f"eval: seen {agg['seen_successes']}/{agg['seen_total']}, "
+    records = evaluate(cfg, topo, pairs, log=log, plans_subdir=str(Path(subdir, "plans")))
+    agg = save_metrics(records, Path(cfg.out_dir, subdir))
+    log(f"{stage}: seen {agg['seen_successes']}/{agg['seen_total']}, "
         f"unseen {agg['unseen_successes']}/{agg['unseen_total']}")
     return agg
+
+
+def stage_eval(cfg: RunConfig, log=print) -> dict:
+    return _evaluate_all(cfg, "eval", "", log)
 
 
 STAGES = {
@@ -275,14 +294,5 @@ def ablate_bfs(cfg: RunConfig, log=print) -> dict:
     """Ablation: hop-count planning over the same trained artifacts."""
     import dataclasses
 
-    bcfg = dataclasses.replace(cfg, planner_backend="bfs")
-    out = Path(cfg.out_dir)
-    ds, topo = _load_topology(bcfg, "ablate-bfs")
-    pairs = [(sid, g, True) for sid, g in ds.seen] + [(sid, g, False) for sid, g in ds.unseen]
-    bdir = out / "ablate_bfs"
-    bdir.mkdir(parents=True, exist_ok=True)
-    records = evaluate(bcfg, topo, pairs, log=log, plans_subdir="ablate_bfs/plans")
-    agg = save_metrics(records, bdir)
-    log(f"ablate-bfs: seen {agg['seen_successes']}/{agg['seen_total']}, "
-        f"unseen {agg['unseen_successes']}/{agg['unseen_total']}")
-    return agg
+    return _evaluate_all(dataclasses.replace(cfg, planner_backend="bfs"), "ablate-bfs",
+                         "ablate_bfs", log)

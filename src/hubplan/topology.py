@@ -13,7 +13,7 @@ holds no observations or actions; loading checks it against the dataset.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -86,10 +86,11 @@ class BehaviorTopology:
     epsilon: float
     latent_dim: int
     hubs: list[Hub]
-    edges: set
     segments: dict  # (source, target) -> list[Segment]
+    edges: set = field(init=False)  # the keys of `segments`
 
     def __post_init__(self):
+        self.edges = set(self.segments)
         self.cluster_to_hub = {h.cluster: h.id for h in self.hubs}
         self._out = {}
         for s, t in self.edges:
@@ -222,7 +223,7 @@ def build_topology(latent_trajectories: list[LatentTrajectory],
             segments.setdefault((h_a, h_b), []).append(
                 Segment(source=h_a, target=h_b, traj_id=lt.traj_id, begin=t_a, end=t_b))
     return BehaviorTopology(epsilon=epsilon, latent_dim=latent_trajectories[0].zs.shape[1],
-                            hubs=hubs, edges=set(segments), segments=segments)
+                            hubs=hubs, segments=segments)
 
 
 # -- serialization ----------------------------------------------------------
@@ -233,6 +234,13 @@ def _fmt_floats(arr: np.ndarray) -> str:
 
 def _fmt_meta(meta: frozenset) -> str:
     return ";".join(f"{g}:{y}" for g, y in sorted(meta, key=lambda m: (str(m[0]), m[1])))
+
+
+def _edge_lines(segments: dict) -> list[str]:
+    """The `edges N` header and one `edge s t segments=n` line per edge."""
+    edges = sorted(segments)
+    return [f"edges {len(edges)}",
+            *(f"edge {s} {t} segments={len(segments[(s, t)])}" for s, t in edges)]
 
 
 def save_topology(topo: BehaviorTopology, path: Path) -> None:
@@ -248,10 +256,7 @@ def save_topology(topo: BehaviorTopology, path: Path) -> None:
             f" cluster={','.join(str(c) for c in h.cluster)}"
             f" repr={_fmt_floats(h.representative)}"
         )
-    edges = sorted(topo.edges)
-    lines.append(f"edges {len(edges)}")
-    for s, t in edges:
-        lines.append(f"edge {s} {t} segments={len(topo.segments[(s, t)])}")
+    lines.extend(_edge_lines(topo.segments))
     segs = sorted((seg for lst in topo.segments.values() for seg in lst), key=Segment.key)
     lines.append(f"segments {len(segs)}")
     for seg in segs:
@@ -272,7 +277,8 @@ def _parse_meta(text: str) -> frozenset:
 
 
 def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopology:
-    """Read a saved topology whose every segment spans steps of `trajectories`."""
+    """Read a saved topology whose every segment spans steps of `trajectories`
+    and whose edge lines restate its segments' edges and counts."""
     text = Path(path).read_text()
     body, _, tail = text.rpartition("checksum ")
     if not body or hashlib.sha256(body.encode()).hexdigest() != tail.strip():
@@ -297,12 +303,8 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
             start_ids=frozenset(int(s) for s in fields["starts"].split(",") if s),
         ))
         idx += 1
-    n_edges = int(lines[idx].split()[1]); idx += 1
-    edges = set()
-    for _ in range(n_edges):
-        parts = lines[idx].split()
-        edges.add((int(parts[1]), int(parts[2])))
-        idx += 1
+    edge_lines = lines[idx:idx + 1 + int(lines[idx].split()[1])]
+    idx += len(edge_lines)
     n_segs = int(lines[idx].split()[1]); idx += 1
     segments: dict = {}
     for _ in range(n_segs):
@@ -316,8 +318,9 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
                                 f"a step span of the {len(trajectories)}-trajectory dataset")
         segments.setdefault((src, dst), []).append(Segment(src, dst, traj_id, begin, end))
         idx += 1
-    return BehaviorTopology(epsilon=epsilon, latent_dim=latent_dim, hubs=hubs,
-                            edges=edges, segments=segments)
+    if edge_lines != _edge_lines(segments):
+        raise TopologyError(f"{path}: the edge lines do not match the segments")
+    return BehaviorTopology(epsilon=epsilon, latent_dim=latent_dim, hubs=hubs, segments=segments)
 
 
 def matches_hub(z: np.ndarray, hub: Hub, epsilon: float, tol: float) -> bool:

@@ -1,11 +1,20 @@
 import importlib.util
+import os
 import time
 from pathlib import Path
 
 import pytest
 
-from hubplan.config import RunConfig
-from hubplan.pipeline import derive_no_memory_config, run_pipeline
+# One BLAS thread, as the benchmark runs (bench/run.py): every pinned seed-0
+# hash was recorded so. With two OpenBLAS threads the hub model's training
+# products round differently, and `highlevel.bin`, plan costs and
+# `metrics.json` move. OpenBLAS reads this once, when numpy is first
+# imported, which is below.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from hubplan.config import RunConfig  # noqa: E402
+from hubplan.pipeline import derive_no_memory_config, run_pipeline  # noqa: E402
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

@@ -19,13 +19,14 @@ from hubplan.demos import load_dataset
 from hubplan.edge_policies import (EdgePolicy, perturb_segment, sequence_loss_and_grads,
                                     train_policies)
 from hubplan.execution import execute
-from hubplan.hub_dynamics import HubDynamicsModel, CachedDist, next_hub_dist, \
+from hubplan.hub_dynamics import HubDynamicsModel, CachedDist, \
     pretrain_on_traversals, train_high, train_on_sequences
 from hubplan.latent import LowLevelModel, train_low_level
 from hubplan.maze import Goal, MazeEnv, replay_states
 from hubplan.planning import NoPlanError, SearchConfig, bfs_plan, goal_hub_set, search
 
 from gradient_reference import finite_diff_check, finite_diff_error
+from hub_reference import next_hub_dist
 from scenarios import build_scenario, scenario_topology
 from test_planning import enumerate_best, pseudo_random_dist, toy_topology
 from test_topology import brute_force_hubs
@@ -195,7 +196,7 @@ def test_criterion_gradient_correctness():
         f_encoder, [model.enc_w1, model.enc_b1, model.enc_w2, model.enc_b2,
                     model.enc_corr_w, model.enc_corr_b] + list(model.gru.tensors().values()))
 
-    from hubplan.latent.training import latent_prediction_loss
+    from hubplan.latent.training import weighted_sq_error
     from hubplan.maze.raster import VIEW_SIZE, channel_weights
 
     cwn = channel_weights() / channel_weights().sum()
@@ -207,7 +208,7 @@ def test_criterion_gradient_correctness():
         z, h = model.encode_step(nn.Tensor(obs), h)
         z_hat = model.predict_next(z, nn.Tensor(np.eye(6)[[1, 4]]))
         z_next, _ = model.encode_step(nn.Tensor(obs2), h)
-        loss = latent_prediction_loss(z_hat, z_next, np.ones((2, 1)), 2.0)
+        loss = weighted_sq_error(z_hat, z_next, np.ones((2, 1)), 2.0)
         vis, b0, b1, term = model.decode(z_hat)
         vd = nn.tensor.sub(vis, nn.Tensor(obs2[:, :VIEW_SIZE]))
         loss = nn.tensor.add(loss, nn.sum_all(nn.tensor.mul(nn.tensor.mul(vd, vd),

@@ -7,7 +7,6 @@ from hubplan.config import RunConfig
 from hubplan.hub_dynamics import (
     CachedDist,
     HubDynamicsModel,
-    next_hub_dist,
     pretrain_on_traversals,
     sample_traversals,
     train_on_sequences,
@@ -16,6 +15,7 @@ from hubplan.maze import Goal
 from hubplan.topology import START, TERMINAL, BehaviorTopology, Hub
 
 from gradient_reference import finite_diff_check
+from hub_reference import next_hub_dist
 
 
 def toy_topology(n_hubs: int, edges: set, starts=(0,), terminals=()):
@@ -32,7 +32,7 @@ def toy_topology(n_hubs: int, edges: set, starts=(0,), terminals=()):
             kinds.add("convergence")
         hubs.append(Hub(i, (i * 10,), np.array([i * 0.01 + 0.0005]),
                         frozenset(kinds), terminal_meta=meta))
-    return BehaviorTopology(epsilon=1e-3, latent_dim=1, hubs=hubs, edges=set(edges),
+    return BehaviorTopology(epsilon=1e-3, latent_dim=1, hubs=hubs,
                             segments={e: ["seg"] for e in edges})
 
 

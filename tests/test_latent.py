@@ -9,8 +9,8 @@ from hubplan.latent import (
     LearnedEncoder,
     LowLevelModel,
     OracleEncoder,
-    latent_prediction_loss,
     train_low_level,
+    weighted_sq_error,
 )
 from hubplan.maze import RED, Goal, MazeEnv, replay_states
 from hubplan.maze.env import TURN_LEFT, TURN_RIGHT
@@ -193,10 +193,10 @@ class TestLowLevelTraining:
     def test_latent_prediction_loss_zero_iff_equal(self):
         z = nn.Tensor(np.ones((2, 4)))
         w = np.ones((2, 1))
-        same = latent_prediction_loss(z, z, w, 2.0)
+        same = weighted_sq_error(z, z, w, 2.0)
         assert float(same.data) == 0.0
         other = nn.Tensor(np.ones((2, 4)) + 0.1)
-        assert float(latent_prediction_loss(z, other, w, 2.0).data) > 0.0
+        assert float(weighted_sq_error(z, other, w, 2.0).data) > 0.0
 
     def test_predict_next_unaffected_by_action_with_zero_weights(self):
         model = LowLevelModel(np.random.default_rng(1))
@@ -215,6 +215,30 @@ class TestLowLevelTraining:
         model = LowLevelModel(np.random.default_rng(7))
         losses = train_low_level(model, trajs, RunConfig(low_epochs=3, lr_low=1e-4))
         assert losses[-1] < losses[0]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "train_low_level encodes z once at the window start and never sets z = z_next, so "
+        "every step of a window predicts from the window's first latent; the fix moves the "
+        "pinned learned-lowlevel benchmark hashes and waits for a benchmark re-baseline"))
+    def test_each_step_predicts_from_its_own_latent(self, env, monkeypatch):
+        from hubplan.demos import generate_success_demo
+
+        traj = generate_success_demo(env, 0, Goal(0, 1))
+        model = LowLevelModel(np.random.default_rng(5))
+        enc = LearnedEncoder(LowLevelModel.from_tensors(
+            {k: v.copy() for k, v in model.tensors().items()}))
+        want = enc.encode(traj.observations[:3])
+        seen = []
+        predict_next = model.predict_next
+
+        def spy(z, action_onehot):
+            seen.append(z.data[0].copy())
+            return predict_next(z, action_onehot)
+
+        monkeypatch.setattr(model, "predict_next", spy)
+        train_low_level(model, [traj], RunConfig(low_epochs=1, lr_low=1e-12, history_len=3))
+        for t in range(3):       # the first window, before any optimizer step
+            assert np.array_equal(seen[t], want[t]), f"step {t}"
 
     def test_dynamics_beats_shuffled_actions(self, env):
         """After training, next-latent prediction with the true action labels
@@ -266,7 +290,7 @@ class TestLowLevelTraining:
             z, h = model.encode_step(nn.Tensor(obs0), h)
             z_hat = model.predict_next(z, nn.Tensor(action))
             z_next, h = model.encode_step(nn.Tensor(obs1), h)
-            loss = latent_prediction_loss(z_hat, z_next, w, 2.0)
+            loss = weighted_sq_error(z_hat, z_next, w, 2.0)
             vis, b0, b1, term = model.decode(z_hat)
             vd = nn.tensor.sub(vis, nn.Tensor(vis_tgt))
             loss = nn.tensor.add(loss, nn.tensor.scale(

@@ -296,6 +296,20 @@ class TestSoftmaxCrossEntropy:
         grads = nn.backprop(tape, loss)
         np.testing.assert_array_equal(grads[logits][1], 0.0)
 
+    def test_all_zero_weights_rejected(self):
+        # a batch with no real row has no mean: the trainers stop before one
+        logits = np.array([[1.0, 0.0], [5.0, -5.0]])
+        targets = np.array([0, 1])
+        with pytest.raises(ValueError, match="positive total sample weight"):
+            nn.softmax_cross_entropy_np(logits, targets, sample_weight=np.zeros(2))
+        with pytest.raises(ValueError, match="positive total sample weight"):
+            nn.softmax_cross_entropy(nn.Tensor(logits), targets, sample_weight=np.zeros(2))
+        with pytest.raises(ValueError, match="positive total sample weight"):
+            nn.softmax_cross_entropy_np(np.stack([logits, logits]), np.stack([targets, targets]),
+                                        sample_weight=np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="positive total sample weight"):
+            nn.bce_with_logits(nn.Tensor(logits), np.zeros((2, 2)), sample_weight=np.zeros(2))
+
     @pytest.mark.parametrize("n", [1, 3, 12])
     def test_stack_matches_per_batch_calls(self, n):
         rng = np.random.default_rng(n)
@@ -418,7 +432,7 @@ class TestSaturatedGates:
         on = saturate(policy.gru, rng)
         h0 = rng.normal(size=(2, policy.gru_hidden))
         want = np.where(on, np.tanh(policy.gru.b_cand.data), h0)
-        hs, caches = policy.unroll(rng.normal(size=(3, 2, policy.enc_hidden)), h0)
+        hs, caches = nn.gru_unroll(policy.gru, rng.normal(size=(3, 2, policy.enc_hidden)), h0)
         for cache in caches:
             assert np.array_equal(cache.u, np.broadcast_to(on, cache.u.shape).astype(float))
             assert np.array_equal(cache.r, np.broadcast_to(~on, cache.r.shape).astype(float))

@@ -17,6 +17,17 @@ from hubplan.pipeline import (HIGH_KIND, LOW_KIND, StageError, evaluate, load_hi
                               make_encoder, stage_eval, stage_train_high)
 from hubplan.topology import load_topology
 
+from conftest import load_bench_module
+
+# seed 0 at the default config: topology.txt, metrics.json and the plans/
+# directory as `bench/workloads.py` hashes them; a change of these bytes is
+# a re-baseline and is recorded as one
+DEFAULT_CONFIG_SHA256 = {
+    "topology.txt": "a31c2ba4fecb12debb00d63c0efb4d18836337656de8508dcef22a0fbf9c19e6",
+    "metrics.json": "aa8e0e96537b44233f8f5a75d69d20db4d6fc229ea054a630e692326f79e55c7",
+    "plans": "bfc41f550ebd5818bf6639780f8b2944f04f4625b3d41896534c25d3f4b68f36",
+}
+
 
 class TestArtifacts:
     def test_topology_round_trip_on_real_run(self, oracle_run):
@@ -46,6 +57,14 @@ class TestArtifacts:
                    "metrics.txt")]
         for path in paths:
             assert "np." not in path.read_text(), path.name
+
+    def test_default_config_outputs_pinned(self, oracle_run):
+        workloads = load_bench_module("workloads")
+        out = oracle_run["out"]
+        got = {"topology.txt": workloads.sha256_file(out / "topology.txt"),
+               "metrics.json": workloads.sha256_file(out / "metrics.json"),
+               "plans": workloads.sha256_dir(out / "plans")}
+        assert got == DEFAULT_CONFIG_SHA256
 
     def test_corrupted_artifact_rejected(self, oracle_run, tmp_path):
         blob = bytearray((oracle_run["out"] / "highlevel.bin").read_bytes())
@@ -122,6 +141,33 @@ class TestStageGuards:
         assert load_high_model(cfg, "train-policies", len(topo.hubs)).n_hubs == len(topo.hubs)
         assert len((out / "high_loss.txt").read_text().splitlines()) == 2
 
+    @staticmethod
+    def eval_run_dir(oracle_run, out: Path) -> Path:
+        """A run directory that shares the oracle run's inputs to eval but
+        has no policies/ yet."""
+        out.mkdir()
+        for name in ("config.txt", "dataset", "topology.txt", "highlevel.bin"):
+            (out / name).symlink_to(oracle_run["out"] / name)
+        return out
+
+    def test_policy_bank_for_another_topology_rejected(self, oracle_run, no_memory_run,
+                                                       tmp_path, capsys):
+        out = self.eval_run_dir(oracle_run, tmp_path / "stale")
+        shutil.copytree(no_memory_run["out"] / "policies", out / "policies")
+        assert main(["eval", "--out", str(out)]) == 1
+        assert "train-policies" in capsys.readouterr().err
+        assert not (out / "metrics.json").exists()
+
+    def test_policy_bank_of_another_embedding_width_rejected(self, oracle_run, tmp_path, capsys):
+        out = self.eval_run_dir(oracle_run, tmp_path / "stale")
+        (out / "policies").mkdir()
+        for path in (oracle_run["out"] / "policies").glob("policy_*.bin"):
+            (out / "policies" / path.name).symlink_to(path)
+        index = json.loads((oracle_run["out"] / "policies" / "index.json").read_text())
+        (out / "policies" / "index.json").write_text(json.dumps({**index, "emb_dim": 16}))
+        assert main(["eval", "--out", str(out)]) == 1
+        assert "train-policies" in capsys.readouterr().err
+
     def test_split_integrity_no_unseen_demos(self, oracle_run):
         ds = load_dataset(oracle_run["out"] / "dataset")
         seen = {(sid, str(g)) for sid, g in ds.seen}
@@ -137,6 +183,10 @@ class TestPlanCli:
         text = capsys.readouterr().out
         assert text.startswith("plan hubs=")
         assert "history" in text
+        # the plan eval searched for the same task, up to its execution lines
+        dump = (oracle_run["out"] / "plans" / "plan_1_01.txt").read_text()
+        assert dump[:len(text)] == text
+        assert dump[len(text):].startswith("execution success=")
 
     def test_plan_dumps_written_per_task(self, oracle_run):
         plans = list((oracle_run["out"] / "plans").glob("plan_*.txt"))

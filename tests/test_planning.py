@@ -29,7 +29,7 @@ def toy_topology(n_hubs, edges, terminals=()):
             kinds.add("convergence")
         z = np.array([(10 * i + 0.5) * EPS])
         hubs.append(Hub(i, bucket_of(z, EPS), z, frozenset(kinds), terminal_meta=meta))
-    return BehaviorTopology(epsilon=EPS, latent_dim=1, hubs=hubs, edges=set(edges),
+    return BehaviorTopology(epsilon=EPS, latent_dim=1, hubs=hubs,
                             segments={e: ["seg"] for e in edges})
 
 
@@ -227,8 +227,7 @@ class TestMatching:
             Hub(2, (20,), np.array([0.0205]), frozenset({TERMINAL}),
                 terminal_meta=frozenset({(Goal(0, 1), 0)})),
         ]
-        topo = BehaviorTopology(EPS, 1, hubs, {(0, 1), (0, 2)},
-                                {(0, 1): ["s"], (0, 2): ["s"]})
+        topo = BehaviorTopology(EPS, 1, hubs, {(0, 1): ["s"], (0, 2): ["s"]})
         assert goal_hub_set(Goal(0, 1), topo) == {1}
         with pytest.raises(NoPlanError):
             goal_hub_set(Goal(2, 3), topo)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from types import SimpleNamespace
 
@@ -333,6 +334,26 @@ class TestSerialization:
 
         with pytest.raises(TopologyError, match="topo.txt"):
             load_topology(path, trajs)
+
+    @pytest.mark.parametrize("edit", ["count", "edge"])
+    def test_edge_lines_must_match_segments(self, tmp_path, edit):
+        t0 = make_lt(0, [[0, 0], [1, 0], [5, 5], [6, 6], [9, 9]])
+        t1 = make_lt(1, [[0, 3], [5, 5], [7, 7], [9, 9]], start_id=1)
+        path = tmp_path / "topo.txt"
+        save_topology(build_topology([t0, t1], detect_hubs([t0, t1], EPS), EPS), path)
+        lines = path.read_text().rpartition("checksum ")[0].splitlines()
+        i = next(k for k, line in enumerate(lines) if line.startswith("edge "))
+        _edge, s, t, count = lines[i].split()
+        n = int(count.split("=")[1])
+        # one more segment than the file holds, or an edge no segment travels
+        lines[i] = f"edge {s} {t} segments={n + 1}" if edit == "count" else \
+            f"edge {t} {s} segments={n}"
+        body = "\n".join(lines) + "\n"
+        path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+        from hubplan.topology import TopologyError
+
+        with pytest.raises(TopologyError, match="edge lines"):
+            load_topology(path, [FakeTraj(4), FakeTraj(3)])
 
 
 class TestMatchesHub:
