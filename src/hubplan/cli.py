@@ -7,6 +7,11 @@ train-policies, plan, eval, ablate, run-all. Exit codes: 0 success,
 Without --config, every subcommand but gen-demos and run-all continues the
 run in its directory (--out or HUBPLAN_OUT) with that run's config.txt, if
 any; --out, --seed and the environment overrides apply on top.
+
+A run uses one BLAS thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
+MKL_NUM_THREADS says otherwise, so that a seed reproduces its artifacts
+byte for byte: with two OpenBLAS threads the hub model's training products
+round differently.
 """
 
 from __future__ import annotations
@@ -16,9 +21,13 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ConfigError, RunConfig, apply_env_overrides, parse_config
-from .maze.env import Goal
-from .pipeline import (
+# BLAS reads these once, when numpy is first imported, which is below
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+from .config import ConfigError, RunConfig, apply_env_overrides, parse_config  # noqa: E402
+from .maze.env import Goal  # noqa: E402
+from .pipeline import (  # noqa: E402
     STAGES,
     StageError,
     ablate_bfs,

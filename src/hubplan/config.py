@@ -53,8 +53,6 @@ class RunConfig:
     p_min: float = 1e-3
     eta: float = 0.01
     depth_limit: int = 64
-    # environment
-    wrong_key_penalty: float = 0.0
 
     def __post_init__(self):
         if self.encoder_backend not in ENCODER_BACKENDS:

@@ -59,7 +59,7 @@ def bfs_path(passable, start, targets: set) -> list | None:
 
 
 class Rollout:
-    """Steps an episode while recording observations, actions, rewards."""
+    """Steps an episode while recording its observations and actions."""
 
     def __init__(self, env: MazeEnv, start_id: int, start: StartConfig, goal: Goal):
         self.env = env
@@ -69,13 +69,11 @@ class Rollout:
         self.state, obs = env.reset(start, goal)
         self.observations = [obs]
         self.actions: list[int] = []
-        self.rewards: list[float] = []
 
     def act(self, action: int) -> None:
-        self.state, obs, reward, _terminal, _success = self.env.step(self.state, action)
+        self.state, obs = self.env.step(self.state, action)
         self.observations.append(obs)
         self.actions.append(action)
-        self.rewards.append(reward)
 
     def trajectory(self) -> Trajectory:
         if not self.state.terminal:
@@ -87,7 +85,6 @@ class Rollout:
             success=self.state.success,
             observations=self.observations,
             actions=self.actions,
-            rewards=self.rewards,
         )
 
 

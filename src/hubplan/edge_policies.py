@@ -52,10 +52,6 @@ PLATEAU_PATIENCE = 40
 PLATEAU_REL = 1e-4
 
 
-class DeadEdgeError(RuntimeError):
-    """No policy exists for the requested source hub."""
-
-
 @dataclass
 class EdgeTrainingSegment:
     base: Segment
@@ -104,7 +100,6 @@ class EdgePolicy:
     def __init__(self, rng: np.random.Generator, emb_dim: int,
                  enc_hidden: int = 128, gru_hidden: int = 64):
         self.emb_dim = emb_dim
-        self.enc_hidden = enc_hidden
         self.gru_hidden = gru_hidden
         in_dim = OBS_SIZE + emb_dim
         self.enc_w = nn.init_weight(rng, in_dim, enc_hidden, "pol.enc_w")
@@ -123,7 +118,6 @@ class EdgePolicy:
             setattr(policy, attr, nn.parameter(tensors[f"pol.{attr}"], f"pol.{attr}"))
         policy.gru = nn.GruCellParams.from_tensors(tensors, "pol.gru")
         policy.emb_dim = policy.enc_w.data.shape[0] - OBS_SIZE
-        policy.enc_hidden = policy.gru.input_size
         policy.gru_hidden = policy.gru.hidden_size
         return policy
 
@@ -229,10 +223,7 @@ class PolicyBank:
 
     def act(self, source_hub: int, target_emb: np.ndarray, obs_vec: np.ndarray,
             memory: np.ndarray):
-        policy = self.policies.get(source_hub)
-        if policy is None:
-            raise DeadEdgeError(f"no policy for source hub {source_hub}")
-        return policy.act(obs_vec, target_emb, memory)
+        return self.policies[source_hub].act(obs_vec, target_emb, memory)
 
 
 def _segments_for_hub(topology: BehaviorTopology, hub_id: int, cap: int) -> list[Segment]:

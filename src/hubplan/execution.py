@@ -75,17 +75,18 @@ def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
         while edge_steps < budget:
             probs, memory = bank.act(source, emb, obs, memory)
             action = int(np.argmax(probs))
-            state, obs, _reward, terminal, success = env.step(state, action)
+            state, obs = env.step(state, action)
             total_steps += 1
             edge_steps += 1
             z = encoder.encode(obs, state)
             if matches_hub(z, target_hub, topology.epsilon, tol):
                 reached = True
                 break
-            if terminal:
+            if state.terminal:
                 trace.append(EdgeTrace(source, target, edge_steps, False))
-                return ExecutionResult(success, total_steps, len(trace) - 1, len(plan.edges),
-                                       trace, failure_reason=None if success else "env-terminal")
+                return ExecutionResult(state.success, total_steps, len(trace) - 1,
+                                       len(plan.edges), trace,
+                                       failure_reason=None if state.success else "env-terminal")
         trace.append(EdgeTrace(source, target, edge_steps, reached))
         if not reached:
             return ExecutionResult(False, total_steps, len(trace) - 1, len(plan.edges),

@@ -17,8 +17,6 @@ from . import nn
 from .config import RunConfig
 from .topology import BehaviorTopology
 
-MODEL_KIND = "highlevel"
-
 
 class HubDynamicsModel:
     def __init__(self, rng: np.random.Generator, n_hubs: int, emb_dim: int = 32, hidden: int = 64):

@@ -3,11 +3,13 @@
 The agent walks cell-snapped with 90-degree turns, carries at most one item,
 opens a door by applying its two required key colors (keys are consumed and
 respawn at their home cells), and must deposit two diamonds into the barrel
-in the requested order. Wrong-key door attempts and wrong deposits end the
-episode. All transitions are pure functions of (state, action). `reset` and
-`step` also return the new state's observation: one float64 row of
-`raster.OBS_SIZE` values, the egocentric view planes followed by the two
-barrel slots (see `raster`).
+in the requested order. Wrong-key door attempts, wrong deposits and the
+step horizon end the episode. The state records whether it is terminal and
+whether it succeeded, and nothing else scores a step: the pipeline learns
+only by imitating demonstrations. All transitions are pure functions of
+(state, action). `reset` and `step` also return the new state's
+observation: one float64 row of `raster.OBS_SIZE` values, the egocentric
+view planes followed by the two barrel slots (see `raster`).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ DOOR_REQUIREMENTS = {
 }
 
 FORWARD, BACKWARD, TURN_LEFT, TURN_RIGHT, PICKUP, TOGGLE = range(6)
-ACTION_NAMES = ("forward", "backward", "turn_left", "turn_right", "pickup", "toggle")
 N_ACTIONS = 6
 
 # orientation quarter-turns: 0 east, 1 south, 2 west, 3 north
@@ -37,9 +38,6 @@ DIR = ((1, 0), (0, 1), (-1, 0), (0, -1))
 LOCKED, HALF_OPEN, OPEN = 0, 1, 2
 
 HORIZON = 400
-STEP_REWARD = -0.1
-SUCCESS_REWARD = 100.0
-WRONG_DEPOSIT_PENALTY = -10.0
 
 # main room (starts, barrel) west; key room north-east; a single corridor
 # drops to the door hallway; one diamond room behind each door
@@ -125,9 +123,7 @@ class EnvState:
 class MazeEnv:
     """Static layout plus the pure transition function over EnvState values."""
 
-    def __init__(self, map_text: str = DEFAULT_MAP, wrong_key_penalty: float = 0.0,
-                 horizon: int = HORIZON):
-        self.wrong_key_penalty = wrong_key_penalty
+    def __init__(self, map_text: str = DEFAULT_MAP, horizon: int = HORIZON):
         self.horizon = horizon
         rows = [r for r in map_text.splitlines() if r]
         widths = {len(r) for r in rows}
@@ -223,16 +219,15 @@ class MazeEnv:
         )
 
     def step(self, state: EnvState, action: int):
-        new_state, reward, terminal, success = self.transition(state, action)
-        return new_state, self.rasterize(new_state), reward, terminal, success
+        new_state = self.transition(state, action)
+        return new_state, self.rasterize(new_state)
 
-    def transition(self, state: EnvState, action: int):
-        """`step` without the observation: (state, reward, terminal, success)."""
+    def transition(self, state: EnvState, action: int) -> EnvState:
+        """`step` without the observation."""
         if state.terminal:
             raise TerminalStateError("cannot step a terminal state")
         if not 0 <= action < N_ACTIONS:
             raise MazeError(f"unknown action {action}")
-        reward = STEP_REWARD
         pos = state.pos
         orientation = state.orientation
         held = state.held
@@ -277,17 +272,14 @@ class MazeEnv:
                 if barrel == goal_pair:
                     terminal = True
                     success = True
-                    reward += SUCCESS_REWARD
                 elif barrel != goal_pair[: len(barrel)]:
                     terminal = True
-                    reward += WRONG_DEPOSIT_PENALTY
             elif (door_color is not None and door_phase[door_color] != OPEN
                   and held is not None and held[0] == "key"):
                 key_color = held[1]
                 req = DOOR_REQUIREMENTS[door_color]
                 if key_color not in req:
                     terminal = True
-                    reward += self.wrong_key_penalty
                 elif key_color not in keys_applied[door_color]:
                     applied = keys_applied[door_color] | {key_color}
                     keys_applied[door_color] = applied
@@ -300,7 +292,7 @@ class MazeEnv:
         if step_count >= self.horizon and not terminal:
             terminal = True
 
-        new_state = EnvState(
+        return EnvState(
             pos=pos,
             orientation=orientation,
             held=held,
@@ -314,7 +306,6 @@ class MazeEnv:
             terminal=terminal,
             success=success,
         )
-        return new_state, reward, terminal, success
 
     def rasterize(self, state: EnvState) -> np.ndarray:
         return raster.rasterize(self, state)

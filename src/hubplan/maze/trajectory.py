@@ -1,11 +1,10 @@
 """Recorded episodes and their on-disk form.
 
 A trajectory is one episode's observation matrix, one `raster` row per
-step including the last, its action array and rewards, plus its task
-labels. On disk: a line-delimited log (step, action, reward, terminal) with
-a few header comments, and a sidecar binary observation file holding the
-rows split into a `view` tensor and a `barrel` tensor of the slots'
-(color + 1) codes.
+step including the last, and its action array, plus its task labels. On
+disk: a log of header comments followed by one action id per line, and a
+sidecar binary observation file holding the rows split into a `view`
+tensor and a `barrel` tensor of the slots' (color + 1) codes.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ class Trajectory:
     success: bool                 # the y label
     observations: np.ndarray      # (T + 1, OBS_SIZE); a list of rows is stacked
     actions: np.ndarray           # (T,) np.intp; a list is converted
-    rewards: list[float]
 
     def __post_init__(self):
         self.observations = np.asarray(self.observations, dtype=np.float64)
@@ -40,19 +38,19 @@ class Trajectory:
         return len(self.actions)
 
 
+LOG_VERSION = "v2"
+
+
 def save_trajectory(traj: Trajectory, base: Path) -> None:
     base = Path(base)
     lines = [
-        "# trajectory v1",
+        f"# trajectory {LOG_VERSION}",
         f"# start_id {traj.start_id}",
         f"# start {traj.start.pos[0]} {traj.start.pos[1]} {traj.start.orientation}",
         f"# goal {traj.goal}",
         f"# success {int(traj.success)}",
     ]
-    n = len(traj)
-    for t, action in enumerate(traj.actions.tolist()):
-        terminal = 1 if t == n - 1 else 0
-        lines.append(f"{t} {action} {traj.rewards[t]!r} {terminal}")
+    lines.extend(str(action) for action in traj.actions.tolist())
     base.with_suffix(".log").write_text("\n".join(lines) + "\n")
     obs = traj.observations
     save_params(base.with_suffix(".obs"), "trajectory",
@@ -61,18 +59,21 @@ def save_trajectory(traj: Trajectory, base: Path) -> None:
 
 def load_trajectory(base: Path) -> Trajectory:
     base = Path(base)
+    log = base.with_suffix(".log")
     header: dict[str, str] = {}
-    actions: list[int] = []
-    rewards: list[float] = []
-    for line in base.with_suffix(".log").read_text().splitlines():
+    body: list[str] = []
+    for line in log.read_text().splitlines():
         if line.startswith("#"):
             parts = line[1:].strip().split(None, 1)
             if len(parts) == 2:
                 header[parts[0]] = parts[1]
-            continue
-        _idx, act, rew, _term = line.split()
-        actions.append(int(act))
-        rewards.append(float(rew))
+        else:
+            body.append(line)
+    version = header.get("trajectory")
+    if version != LOG_VERSION:
+        raise ArtifactError(f"{log}: trajectory log version {version}, expected {LOG_VERSION}; "
+                            "run stage gen-demos again")
+    actions = [int(line) for line in body]
     kind, tensors = load_params(base.with_suffix(".obs"), expect_kind="trajectory")
     view, barrel = tensors["view"], tensors["barrel"]
     if view.shape[0] != len(actions) + 1:
@@ -85,7 +86,6 @@ def load_trajectory(base: Path) -> Trajectory:
         success=bool(int(header["success"])),
         observations=np.concatenate([view, barrel / 4], axis=1),
         actions=actions,
-        rewards=rewards,
     )
 
 
@@ -94,7 +94,7 @@ def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:
     state = env.start_state(traj.start, traj.goal)
     states = [state]
     for action in traj.actions.tolist():
-        state, _r, _term, _succ = env.transition(state, action)
+        state = env.transition(state, action)
         states.append(state)
     return states
 

@@ -60,7 +60,8 @@ def _require(path: Path, stage: str, produced_by: str) -> Path:
 
 
 def make_env(cfg: RunConfig) -> MazeEnv:
-    return MazeEnv(wrong_key_penalty=cfg.wrong_key_penalty)
+    """The default maze: no run setting changes the environment."""
+    return MazeEnv()
 
 
 def make_encoder(cfg: RunConfig, out: Path):
@@ -138,8 +139,8 @@ def stage_train_high(cfg: RunConfig, log=print) -> HubDynamicsModel:
             fh.write(f"pretrain {i} loss {v!r}\n")
         for i, v in enumerate(losses):
             fh.write(f"epoch {i} loss {v!r}\n")
-    log(f"train-high: pretrain {pre[0]:.4f} -> {pre[-1]:.4f}, "
-        f"train {losses[0]:.4f} -> {losses[-1]:.4f}" if pre else "train-high: done")
+    pretrain = f"pretrain {pre[0]:.4f} -> {pre[-1]:.4f}, " if pre else ""
+    log(f"train-high: {pretrain}train {losses[0]:.4f} -> {losses[-1]:.4f}")
     return model
 
 

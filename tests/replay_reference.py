@@ -15,9 +15,8 @@ def replay_check(env: MazeEnv, traj: Trajectory) -> bool:
     state, obs = env.reset(traj.start, traj.goal)
     if not np.array_equal(obs, traj.observations[0]):
         return False
-    terminal = success = False
     for t, action in enumerate(traj.actions.tolist()):
-        state, obs, _r, terminal, success = env.step(state, action)
+        state, obs = env.step(state, action)
         if not np.array_equal(obs, traj.observations[t + 1]):
             return False
-    return terminal and success == traj.success
+    return state.terminal and state.success == traj.success

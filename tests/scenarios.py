@@ -93,7 +93,6 @@ def _walk_away_demo(env: MazeEnv) -> Trajectory:
         success=False,
         observations=rollout.observations,
         actions=rollout.actions,
-        rewards=rollout.rewards,
     )
 
 

@@ -401,7 +401,7 @@ def test_criterion_learned_backend_smoke(oracle_run):
     traj = ds.successes[0]
     tiny = type(traj)(start_id=traj.start_id, start=traj.start, goal=traj.goal,
                       success=traj.success, observations=traj.observations[:2],
-                      actions=traj.actions[:1], rewards=traj.rewards[:1])
+                      actions=traj.actions[:1])
     low2 = LowLevelModel(np.random.default_rng(0))
     over_low = train_low_level(low2, [tiny], RunConfig(low_epochs=1500, lr_low=3e-3))[-1]
 

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 from dataclasses import fields
 from pathlib import Path
 
@@ -68,7 +69,8 @@ class TestConfig:
 
 class TestReadmeConfigurationTable:
     """README's configuration table names only `RunConfig` fields, each with
-    its default, so the settings are written down in one place."""
+    its default, and every field but the two set by `--seed` and `--out`, so
+    the settings are written down in one place."""
 
     @staticmethod
     def rows():
@@ -93,6 +95,11 @@ class TestReadmeConfigurationTable:
                 kind, default = defaults[key]
                 assert casts[kind](value) == default, f"{key}: README {value}, RunConfig {default}"
 
+    def test_every_field_has_a_row(self):
+        documented = {key for _line, keys, _values in self.rows() for key in keys}
+        missing = {f.name for f in fields(RunConfig)} - {"seed", "out_dir"} - documented
+        assert not missing, f"README's configuration table lacks {sorted(missing)}"
+
 
 class TestTrainersReadRunConfig:
     """Each trainer takes the run configuration and reads its own fields."""
@@ -113,7 +120,7 @@ class TestTrainersReadRunConfig:
         traj = scenario[0].trajectories[0]
         short = type(traj)(start_id=traj.start_id, start=traj.start, goal=traj.goal,
                            success=traj.success, observations=traj.observations[:9],
-                           actions=traj.actions[:8], rewards=traj.rewards[:8])
+                           actions=traj.actions[:8])
         return len(train_low_level(LowLevelModel(np.random.default_rng(0)), [short], cfg))
 
     @staticmethod
@@ -281,3 +288,44 @@ class TestCliExitCodes:
         assert result.returncode == 0
         for name in ("gen-demos", "run-all", "ablate", "plan"):
             assert name in result.stdout
+
+
+class TestCliBlasThreads:
+    """The CLI runs BLAS on one thread unless the user set a count, and it
+    must say so before numpy loads, which is when OpenBLAS reads it."""
+
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    SPY = textwrap.dedent("""
+        import json, os, sys
+
+        seen = []
+
+        class NumpyImportSpy:
+            def find_spec(self, name, path=None, target=None):
+                if name == "numpy" and not seen:
+                    seen.append({var: os.environ.get(var) for var in json.loads(sys.argv[1])})
+                return None
+
+        sys.meta_path.insert(0, NumpyImportSpy())
+        import hubplan.cli
+        print(json.dumps(seen))
+    """)
+
+    def threads_at_numpy_import(self, **preset):
+        src = str(Path(hubplan.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", self.SPY, json.dumps(self.VARS)],
+                                capture_output=True, text=True, env=env, check=True)
+        seen = json.loads(result.stdout)
+        assert len(seen) == 1, "numpy was not imported under hubplan.cli"
+        return seen[0]
+
+    def test_one_thread_by_default(self):
+        assert self.threads_at_numpy_import() == dict.fromkeys(self.VARS, "1")
+
+    def test_user_setting_wins(self):
+        seen = self.threads_at_numpy_import(OPENBLAS_NUM_THREADS="2")
+        assert seen == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1",
+                        "MKL_NUM_THREADS": "1"}

@@ -17,8 +17,11 @@ from hubplan.maze import (
     Goal,
     MazeEnv,
     all_goals,
+    load_trajectory,
     replay_states,
+    save_trajectory,
 )
+from hubplan.nn import ArtifactError
 from replay_reference import replay_check
 
 
@@ -139,3 +142,25 @@ class TestBuildDataset:
             assert a.observations.tobytes() == b.observations.tobytes()
         for traj in back.successes[:3] + back.failures[:3]:
             assert replay_check(env, traj)
+
+
+class TestTrajectoryLog:
+    def test_header_then_one_action_per_line(self, dataset, tmp_path):
+        traj = dataset.failures[0]
+        save_trajectory(traj, tmp_path / "t")
+        lines = (tmp_path / "t.log").read_text().splitlines()
+        assert lines[0] == "# trajectory v2"
+        assert [line for line in lines if not line.startswith("#")] == \
+            [str(a) for a in traj.actions.tolist()]
+
+    def test_v1_log_rejected_naming_gen_demos(self, dataset, tmp_path):
+        # a log of the earlier format: a (step, action, reward, terminal) line per step
+        traj = dataset.successes[0]
+        save_trajectory(traj, tmp_path / "t")
+        log = tmp_path / "t.log"
+        header = [line for line in log.read_text().splitlines() if line.startswith("#")]
+        header[0] = "# trajectory v1"
+        steps = [f"{t} {a} -0.1 {int(t == len(traj) - 1)}" for t, a in enumerate(traj.actions.tolist())]
+        log.write_text("\n".join(header + steps) + "\n")
+        with pytest.raises(ArtifactError, match="gen-demos"):
+            load_trajectory(tmp_path / "t")

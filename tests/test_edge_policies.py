@@ -275,7 +275,7 @@ class TestTrainPolicies:
         obs = np.random.default_rng(0).uniform(size=590)
         for hub, policy in bank.policies.items():
             loaded = back.policies[hub]
-            assert (loaded.emb_dim, loaded.enc_hidden, loaded.gru_hidden) == (emb.shape[1], 7, 5)
+            assert (loaded.emb_dim, loaded.gru.input_size, loaded.gru_hidden) == (emb.shape[1], 7, 5)
             saved = policy.tensors()
             assert list(loaded.tensors()) == list(saved)
             for name, value in loaded.tensors().items():

@@ -247,8 +247,7 @@ class TestLowLevelTraining:
 
         traj = generate_success_demo(env, 0, Goal(0, 1))
         short = type(traj)(start_id=0, start=traj.start, goal=traj.goal, success=traj.success,
-                           observations=traj.observations[:41], actions=traj.actions[:40],
-                           rewards=traj.rewards[:40])
+                           observations=traj.observations[:41], actions=traj.actions[:40])
         model = LowLevelModel(np.random.default_rng(2))
         train_low_level(model, [short], RunConfig(low_epochs=60, lr_low=1e-3))
 

@@ -432,7 +432,7 @@ class TestSaturatedGates:
         on = saturate(policy.gru, rng)
         h0 = rng.normal(size=(2, policy.gru_hidden))
         want = np.where(on, np.tanh(policy.gru.b_cand.data), h0)
-        hs, caches = nn.gru_unroll(policy.gru, rng.normal(size=(3, 2, policy.enc_hidden)), h0)
+        hs, caches = nn.gru_unroll(policy.gru, rng.normal(size=(3, 2, policy.gru.input_size)), h0)
         for cache in caches:
             assert np.array_equal(cache.u, np.broadcast_to(on, cache.u.shape).astype(float))
             assert np.array_equal(cache.r, np.broadcast_to(~on, cache.r.shape).astype(float))

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 from hubplan import nn
 from hubplan.cli import main
 from hubplan.config import RunConfig
-from hubplan.demos import load_dataset
+from hubplan.demos import build_dataset, load_dataset
 from hubplan.maze import DEFAULT_MAP, Goal, MazeEnv
 from hubplan.hub_dynamics import HubDynamicsModel
 from hubplan.latent import LearnedEncoder, LowLevelModel
@@ -84,18 +85,18 @@ class TestDeterminism:
         assert (out / "metrics.txt").read_text().startswith("start goal")
 
     def test_gen_demos_rebuilds_dataset_for_new_config(self, tmp_path):
-        # a dataset left by another configuration with the same seed and
-        # failure count must not be reused: the wrong-key penalty changes rewards
+        # a dataset left by another configuration must not be reused: the
+        # seed picks which canonical failures are demonstrated
         from hubplan.pipeline import stage_gen_demos
 
-        cfg = RunConfig(out_dir=str(tmp_path), seed=0, wrong_key_penalty=0.0)
+        cfg = RunConfig(out_dir=str(tmp_path), seed=0)
         stage_gen_demos(cfg, log=lambda *a: None)
-        stage_gen_demos(dataclasses.replace(cfg, wrong_key_penalty=-5.0), log=lambda *a: None)
+        seed0_specs = load_dataset(tmp_path / "dataset").failure_specs
+        stage_gen_demos(dataclasses.replace(cfg, seed=1), log=lambda *a: None)
         ds = load_dataset(tmp_path / "dataset")
-        wrong = [traj for traj, (_sid, _goal, spec) in zip(ds.failures, ds.failure_specs)
-                 if spec.kind == "wrong_key"]
-        assert len(wrong) == 70
-        assert [traj.rewards[-1] for traj in wrong] == [-5.1] * len(wrong)
+        assert ds.seed == 1
+        assert ds.failure_specs == build_dataset(MazeEnv(), seed=1).failure_specs
+        assert ds.failure_specs != seed0_specs
 
 
 class TestStageGuards:
@@ -135,7 +136,9 @@ class TestStageGuards:
         shutil.copy(oracle_run["out"] / "topology.txt", out / "topology.txt")
         cfg = RunConfig(out_dir=str(out), encoder_backend="learned", high_epochs=2,
                         pretrain_traversals=0)
-        stage_train_high(cfg, log=lambda *a: None)
+        lines = []
+        stage_train_high(cfg, log=lines.append)
+        assert re.fullmatch(r"train-high: train \d+\.\d{4} -> \d+\.\d{4}", lines[-1]), lines
         assert not (out / "lowlevel.bin").exists()
         topo = load_topology(out / "topology.txt", load_dataset(out / "dataset").trajectories)
         assert load_high_model(cfg, "train-policies", len(topo.hubs)).n_hubs == len(topo.hubs)
