@@ -5,8 +5,8 @@ train-policies, plan, eval, ablate, run-all. Exit codes: 0 success,
 1 stage failure, 2 configuration error.
 
 Without --config, every subcommand but gen-demos and run-all continues the
-run in its directory (--out or HUBPLAN_OUT) with that run's config.txt, if
-any; --out, --seed and the environment overrides apply on top.
+run in its --out directory with that run's config.txt, if any; --out and
+--seed apply on top.
 
 A run uses one BLAS thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS says otherwise, so that a seed reproduces its artifacts
@@ -25,7 +25,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import ConfigError, RunConfig, apply_env_overrides, parse_config  # noqa: E402
+from .config import ConfigError, RunConfig, parse_config  # noqa: E402
 from .maze.env import Goal  # noqa: E402
 from .pipeline import (  # noqa: E402
     STAGES,
@@ -71,16 +71,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> RunConfig:
     path = args.config
-    run_dir = os.environ.get("HUBPLAN_OUT", args.out)
-    if path is None and run_dir and args.command not in ("gen-demos", "run-all"):
-        saved = Path(run_dir) / "config.txt"
+    if path is None and args.out and args.command not in ("gen-demos", "run-all"):
+        saved = Path(args.out) / "config.txt"
         path = saved if saved.exists() else None
     cfg = parse_config(path) if path else RunConfig()
     if args.out:
         cfg.out_dir = args.out
     if args.seed is not None:
         cfg.seed = args.seed
-    return apply_env_overrides(cfg)
+    return cfg
 
 
 def _cmd_plan(cfg: RunConfig, args) -> None:

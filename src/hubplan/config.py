@@ -1,18 +1,16 @@
 """Run configuration: a flat key = value text file mirroring RunConfig.
 
-Unknown keys and malformed values are configuration errors (CLI exit
-code 2). HUBPLAN_SEED and HUBPLAN_OUT environment variables override the
-seed and output directory.
+Unknown keys and malformed or out-of-range values are configuration errors
+(CLI exit code 2), found when the file is loaded rather than by the stage
+that would fail on them.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 ENCODER_BACKENDS = ("oracle", "learned")
-PLANNER_BACKENDS = ("high-model", "bfs")
 
 
 class ConfigError(ValueError):
@@ -24,7 +22,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "runs/default"
     encoder_backend: str = "oracle"
-    planner_backend: str = "high-model"
     # latent space
     epsilon: float = 1e-3
     latent_dim: int = 64
@@ -57,13 +54,17 @@ class RunConfig:
     def __post_init__(self):
         if self.encoder_backend not in ENCODER_BACKENDS:
             raise ConfigError(f"encoder_backend must be one of {ENCODER_BACKENDS}")
-        if self.planner_backend not in PLANNER_BACKENDS:
-            raise ConfigError(f"planner_backend must be one of {PLANNER_BACKENDS}")
         for name in ("epsilon", "lr_low", "lr_high", "lr_policy"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        for name in ("history_len", "low_epochs", "high_epochs", "policy_epochs",
+                     "max_perturbation", "max_segments_per_edge", "depth_limit"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1")
         if not 0 <= self.p_min < 1:
             raise ConfigError("p_min must be in [0, 1)")
+        if self.eta < 0:
+            raise ConfigError("eta must not be negative")
         if abs(self.p_canonical + self.p_truncated + self.p_preroll - 1.0) > 1e-9:
             raise ConfigError("perturbation probabilities must sum to 1")
 
@@ -74,19 +75,6 @@ class RunConfig:
 
     def oracle_field_tuple(self) -> tuple[str, ...]:
         return tuple(f.strip() for f in self.oracle_fields.split(",") if f.strip())
-
-
-def apply_env_overrides(cfg: RunConfig) -> RunConfig:
-    seed = os.environ.get("HUBPLAN_SEED")
-    out = os.environ.get("HUBPLAN_OUT")
-    if seed is not None:
-        try:
-            cfg.seed = int(seed)
-        except ValueError as e:
-            raise ConfigError(f"HUBPLAN_SEED must be an integer: {seed!r}") from e
-    if out is not None:
-        cfg.out_dir = out
-    return cfg
 
 
 def parse_config(path: str | Path) -> RunConfig:

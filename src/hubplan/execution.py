@@ -37,7 +37,10 @@ class ExecutionResult:
     edges_crossed: int
     planned_edges: int
     trace: list[EdgeTrace] = field(default_factory=list)
-    failure_reason: str | None = None   # hub-timeout | dead-edge | env-terminal | no-plan
+    # None on success; else dead-edge (no policy for an edge's source hub),
+    # hub-timeout (an edge's step budget ran out) or env-terminal (the
+    # episode ended, or the plan did, without success)
+    failure_reason: str | None = None
 
     def format(self) -> str:
         lines = [f"execution success={int(self.success)} steps={self.steps}"
@@ -60,41 +63,36 @@ def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
     hubs_by_id = {h.id: h for h in topology.hubs}
     total_steps = 0
     trace: list[EdgeTrace] = []
+    dead_edge = False
 
     for source, target in plan.edges:
+        if source not in bank.policies:
+            dead_edge = True
+            break
         target_hub = hubs_by_id[target]
         budget = edge_budget(topology, (source, target))
-        try:
-            memory = bank.policies[source].initial_memory()
-        except KeyError:
-            return ExecutionResult(False, total_steps, len(trace), len(plan.edges),
-                                   trace, failure_reason="dead-edge")
+        memory = bank.policies[source].initial_memory()
         emb = embeddings[target]
         reached = False
         edge_steps = 0
-        while edge_steps < budget:
+        while not reached and not state.terminal and edge_steps < budget:
             probs, memory = bank.act(source, emb, obs, memory)
-            action = int(np.argmax(probs))
-            state, obs = env.step(state, action)
+            state, obs = env.step(state, int(np.argmax(probs)))
             total_steps += 1
             edge_steps += 1
-            z = encoder.encode(obs, state)
-            if matches_hub(z, target_hub, topology.epsilon, tol):
-                reached = True
-                break
-            if state.terminal:
-                trace.append(EdgeTrace(source, target, edge_steps, False))
-                return ExecutionResult(state.success, total_steps, len(trace) - 1,
-                                       len(plan.edges), trace,
-                                       failure_reason=None if state.success else "env-terminal")
+            reached = matches_hub(encoder.encode(obs, state), target_hub, topology.epsilon, tol)
         trace.append(EdgeTrace(source, target, edge_steps, reached))
-        if not reached:
-            return ExecutionResult(False, total_steps, len(trace) - 1, len(plan.edges),
-                                   trace, failure_reason="hub-timeout")
-        if state.terminal:
-            # reaching the goal hub and episode termination normally coincide
-            return ExecutionResult(state.success, total_steps, len(trace), len(plan.edges),
-                                   trace, failure_reason=None if state.success else "env-terminal")
+        # an arrival can end the episode; at the goal hub it normally does
+        if not reached or state.terminal:
+            break
 
-    return ExecutionResult(state.success, total_steps, len(trace), len(plan.edges), trace,
-                           failure_reason=None if state.success else "env-terminal")
+    if state.success:
+        reason = None
+    elif dead_edge:
+        reason = "dead-edge"
+    elif trace and not trace[-1].reached and not state.terminal:
+        reason = "hub-timeout"
+    else:
+        reason = "env-terminal"
+    return ExecutionResult(state.success, total_steps, sum(tr.reached for tr in trace),
+                           len(plan.edges), trace, failure_reason=reason)

@@ -17,7 +17,7 @@ from . import nn
 from .config import ConfigError, RunConfig, save_config
 from .demos.dataset import DemoDataset, build_dataset, load_dataset, save_dataset
 from .edge_policies import PolicyBank, load_bank, save_bank, train_policies
-from .execution import ExecutionResult, execute
+from .execution import execute
 from .hub_dynamics import CachedDist, HubDynamicsModel, pretrain_on_traversals, train_high
 from .latent.model import LearnedEncoder, LowLevelModel
 from .latent.oracle import OracleEncoder
@@ -168,9 +168,12 @@ def stage_train_policies(cfg: RunConfig, log=print) -> PolicyBank:
 
 
 def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, env: MazeEnv,
-              encoder, start_id: int, goal: Goal) -> tuple[EnvState, np.ndarray, Plan]:
+              encoder, start_id: int, goal: Goal,
+              planner=None) -> tuple[EnvState, np.ndarray, Plan]:
     """Reset `env` to a task, encode its first observation, match the start
-    hub and plan to the goal's hubs with the configured planner.
+    hub and plan to the goal's hubs: with `planner(topo, start_hub,
+    goal_set)` when one is given (the BFS ablation passes `bfs_plan`), else
+    with the history search.
 
     Returns (state, observation, plan); raises NoPlanError when the start
     matches no hub or no plan reaches the goal.
@@ -179,16 +182,16 @@ def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, e
     encoder.begin_episode()
     start_hub = match_start_hub(encoder.encode(obs, state), topo, cfg.effective_match_tol)
     goal_set = goal_hub_set(goal, topo)
-    if cfg.planner_backend == "bfs":
-        return state, obs, bfs_plan(topo, start_hub, goal_set)
+    if planner is not None:
+        return state, obs, planner(topo, start_hub, goal_set)
     scfg = SearchConfig(p_min=cfg.p_min, eta=cfg.eta, depth_limit=cfg.depth_limit)
     return state, obs, search(topo, CachedDist(model, topo), start_hub, goal_set, scfg)
 
 
 def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal, bool]],
-             log=print, plans_subdir: str = "plans") -> list[TaskRecord]:
-    """One episode per (start, goal, seen-flag) on the run's loaded topology;
-    plans dumped next to metrics."""
+             log=print, plans_subdir: str = "plans", planner=None) -> list[TaskRecord]:
+    """One episode per (start, goal, seen-flag) on the run's loaded topology,
+    planned as `plan_task` does with `planner`; plans dumped next to metrics."""
     out = Path(cfg.out_dir)
     model = load_high_model(cfg, "eval", len(topo.hubs))
     _require(out / "policies" / "index.json", "eval", "train-policies")
@@ -210,36 +213,37 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
 
     records: list[TaskRecord] = []
     for start_id, goal, seen in pairs:
-        dump: list[str] = []
+        path = plans_dir / f"plan_{start_id}_{goal.first}{goal.second}.txt"
         try:
-            state, obs, plan = plan_task(cfg, topo, model, env, encoder, start_id, goal)
+            state, obs, plan = plan_task(cfg, topo, model, env, encoder, start_id, goal, planner)
         except NoPlanError as e:
-            dump.append(f"no plan: {e}\n")
-            result = ExecutionResult(False, 0, 0, 0, [], failure_reason="no-plan")
-            plan = None
+            path.write_text(f"no plan: {e}\n")
+            record = TaskRecord(start_id=start_id, goal=str(goal), seen=seen, success=False,
+                                steps=0, edges_crossed=0, planned_edges=0,
+                                plan_cost=float("nan"), failure_reason="no-plan")
         else:
-            dump.append(format_plan(plan, topo))
             result = execute(plan, env, state, obs, bank, encoder, embeddings, topo,
                              match_tol=cfg.effective_match_tol)
-            dump.append(result.format())
-        (plans_dir / f"plan_{start_id}_{goal.first}{goal.second}.txt").write_text("".join(dump))
-        records.append(TaskRecord(
-            start_id=start_id, goal=str(goal), seen=seen, success=result.success,
-            steps=result.steps, edges_crossed=result.edges_crossed,
-            planned_edges=result.planned_edges,
-            plan_cost=float(plan.cost) if plan is not None else float("nan"),
-            failure_reason=result.failure_reason))
+            path.write_text(format_plan(plan, topo) + result.format())
+            record = TaskRecord(start_id=start_id, goal=str(goal), seen=seen,
+                                success=result.success, steps=result.steps,
+                                edges_crossed=result.edges_crossed,
+                                planned_edges=result.planned_edges, plan_cost=float(plan.cost),
+                                failure_reason=result.failure_reason)
+        records.append(record)
         log(f"eval: start={start_id} goal={goal} seen={int(seen)} "
-            f"success={int(result.success)} steps={result.steps}")
+            f"success={int(record.success)} steps={record.steps}")
     return records
 
 
-def _evaluate_all(cfg: RunConfig, stage: str, subdir: str, log) -> dict:
-    """Evaluate every seen and unseen task of the dataset; plans go to
-    `subdir`/plans and the metrics to `subdir` of the run directory."""
+def _evaluate_all(cfg: RunConfig, stage: str, subdir: str, log, planner=None) -> dict:
+    """Evaluate every seen and unseen task of the dataset with `planner`;
+    plans go to `subdir`/plans and the metrics to `subdir` of the run
+    directory."""
     ds, topo = _load_topology(cfg, stage)
     pairs = [(sid, g, True) for sid, g in ds.seen] + [(sid, g, False) for sid, g in ds.unseen]
-    records = evaluate(cfg, topo, pairs, log=log, plans_subdir=str(Path(subdir, "plans")))
+    records = evaluate(cfg, topo, pairs, log=log, plans_subdir=str(Path(subdir, "plans")),
+                       planner=planner)
     agg = save_metrics(records, Path(cfg.out_dir, subdir))
     log(f"{stage}: seen {agg['seen_successes']}/{agg['seen_total']}, "
         f"unseen {agg['unseen_successes']}/{agg['unseen_total']}")
@@ -261,14 +265,12 @@ STAGES = {
 
 
 def run_pipeline(cfg: RunConfig, log=print) -> dict:
+    """Every stage in order; returns eval's aggregates."""
     t0 = time.time()
-    agg = None
-    for name in STAGES:
-        result = STAGES[name](cfg, log=log)
-        if name == "eval":
-            agg = result
+    for stage in STAGES.values():
+        result = stage(cfg, log=log)
     log(f"run-all: finished in {time.time() - t0:.1f}s")
-    return agg
+    return result
 
 
 def derive_no_memory_config(cfg: RunConfig) -> RunConfig:
@@ -293,7 +295,4 @@ def ablate_no_memory(cfg: RunConfig, log=print) -> dict:
 
 def ablate_bfs(cfg: RunConfig, log=print) -> dict:
     """Ablation: hop-count planning over the same trained artifacts."""
-    import dataclasses
-
-    return _evaluate_all(dataclasses.replace(cfg, planner_backend="bfs"), "ablate-bfs",
-                         "ablate_bfs", log)
+    return _evaluate_all(cfg, "ablate-bfs", "ablate_bfs", log, planner=bfs_plan)

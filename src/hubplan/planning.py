@@ -86,11 +86,11 @@ def search(topology: BehaviorTopology, next_dist, h_s: int, goal_set: set[int],
     """
     if not goal_set:
         raise NoPlanError("empty goal set")
-    counter = 0
-    start = (h_s,)
-    heap = [(0.0, 1, start, counter, [])]
+    # each history is pushed at most once, so entries never tie on
+    # (cost, length, history) and the probabilities are never compared
+    heap = [(0.0, 1, (h_s,), [])]
     while heap:
-        cost, length, history, _cnt, probs = heapq.heappop(heap)
+        cost, length, history, probs = heapq.heappop(heap)
         last = history[-1]
         if last in goal_set:
             return Plan(history=list(history), cost=cost, transition_probs=probs)
@@ -102,8 +102,7 @@ def search(topology: BehaviorTopology, next_dist, h_s: int, goal_set: set[int],
             if p < cfg.p_min or p <= 0.0:
                 continue
             new_cost = max(cost, -np.log(p)) + cfg.eta
-            counter += 1
-            heapq.heappush(heap, (new_cost, length + 1, history + (nxt,), counter, probs + [p]))
+            heapq.heappush(heap, (new_cost, length + 1, history + (nxt,), probs + [p]))
     raise NoPlanError("search exhausted without reaching a goal hub")
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -12,7 +13,7 @@ import pytest
 
 import hubplan
 from hubplan.cli import _build_parser, _load_config, main
-from hubplan.config import ConfigError, RunConfig, apply_env_overrides, parse_config, save_config
+from hubplan.config import ConfigError, RunConfig, parse_config, save_config
 from hubplan.edge_policies import perturb_segment, train_policy_for_hub
 from hubplan.hub_dynamics import HubDynamicsModel, train_high
 from hubplan.latent import LowLevelModel, train_low_level
@@ -54,17 +55,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(encoder_backend="psychic")
 
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv("HUBPLAN_SEED", "99")
-        monkeypatch.setenv("HUBPLAN_OUT", "/tmp/elsewhere")
-        cfg = apply_env_overrides(RunConfig())
-        assert cfg.seed == 99
-        assert cfg.out_dir == "/tmp/elsewhere"
-
-    def test_env_override_bad_seed(self, monkeypatch):
-        monkeypatch.setenv("HUBPLAN_SEED", "soon")
-        with pytest.raises(ConfigError):
-            apply_env_overrides(RunConfig())
+    @pytest.mark.parametrize("key, value", [
+        ("depth_limit", 0), ("eta", -0.01), ("max_perturbation", 0), ("history_len", 0),
+        ("low_epochs", 0), ("high_epochs", 0), ("policy_epochs", 0),
+        ("max_segments_per_edge", 0)])
+    def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
+        # each of these values makes a later stage fail after the ones before
+        # it ran; a finished run's config.txt is read before any stage runs
+        save_config(RunConfig(), tmp_path / "config.txt")
+        with open(tmp_path / "config.txt", "a") as fh:
+            fh.write(f"{key} = {value}\n")
+        assert main(["eval", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and key in err
 
 
 class TestReadmeConfigurationTable:
@@ -156,11 +159,6 @@ class TestRunDirectoryConfig:
                   ["eval"], ["plan", "--start", "0", "--goal", "red,blue"],
                   ["ablate", "--kind", "bfs"], ["ablate", "--kind", "no-memory"]]
 
-    @pytest.fixture(autouse=True)
-    def no_env_overrides(self, monkeypatch):
-        monkeypatch.delenv("HUBPLAN_OUT", raising=False)
-        monkeypatch.delenv("HUBPLAN_SEED", raising=False)
-
     @pytest.fixture
     def run_dir(self, tmp_path):
         run = tmp_path / "run"
@@ -186,12 +184,9 @@ class TestRunDirectoryConfig:
     def test_new_run_starts_from_defaults(self, run_dir, command):
         assert self.load(command, "--out", str(run_dir)) == RunConfig(out_dir=str(run_dir))
 
-    def test_overrides_apply_on_top(self, run_dir, tmp_path, monkeypatch):
-        assert self.load("eval", "--out", str(run_dir), "--seed", "9").seed == 9
-        monkeypatch.setenv("HUBPLAN_OUT", str(run_dir))
-        monkeypatch.setenv("HUBPLAN_SEED", "7")
-        cfg = self.load("eval")
-        assert (cfg.out_dir, cfg.seed, cfg.encoder_backend) == (str(run_dir), 7, "learned")
+    def test_overrides_apply_on_top(self, run_dir, tmp_path):
+        cfg = self.load("eval", "--out", str(run_dir), "--seed", "9")
+        assert (cfg.out_dir, cfg.seed, cfg.encoder_backend) == (str(run_dir), 9, "learned")
         explicit = tmp_path / "explicit.cfg"
         save_config(RunConfig(lr_policy=0.5), explicit)
         assert self.load("eval", "--config", str(explicit)).lr_policy == 0.5
@@ -277,6 +272,15 @@ class TestCliExitCodes:
 
         assert list(STAGES) == ["gen-demos", "train-low", "build-topology",
                                 "train-high", "train-policies", "eval"]
+
+    def test_readme_commands_parse(self):
+        # a flag or subcommand README documents must still exist
+        block = README.read_text().split("## Running", 1)[1].split("```", 2)[1]
+        commands = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()
+                    if line.startswith("hubplan ")]
+        assert len(commands) >= 6
+        for argv in commands:
+            _build_parser().parse_args(argv[1:])
 
     def test_console_entry_point(self):
         # the child imports the same hubplan as this process, installed or not

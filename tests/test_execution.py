@@ -1,13 +1,17 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from hubplan.config import RunConfig
 from hubplan.edge_policies import EdgePolicy, PolicyBank, train_policies
-from hubplan.execution import EDGE_BUDGET_FACTOR, MIN_EDGE_BUDGET, edge_budget, execute
+from hubplan.execution import (EDGE_BUDGET_FACTOR, MIN_EDGE_BUDGET, EdgeTrace, edge_budget,
+                               execute)
 from hubplan.hub_dynamics import HubDynamicsModel
+from hubplan.maze.env import N_ACTIONS, PICKUP, MazeEnv
 from hubplan.planning import Plan
 
-from scenarios import build_scenario, scenario_topology
+from scenarios import VARIANT_MAP, build_scenario, scenario_topology
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +89,63 @@ class TestExecute:
         result = execute(plan, sc.env, state, obs, bank, sc.encoder, emb, topo)
         cap = sum(edge_budget(topo, e) for e in plan.edges)
         assert result.steps <= min(sc.env.horizon, cap)
+
+
+class ReplayBank:
+    """Stands in for a policy bank: a policy for each hub of `sources`, and
+    every `act` call, whichever the hub, takes the next of `actions`."""
+
+    def __init__(self, sources, actions):
+        self.policies = {s: SimpleNamespace(initial_memory=lambda: None) for s in sources}
+        self.actions = iter(actions)
+
+    def act(self, source_hub, target_emb, obs_vec, memory):
+        return np.eye(N_ACTIONS)[next(self.actions)], memory
+
+
+class TestExecutionOutcomes:
+    """The outcome of each way an episode ends, on the success demo's route:
+    its segments in order, replayed action by action."""
+
+    @staticmethod
+    def outcome(sc, topo, case):
+        actions = sc.trajectories[0].actions
+        route = sorted((seg for segs in topo.segments.values() for seg in segs
+                        if seg.traj_id == 0), key=lambda seg: seg.begin)
+        hubs = [route[0].source] + [seg.target for seg in route]
+        lengths = [seg.end - seg.begin for seg in route]
+        env, sources, n_hubs = sc.env, hubs, len(hubs)
+        if case == "dead-edge":
+            sources, n_hubs = hubs[:1], 3
+            expected = (False, lengths[0], 1, "dead-edge",
+                        [EdgeTrace(hubs[0], hubs[1], lengths[0], True)])
+        elif case == "env-terminal":
+            assert lengths[1] > 2
+            env, n_hubs = MazeEnv(VARIANT_MAP, horizon=lengths[0] + 2), 3
+            expected = (False, lengths[0] + 2, 1, "env-terminal",
+                        [EdgeTrace(hubs[0], hubs[1], lengths[0], True),
+                         EdgeTrace(hubs[1], hubs[2], 2, False)])
+        elif case == "hub-timeout":
+            # picking up in front of nothing leaves the start state as it is
+            budget = edge_budget(topo, (hubs[0], hubs[1]))
+            actions, n_hubs = [PICKUP] * budget, 2
+            expected = (False, budget, 0, "hub-timeout",
+                        [EdgeTrace(hubs[0], hubs[1], budget, False)])
+        else:
+            expected = (True, len(actions), len(route), None,
+                        [EdgeTrace(seg.source, seg.target, n, True)
+                         for seg, n in zip(route, lengths)])
+        state, obs = env.reset(env.starts[0], sc.goal)
+        sc.encoder.begin_episode()
+        result = execute(Plan(history=hubs[:n_hubs], cost=0.0), env, state, obs,
+                         ReplayBank(sources, actions), sc.encoder,
+                         np.zeros((len(topo.hubs), 1)), topo)
+        got = (result.success, result.steps, result.edges_crossed, result.failure_reason,
+               result.trace)
+        return got, expected
+
+    @pytest.mark.parametrize("case", ["dead-edge", "env-terminal", "hub-timeout", "success"])
+    def test_outcome(self, scenario_stack, case):
+        sc, topo, _emb, _bank = scenario_stack
+        got, expected = self.outcome(sc, topo, case)
+        assert got == expected

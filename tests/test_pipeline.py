@@ -14,8 +14,9 @@ from hubplan.demos import build_dataset, load_dataset
 from hubplan.maze import DEFAULT_MAP, Goal, MazeEnv
 from hubplan.hub_dynamics import HubDynamicsModel
 from hubplan.latent import LearnedEncoder, LowLevelModel
-from hubplan.pipeline import (HIGH_KIND, LOW_KIND, StageError, evaluate, load_high_model,
-                              make_encoder, stage_eval, stage_train_high)
+from hubplan.pipeline import (HIGH_KIND, LOW_KIND, StageError, ablate_bfs, evaluate,
+                              load_high_model, make_encoder, stage_eval, stage_train_high)
+from hubplan.planning import bfs_plan
 from hubplan.topology import load_topology
 
 from conftest import load_bench_module
@@ -27,6 +28,11 @@ DEFAULT_CONFIG_SHA256 = {
     "topology.txt": "a31c2ba4fecb12debb00d63c0efb4d18836337656de8508dcef22a0fbf9c19e6",
     "metrics.json": "aa8e0e96537b44233f8f5a75d69d20db4d6fc229ea054a630e692326f79e55c7",
     "plans": "bfc41f550ebd5818bf6639780f8b2944f04f4625b3d41896534c25d3f4b68f36",
+}
+# the BFS ablation of that run: ablate_bfs/metrics.json and ablate_bfs/plans/
+BFS_ABLATION_SHA256 = {
+    "metrics.json": "77c6136b1f0ffb515926864d784705fa8818d7c49964b0438d8f221654713065",
+    "plans": "dd1abf688c614fe21cd267ba0d52ab83db498b3d8c1f59606494cae4c16e6df8",
 }
 
 
@@ -203,17 +209,30 @@ class TestBfsAblationOnStandardMaze:
         # with the state-injective feature map every demonstrated edge is
         # executable from its exact source state, so hop-count plans also
         # succeed here; the constructed shortcut variant is where they break
-        cfg = dataclasses.replace(oracle_run["cfg"], planner_backend="bfs")
         ds = load_dataset(oracle_run["out"] / "dataset")
         topo = load_topology(oracle_run["out"] / "topology.txt", ds.trajectories)
         pairs = [(sid, g, True) for sid, g in ds.seen][:4]
-        records = evaluate(cfg, topo, pairs, log=lambda *a: None, plans_subdir="bfs_probe")
+        records = evaluate(oracle_run["cfg"], topo, pairs, log=lambda *a: None,
+                           plans_subdir="bfs_probe", planner=bfs_plan)
         assert all(r.success for r in records)
         # hop-minimality: bfs plans never exceed the history-planner's length
         hist = json.loads((oracle_run["out"] / "metrics.json").read_text())["per_task"]
         by_key = {(r["start_id"], r["goal"]): r for r in hist}
         for r in records:
             assert r.planned_edges <= by_key[(r.start_id, r.goal)]["planned_edges"]
+
+    def test_ablation_outputs_pinned(self, oracle_run, tmp_path):
+        workloads = load_bench_module("workloads")
+        out = tmp_path / "run"
+        out.mkdir()
+        for path in oracle_run["out"].iterdir():
+            (out / path.name).symlink_to(path)
+        agg = ablate_bfs(dataclasses.replace(oracle_run["cfg"], out_dir=str(out)),
+                         log=lambda *a: None)
+        assert (agg["seen_successes"], agg["unseen_successes"]) == (18, 18)
+        got = {"metrics.json": workloads.sha256_file(out / "ablate_bfs" / "metrics.json"),
+               "plans": workloads.sha256_dir(out / "ablate_bfs" / "plans")}
+        assert got == BFS_ABLATION_SHA256
 
 
 class TestMapFile:
