@@ -1,8 +1,9 @@
 """Run configuration: a flat key = value text file mirroring RunConfig.
 
-Unknown keys and malformed or out-of-range values are configuration errors
-(CLI exit code 2), found when the file is loaded rather than by the stage
-that would fail on them.
+Each field is one independent setting. Unknown or repeated keys and
+malformed or out-of-range values are configuration errors (CLI exit code
+2), found when the file is loaded rather than by the stage that would fail
+on them; the message names the key.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-ENCODER_BACKENDS = ("oracle", "learned")
+ENCODER_BACKENDS = ("oracle", "oracle-pose", "learned")
 
 
 class ConfigError(ValueError):
@@ -26,7 +27,6 @@ class RunConfig:
     epsilon: float = 1e-3
     latent_dim: int = 64
     history_len: int = 75
-    oracle_fields: str = "position,orientation,held,doors,barrel"
     # low-level model
     low_epochs: int = 300
     lr_low: float = 1e-4
@@ -39,7 +39,6 @@ class RunConfig:
     # edge policies
     lr_policy: float = 1e-3
     policy_epochs: int = 200
-    p_canonical: float = 0.8
     p_truncated: float = 0.1
     p_preroll: float = 0.1
     max_perturbation: int = 3
@@ -63,22 +62,34 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if not 0 <= self.p_min < 1:
             raise ConfigError("p_min must be in [0, 1)")
-        if self.eta < 0:
-            raise ConfigError("eta must not be negative")
-        if abs(self.p_canonical + self.p_truncated + self.p_preroll - 1.0) > 1e-9:
-            raise ConfigError("perturbation probabilities must sum to 1")
+        for name in ("eta", "obs_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must not be negative")
+        if not 0 <= self.label_smoothing < 1:
+            raise ConfigError("label_smoothing must be in [0, 1)")
+        for name in ("p_truncated", "p_preroll"):
+            if not 0 <= getattr(self, name) <= 1:
+                raise ConfigError(f"{name} must be in [0, 1]")
+        if self.p_truncated + self.p_preroll > 1:
+            raise ConfigError("p_truncated + p_preroll must be at most 1")
+        # a function-local import: latent.training imports this module
+        from .latent.oracle import BACKEND_FIELDS, code_width
+
+        encoded = BACKEND_FIELDS.get(self.encoder_backend)
+        least = code_width(encoded) if encoded else 1
+        if self.latent_dim < least:
+            raise ConfigError(f"latent_dim must be at least {least} for encoder_backend "
+                              f"{self.encoder_backend!r}")
 
     @property
     def effective_match_tol(self) -> float:
         """Start- and arrival-matching tolerance: the hub bucket width."""
         return self.epsilon
 
-    def oracle_field_tuple(self) -> tuple[str, ...]:
-        return tuple(f.strip() for f in self.oracle_fields.split(",") if f.strip())
-
 
 def parse_config(path: str | Path) -> RunConfig:
     values: dict = {}
+    first_line: dict[str, int] = {}
     types = {f.name: f.type for f in fields(RunConfig)}
     casts = {"int": int, "float": float, "str": str}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
@@ -90,6 +101,10 @@ def parse_config(path: str | Path) -> RunConfig:
         key, _, value = (p.strip() for p in line.partition("="))
         if key not in types:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} already given on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         try:
             values[key] = casts[types[key]](value)
         except ValueError as e:

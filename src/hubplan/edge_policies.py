@@ -62,8 +62,9 @@ class EdgeTrainingSegment:
 
 def perturb_segment(segment: Segment, rng: np.random.Generator,
                     cfg: RunConfig) -> EdgeTrainingSegment:
-    """Draw a boundary-perturbed variant of an edge segment with the
-    probabilities `cfg.p_canonical`, `cfg.p_truncated` and `cfg.p_preroll`.
+    """Draw a boundary-perturbed variant of an edge segment: truncated with
+    probability `cfg.p_truncated`, prerolled with `cfg.p_preroll`, and
+    canonical otherwise.
 
     Truncation drops up to `cfg.max_perturbation` leading steps but never
     empties the segment; preroll prepends true predecessor steps from the
@@ -71,10 +72,10 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
     """
     if segment.end - segment.begin < 1:
         raise ValueError("segment must contain at least one action")
-    r = rng.random() * (cfg.p_canonical + cfg.p_truncated + cfg.p_preroll)
-    if r < cfg.p_canonical:
+    r = rng.random()
+    if r < 1 - cfg.p_truncated - cfg.p_preroll:
         variant = "canonical"
-    elif r < cfg.p_canonical + cfg.p_truncated:
+    elif r < 1 - cfg.p_preroll:
         variant = "truncated"
     else:
         variant = "preroll"

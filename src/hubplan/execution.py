@@ -38,8 +38,9 @@ class ExecutionResult:
     planned_edges: int
     trace: list[EdgeTrace] = field(default_factory=list)
     # None on success; else dead-edge (no policy for an edge's source hub),
-    # hub-timeout (an edge's step budget ran out) or env-terminal (the
-    # episode ended, or the plan did, without success)
+    # env-terminal (the episode ended without success), hub-timeout (an
+    # edge's step budget ran out) or plan-end (every planned edge was
+    # reached, or there was none, and the episode is still running)
     failure_reason: str | None = None
 
     def format(self) -> str:
@@ -90,9 +91,11 @@ def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
         reason = None
     elif dead_edge:
         reason = "dead-edge"
-    elif trace and not trace[-1].reached and not state.terminal:
+    elif state.terminal:
+        reason = "env-terminal"
+    elif trace and not trace[-1].reached:
         reason = "hub-timeout"
     else:
-        reason = "env-terminal"
+        reason = "plan-end"
     return ExecutionResult(state.success, total_steps, sum(tr.reached for tr in trace),
                            len(plan.edges), trace, failure_reason=reason)

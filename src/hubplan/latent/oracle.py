@@ -1,11 +1,14 @@
 """Ground-truth latent backend for exactly-verifiable end-to-end runs.
 
 Maps the task-relevant ground-truth fields (pose, held item, door phases,
-barrel contents) injectively into a 64-dim vector. Distinct field values
-sit 10 tolerance-widths apart and every coordinate is placed mid-bucket,
-so per-coordinate bucketing can never merge distinct task states or split
-equal ones. The step counter is deliberately excluded: revisiting the same
-task state must produce the same latent.
+barrel contents) injectively into a `latent_dim`-wide vector. Distinct
+field values sit 10 tolerance-widths apart and every coordinate is placed
+mid-bucket, so per-coordinate bucketing can never merge distinct task
+states or split equal ones. The step counter is deliberately excluded:
+revisiting the same task state must produce the same latent.
+
+Two encoder backends use it: `oracle` encodes every field, and
+`oracle-pose` only the pose, for the no-memory ablation.
 """
 
 from __future__ import annotations
@@ -14,8 +17,11 @@ import numpy as np
 
 from ..maze.env import EnvState
 
-ALL_FIELDS = ("position", "orientation", "held", "doors", "barrel")
+# latent coordinates each field's codes take, in encoding order
+FIELD_WIDTHS = {"position": 2, "orientation": 1, "held": 1, "doors": 4, "barrel": 2}
+ALL_FIELDS = tuple(FIELD_WIDTHS)
 MEMORYLESS_FIELDS = ("position", "orientation")
+BACKEND_FIELDS = {"oracle": ALL_FIELDS, "oracle-pose": MEMORYLESS_FIELDS}
 SPACING = 10  # buckets between distinct codes; >= 10 guarantees separation
 
 
@@ -26,8 +32,17 @@ def held_code(held) -> int:
     return 1 + color if kind == "key" else 5 + color
 
 
+def code_width(fields: tuple[str, ...]) -> int:
+    """Latent coordinates the codes of `fields` take."""
+    return sum(FIELD_WIDTHS[f] for f in fields)
+
+
 class OracleEncoder:
-    """Deterministic injective feature map over EnvState."""
+    """Deterministic injective feature map over EnvState.
+
+    Raises ValueError on construction for an unknown field, or for a
+    `latent_dim` narrower than the fields' codes.
+    """
 
     name = "oracle"
 
@@ -36,6 +51,8 @@ class OracleEncoder:
         unknown = set(fields) - set(ALL_FIELDS)
         if unknown:
             raise ValueError(f"unknown oracle fields {unknown}")
+        if code_width(fields) > latent_dim:
+            raise ValueError("latent dimension too small for the feature map")
         self.latent_dim = latent_dim
         self.epsilon = epsilon
         self.fields = tuple(fields)
@@ -62,8 +79,6 @@ class OracleEncoder:
         if state is None:
             raise ValueError("oracle encoding needs the ground-truth state")
         codes = self.codes(state)
-        if len(codes) > self.latent_dim:
-            raise ValueError("latent dimension too small for the feature map")
         # mid-bucket placement: value / epsilon == SPACING * code + 0.5
         z = np.full(self.latent_dim, 0.5 * self.epsilon)
         for i, code in enumerate(codes):

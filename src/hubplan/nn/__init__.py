@@ -9,7 +9,6 @@ from .tensor import (
     matmul,
     parameter,
     relu,
-    sigmoid,
     softmax_cross_entropy,
     softmax_cross_entropy_np,
     softmax_np,
@@ -34,7 +33,7 @@ from .io import ArtifactError, load_params, save_params
 __all__ = [
     "NonFiniteError", "ShapeError", "Tape", "Tensor", "backprop",
     "bce_with_logits", "gather_rows", "matmul", "parameter", "relu",
-    "sigmoid", "softmax_cross_entropy", "softmax_cross_entropy_np", "softmax_np", "sum_all",
+    "softmax_cross_entropy", "softmax_cross_entropy_np", "softmax_np", "sum_all",
     "tanh", "GruCellParams",
     "gru_cell", "gru_cell_backward", "gru_input_grads", "gru_input_proj", "gru_param_grads",
     "gru_step", "gru_unroll", "init_bias", "init_weight",

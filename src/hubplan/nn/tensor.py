@@ -30,7 +30,6 @@ __all__ = [
     "backprop",
     "matmul",
     "relu",
-    "sigmoid",
     "tanh",
     "scale",
     "sum_all",
@@ -232,18 +231,6 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     overflows. Callers enter `np.errstate(over="ignore")` once around
     their loop, not once per call."""
     return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a) -> Tensor:
-    a = _wrap(a)
-    with np.errstate(over="ignore"):
-        data = _sigmoid_np(a.data)
-
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, g * data * (1.0 - data))
-
-    return _node(data, (a,), backward)
 
 
 def tanh(a) -> Tensor:

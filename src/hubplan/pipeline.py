@@ -20,7 +20,7 @@ from .edge_policies import PolicyBank, load_bank, save_bank, train_policies
 from .execution import execute
 from .hub_dynamics import CachedDist, HubDynamicsModel, pretrain_on_traversals, train_high
 from .latent.model import LearnedEncoder, LowLevelModel
-from .latent.oracle import OracleEncoder
+from .latent.oracle import BACKEND_FIELDS, OracleEncoder
 from .latent.training import train_low_level
 from .maze.env import EnvState, Goal, MazeEnv
 from .metrics import TaskRecord, save_metrics
@@ -65,9 +65,9 @@ def make_env(cfg: RunConfig) -> MazeEnv:
 
 
 def make_encoder(cfg: RunConfig, out: Path):
-    if cfg.encoder_backend == "oracle":
+    if cfg.encoder_backend in BACKEND_FIELDS:
         return OracleEncoder(latent_dim=cfg.latent_dim, epsilon=cfg.epsilon,
-                             fields=cfg.oracle_field_tuple())
+                             fields=BACKEND_FIELDS[cfg.encoder_backend])
     path = _require(out / "lowlevel.bin", "make-encoder", "train-low")
     _kind, tensors = nn.load_params(path, expect_kind=LOW_KIND)
     model = LowLevelModel.from_tensors(tensors)
@@ -275,8 +275,8 @@ def run_pipeline(cfg: RunConfig, log=print) -> dict:
 
 def derive_no_memory_config(cfg: RunConfig) -> RunConfig:
     """Ablation: hub discovery from the current observation only. The oracle
-    analogue keeps pose and drops the history-dependent fields; the learned
-    backend has no such variant."""
+    analogue, the `oracle-pose` backend, keeps pose and drops the
+    history-dependent fields; the learned backend has no such variant."""
     import dataclasses
 
     if cfg.encoder_backend != "oracle":
@@ -285,7 +285,7 @@ def derive_no_memory_config(cfg: RunConfig) -> RunConfig:
     return dataclasses.replace(
         cfg,
         out_dir=str(Path(cfg.out_dir) / "ablate_no_memory"),
-        oracle_fields="position,orientation",
+        encoder_backend="oracle-pose",
     )
 
 

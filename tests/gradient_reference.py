@@ -1,11 +1,27 @@
 """Finite-difference gradient checks: the reference that the tape's and the
-hand-written gradients are compared against. Only tests call them."""
+hand-written gradients are compared against, and the tape ops that only
+reference compositions use. Only tests call them."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from hubplan.nn import NonFiniteError, Tape, Tensor, backprop
+from hubplan.nn.tensor import _accum, _node, _sigmoid_np, _wrap
+
+
+def sigmoid(a) -> Tensor:
+    """The logistic function as a tape op, for gated steps composed from
+    primitives."""
+    a = _wrap(a)
+    with np.errstate(over="ignore"):
+        data = _sigmoid_np(a.data)
+
+    def backward(g):
+        if a.requires_grad:
+            _accum(a, g * data * (1.0 - data))
+
+    return _node(data, (a,), backward)
 
 
 def finite_diff_check(f, params: list[Tensor], h: float = 1e-5) -> float:

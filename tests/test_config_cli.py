@@ -24,6 +24,7 @@ from hubplan.topology import Segment
 from scenarios import build_scenario, scenario_topology
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+CONFIGS = README.parent / "configs"
 
 
 class TestConfig:
@@ -55,19 +56,67 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(encoder_backend="psychic")
 
+    @staticmethod
+    def saved_run(run_dir, **values):
+        """A finished run's config.txt with the lines of `values` replaced."""
+        path = run_dir / "config.txt"
+        save_config(RunConfig(), path)
+        lines = path.read_text().splitlines()
+        for key, value in values.items():
+            i = next(i for i, line in enumerate(lines) if line.startswith(f"{key} = "))
+            lines[i] = f"{key} = {value}"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
     @pytest.mark.parametrize("key, value", [
         ("depth_limit", 0), ("eta", -0.01), ("max_perturbation", 0), ("history_len", 0),
         ("low_epochs", 0), ("high_epochs", 0), ("policy_epochs", 0),
-        ("max_segments_per_edge", 0)])
+        ("max_segments_per_edge", 0), ("latent_dim", 0), ("latent_dim", 9),
+        ("obs_noise", -0.01), ("label_smoothing", 1.0), ("label_smoothing", -0.05),
+        ("p_truncated", -0.1), ("p_preroll", 1.5), ("p_truncated", 0.95), ("p_preroll", 0.95)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
-        # each of these values makes a later stage fail after the ones before
-        # it ran; a finished run's config.txt is read before any stage runs
-        save_config(RunConfig(), tmp_path / "config.txt")
+        # each of these values makes a later stage fail, or silently run
+        # otherwise, after the ones before it ran; a finished run's
+        # config.txt is read before any stage runs
+        self.saved_run(tmp_path, **{key: value})
+        assert main(["eval", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert re.search(rf"\b{key}\b.* must (be|not) ", err), err
+
+    def test_latent_dim_checked_against_the_backend(self, tmp_path, capsys):
+        self.saved_run(tmp_path, encoder_backend="oracle-pose", latent_dim=2)
+        assert main(["eval", "--out", str(tmp_path)]) == 2
+        assert "latent_dim must be at least 3 for encoder_backend 'oracle-pose'" in \
+            capsys.readouterr().err
+        for backend, least in [("oracle", 10), ("oracle-pose", 3), ("learned", 1)]:
+            RunConfig(encoder_backend=backend, latent_dim=least)
+            with pytest.raises(ConfigError, match="latent_dim"):
+                RunConfig(encoder_backend=backend, latent_dim=least - 1)
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "c.cfg"
+        path.write_text("seed = 1\nepsilon = 0.01\nseed = 2\n")
+        with pytest.raises(ConfigError, match=r"c.cfg:3: key 'seed' already given on line 1"):
+            parse_config(path)
+        assert main(["gen-demos", "--config", str(path)]) == 2
+        assert "'seed'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("oracle_fields", "position,orientation,held,doors,barrel"), ("p_canonical", 0.8)],
+        ids=["oracle_fields", "p_canonical"])
+    def test_deleted_key_rejected(self, tmp_path, capsys, key, value):
+        # a config.txt written while these keys existed fails at load
+        self.saved_run(tmp_path)
         with open(tmp_path / "config.txt", "a") as fh:
             fh.write(f"{key} = {value}\n")
         assert main(["eval", "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert "configuration error" in err and key in err
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("profile", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+    def test_shipped_profile_loads(self, profile):
+        args = _build_parser().parse_args(["run-all", "--config", str(profile)])
+        assert isinstance(_load_config(args), RunConfig)
 
 
 class TestReadmeConfigurationTable:
@@ -145,7 +194,7 @@ class TestTrainersReadRunConfig:
         ({"high_epochs": 3}, high_epochs, 3),
         ({"low_epochs": 2}, low_epochs, 2),
         ({"policy_epochs": 4}, policy_epochs, 4),  # below MIN_EPOCHS: no early stop
-        ({"p_canonical": 0.0, "p_truncated": 0.0, "p_preroll": 1.0}, preroll_share, 1.0),
+        ({"p_truncated": 0.0, "p_preroll": 1.0}, preroll_share, 1.0),
     ], ids=["high_epochs", "low_epochs", "policy_epochs", "p_preroll"])
     def test_trainer_reads_its_field(self, scenario, overrides, measure, expected):
         assert measure(scenario, RunConfig(**overrides)) == expected
@@ -248,6 +297,14 @@ class TestCliExitCodes:
             main(["plan", "--out", str(tmp_path), "--start", "0", "--goal", goal])
         assert exc.value.code == 2
         assert "--goal" in capsys.readouterr().err
+
+    def test_no_memory_ablation_encodes_pose_only(self, tmp_path):
+        from hubplan.latent import MEMORYLESS_FIELDS
+        from hubplan.pipeline import make_encoder
+
+        cfg = derive_no_memory_config(RunConfig(out_dir=str(tmp_path / "run")))
+        assert cfg.encoder_backend == "oracle-pose"
+        assert make_encoder(cfg, tmp_path).fields == MEMORYLESS_FIELDS
 
     def test_no_memory_ablation_on_learned_backend_is_exit_2(self, tmp_path, capsys):
         # only the oracle backend has a pose-only variant; anything else would

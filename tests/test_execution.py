@@ -55,6 +55,7 @@ class TestExecute:
         result = execute(demo_plan(topo, [0]), sc.env, state, obs, bank, sc.encoder, emb, topo)
         assert result.edges_crossed == 0
         assert not result.success  # a fresh episode never starts satisfied
+        assert result.failure_reason == "plan-end"
 
     def test_dead_edge_reported(self, scenario_stack):
         sc, topo, emb, _bank = scenario_stack
@@ -131,6 +132,14 @@ class TestExecutionOutcomes:
             actions, n_hubs = [PICKUP] * budget, 2
             expected = (False, budget, 0, "hub-timeout",
                         [EdgeTrace(hubs[0], hubs[1], budget, False)])
+        elif case == "plan-end":
+            # the first hub is reached, the episode goes on, the plan is over
+            n_hubs = 2
+            expected = (False, lengths[0], 1, "plan-end",
+                        [EdgeTrace(hubs[0], hubs[1], lengths[0], True)])
+        elif case == "plan-end-no-edges":
+            n_hubs = 1
+            expected = (False, 0, 0, "plan-end", [])
         else:
             expected = (True, len(actions), len(route), None,
                         [EdgeTrace(seg.source, seg.target, n, True)
@@ -144,7 +153,8 @@ class TestExecutionOutcomes:
                result.trace)
         return got, expected
 
-    @pytest.mark.parametrize("case", ["dead-edge", "env-terminal", "hub-timeout", "success"])
+    @pytest.mark.parametrize("case", ["dead-edge", "env-terminal", "hub-timeout", "plan-end",
+                                      "plan-end-no-edges", "success"])
     def test_outcome(self, scenario_stack, case):
         sc, topo, _emb, _bank = scenario_stack
         got, expected = self.outcome(sc, topo, case)

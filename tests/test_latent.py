@@ -5,6 +5,7 @@ from hubplan import nn
 from hubplan.config import RunConfig
 from hubplan.demos.expert import Rollout, goto_and_face
 from hubplan.latent import (
+    ALL_FIELDS,
     MEMORYLESS_FIELDS,
     LearnedEncoder,
     LowLevelModel,
@@ -111,6 +112,15 @@ class TestOracleEncoder:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError):
             OracleEncoder(fields=("position", "mood"))
+
+    def test_latent_width_checked_at_construction(self, env):
+        # position 2, orientation 1, held 1, doors 4, barrel 2
+        state, _ = env.reset(env.starts[0], Goal(0, 1))
+        assert OracleEncoder(latent_dim=10).encode(None, state).shape == (10,)
+        assert OracleEncoder(latent_dim=3, fields=MEMORYLESS_FIELDS).encode(None, state).shape == (3,)
+        for latent_dim, fields in [(9, ALL_FIELDS), (2, MEMORYLESS_FIELDS)]:
+            with pytest.raises(ValueError, match="too small"):
+                OracleEncoder(latent_dim=latent_dim, fields=fields)
 
 
 class TestLearnedEncoder:
