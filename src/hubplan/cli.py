@@ -17,6 +17,7 @@ round differently.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -75,11 +76,9 @@ def _load_config(args) -> RunConfig:
         saved = Path(args.out) / "config.txt"
         path = saved if saved.exists() else None
     cfg = parse_config(path) if path else RunConfig()
-    if args.out:
-        cfg.out_dir = args.out
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
+    overrides = {"out_dir": args.out, "seed": args.seed}
+    # replace() checks the overridden values as the file's are checked
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _cmd_plan(cfg: RunConfig, args) -> None:

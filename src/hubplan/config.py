@@ -3,11 +3,13 @@
 Each field is one independent setting. Unknown or repeated keys and
 malformed or out-of-range values are configuration errors (CLI exit code
 2), found when the file is loaded rather than by the stage that would fail
-on them; the message names the key.
+on them; the message names the key. Every float must be finite, and since
+`#` starts a comment in the file, no `out_dir` may hold one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -51,6 +53,13 @@ class RunConfig:
     depth_limit: int = 64
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.seed < 0:
+            raise ConfigError("seed must not be negative")
+        if not self.out_dir or "#" in self.out_dir:
+            raise ConfigError("out_dir must be non-empty and hold no '#'")
         if self.encoder_backend not in ENCODER_BACKENDS:
             raise ConfigError(f"encoder_backend must be one of {ENCODER_BACKENDS}")
         for name in ("epsilon", "lr_low", "lr_high", "lr_policy"):

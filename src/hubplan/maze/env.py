@@ -4,12 +4,18 @@ The agent walks cell-snapped with 90-degree turns, carries at most one item,
 opens a door by applying its two required key colors (keys are consumed and
 respawn at their home cells), and must deposit two diamonds into the barrel
 in the requested order. Wrong-key door attempts, wrong deposits and the
-step horizon end the episode. The state records whether it is terminal and
-whether it succeeded, and nothing else scores a step: the pipeline learns
-only by imitating demonstrations. All transitions are pure functions of
-(state, action). `reset` and `step` also return the new state's
-observation: one float64 row of `raster.OBS_SIZE` values, the egocentric
-view planes followed by the two barrel slots (see `raster`).
+step horizon end the episode. Nothing scores a step: the pipeline learns
+only by imitating demonstrations.
+
+A state stores each fact once: the pose, the held item, the keys applied to
+each door, the barrel, the goal, the step count and whether the episode has
+ended. Everything else is read from those: a door's phase is the number of
+keys applied to it, an item lies at its home cell unless it is held or (a
+diamond) deposited, and the episode succeeded when the barrel holds the goal
+pair. All transitions are pure functions of (state, action). `reset` and
+`step` also return the new state's observation: one float64 row of
+`raster.OBS_SIZE` values, the egocentric view planes followed by the two
+barrel slots (see `raster`).
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ N_ACTIONS = 6
 # orientation quarter-turns: 0 east, 1 south, 2 west, 3 north
 DIR = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
+# door phases: the number of keys applied to the door
 LOCKED, HALF_OPEN, OPEN = 0, 1, 2
 
 HORIZON = 400
@@ -109,15 +116,21 @@ class EnvState:
     pos: tuple[int, int]
     orientation: int
     held: tuple[str, int] | None            # ("key", c) or ("diamond", c)
-    door_phase: tuple[int, int, int, int]
     keys_applied: tuple[frozenset, frozenset, frozenset, frozenset]
-    key_present: tuple[bool, bool, bool, bool]
-    diamond_present: tuple[bool, bool, bool, bool]
     barrel: tuple[int, ...]
     goal: Goal
     step_count: int
     terminal: bool
-    success: bool
+
+    @property
+    def door_phase(self) -> tuple[int, ...]:
+        """LOCKED, HALF_OPEN or OPEN for each door color."""
+        return tuple(len(applied) for applied in self.keys_applied)
+
+    @property
+    def success(self) -> bool:
+        """The barrel holds the goal pair, in order."""
+        return self.barrel == (self.goal.first, self.goal.second)
 
 
 class MazeEnv:
@@ -166,6 +179,8 @@ class MazeEnv:
                 raise MazeError(f"map must place exactly one {what} per color")
         self.starts = [StartConfig(starts[i], 0) for i in sorted(starts)]
         self._door_at = {cell: c for c, cell in self.door_cell.items()}
+        self._home_item = {cell: ("key", c) for c, cell in self.key_home.items()}
+        self._home_item.update((cell, ("diamond", c)) for c, cell in self.diamond_home.items())
         self.view_tables = raster.ViewTables(self)
 
     # -- queries ----------------------------------------------------------
@@ -180,14 +195,17 @@ class MazeEnv:
         if cell == self.barrel_cell:
             return False
         dc = self._door_at.get(cell)
-        if dc is not None and state.door_phase[dc] != OPEN:
+        if dc is not None and len(state.keys_applied[dc]) != OPEN:
             return False
-        for c in range(4):
-            if state.key_present[c] and self.key_home[c] == cell:
-                return False
-            if state.diamond_present[c] and self.diamond_home[c] == cell:
-                return False
-        return True
+        return self._item_at(cell, state) is None
+
+    def _item_at(self, cell, state: EnvState) -> tuple[str, int] | None:
+        """The key or diamond lying at `cell`. An item lies at its home cell
+        unless it is held or, for a diamond, deposited: used keys respawn."""
+        item = self._home_item.get(cell)
+        if item is None or item == state.held or (item[0] == "diamond" and item[1] in state.barrel):
+            return None
+        return item
 
     def facing_cell(self, state: EnvState) -> tuple[int, int]:
         dx, dy = DIR[state.orientation]
@@ -207,15 +225,11 @@ class MazeEnv:
             pos=start.pos,
             orientation=start.orientation % 4,
             held=None,
-            door_phase=(LOCKED,) * 4,
             keys_applied=(frozenset(),) * 4,
-            key_present=(True,) * 4,
-            diamond_present=(True,) * 4,
             barrel=(),
             goal=goal,
             step_count=0,
             terminal=False,
-            success=False,
         )
 
     def step(self, state: EnvState, action: int):
@@ -231,13 +245,9 @@ class MazeEnv:
         pos = state.pos
         orientation = state.orientation
         held = state.held
-        door_phase = list(state.door_phase)
-        keys_applied = list(state.keys_applied)
-        key_present = list(state.key_present)
-        diamond_present = list(state.diamond_present)
+        keys_applied = state.keys_applied
         barrel = state.barrel
         terminal = False
-        success = False
 
         if action in (FORWARD, BACKWARD):
             dx, dy = DIR[orientation]
@@ -251,17 +261,8 @@ class MazeEnv:
         elif action == TURN_RIGHT:
             orientation = (orientation + 1) % 4
         elif action == PICKUP:
-            face = self.facing_cell(state)
             if held is None:
-                for c in range(4):
-                    if key_present[c] and self.key_home[c] == face:
-                        held = ("key", c)
-                        key_present[c] = False
-                        break
-                    if diamond_present[c] and self.diamond_home[c] == face:
-                        held = ("diamond", c)
-                        diamond_present[c] = False
-                        break
+                held = self._item_at(self.facing_cell(state), state)
         elif action == TOGGLE:
             face = self.facing_cell(state)
             door_color = self._door_at.get(face)
@@ -269,42 +270,30 @@ class MazeEnv:
                 barrel = barrel + (held[1],)
                 held = None
                 goal_pair = (state.goal.first, state.goal.second)
-                if barrel == goal_pair:
-                    terminal = True
-                    success = True
-                elif barrel != goal_pair[: len(barrel)]:
-                    terminal = True
-            elif (door_color is not None and door_phase[door_color] != OPEN
+                # the goal pair completes the episode, a wrong deposit ends it
+                terminal = barrel == goal_pair or barrel != goal_pair[: len(barrel)]
+            elif (door_color is not None and len(keys_applied[door_color]) != OPEN
                   and held is not None and held[0] == "key"):
                 key_color = held[1]
-                req = DOOR_REQUIREMENTS[door_color]
-                if key_color not in req:
+                if key_color not in DOOR_REQUIREMENTS[door_color]:
                     terminal = True
                 elif key_color not in keys_applied[door_color]:
-                    applied = keys_applied[door_color] | {key_color}
-                    keys_applied[door_color] = applied
-                    door_phase[door_color] = OPEN if len(applied) == 2 else HALF_OPEN
-                    held = None
-                    key_present[key_color] = True  # consumed keys respawn at home
+                    applied = list(keys_applied)
+                    applied[door_color] = applied[door_color] | {key_color}
+                    keys_applied = tuple(applied)
+                    held = None  # the consumed key respawns at home
                 # re-applying an already-used correct key is a no-op
 
         step_count = state.step_count + 1
-        if step_count >= self.horizon and not terminal:
-            terminal = True
-
         return EnvState(
             pos=pos,
             orientation=orientation,
             held=held,
-            door_phase=tuple(door_phase),
-            keys_applied=tuple(keys_applied),
-            key_present=tuple(key_present),
-            diamond_present=tuple(diamond_present),
+            keys_applied=keys_applied,
             barrel=barrel,
             goal=state.goal,
             step_count=step_count,
-            terminal=terminal,
-            success=success,
+            terminal=terminal or step_count >= self.horizon,
         )
 
     def rasterize(self, state: EnvState) -> np.ndarray:

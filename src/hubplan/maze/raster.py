@@ -4,14 +4,14 @@ the networks read.
 A row holds OBS_SIZE float64 values: the VIEW_SIZE raveled view planes, then
 the two barrel slots, each (deposited color + 1) / 4 or 0 when empty. The
 view is a 7x7 window in the agent's frame, agent at the bottom-center cell
-looking "up". Held items contribute nothing, so two states differing only in
-the carried object rasterize identically.
+looking "up". The held item is drawn nowhere: while it is carried, its home
+cell shows floor, as does the home of each diamond in the barrel.
 
 Channel planes (12): 0 wall, 1 open floor, 2 barrel, 3-6 key presence by
 color, 7-10 door/diamond color, 11 door phase (1.0 locked, 0.5 half-open).
 A cell with a color plane set and the phase plane clear is a diamond; open
-doors and the homes of picked-up keys and diamonds render as floor. Hidden
-cells and cells off the map encode as all-zero planes.
+doors and the homes of held items and deposited diamonds render as floor.
+Hidden cells and cells off the map encode as all-zero planes.
 
 Visibility rule: the agent's cell is visible, and any other cell is visible
 when one of its neighbours one step closer to the agent (along its row, along
@@ -24,8 +24,8 @@ grid padded by the view's reach, and per orientation the grid offsets of the
 49 view cells from the agent. The visibility order, every view cell sorted by
 distance from the agent with the cells it can be seen through, is the same
 for every env. A call gathers the 49 codes, builds a 16-entry transparency
-and shown-contents lookup from the door phases and the present keys and
-diamonds, propagates visibility in that order, and gathers each cell's
+and shown-contents lookup from the keys applied to each door, the held item
+and the barrel, propagates visibility in that order, and gathers each cell's
 planes from a fixed table of cell contents into a fresh row.
 """
 
@@ -134,17 +134,17 @@ def rasterize(env, state) -> np.ndarray:
 
     shown = list(STATIC_SHOWN)
     clear = list(STATIC_CLEAR)
-    for c in range(4):
-        phase = state.door_phase[c]
-        if phase == OPEN:
+    for c, applied in enumerate(state.keys_applied):
+        if len(applied) == OPEN:
             shown[DOOR + c] = FLOOR
             clear[DOOR + c] = True
-        elif phase == HALF_OPEN:
+        elif len(applied) == HALF_OPEN:
             shown[DOOR + c] = HALF_OPEN_DOOR + c
-        if not state.key_present[c]:
-            shown[KEY + c] = FLOOR
-        if not state.diamond_present[c]:
-            shown[DIAMOND + c] = FLOOR
+    if state.held is not None:
+        kind, c = state.held
+        shown[(KEY if kind == "key" else DIAMOND) + c] = FLOOR
+    for c in state.barrel:
+        shown[DIAMOND + c] = FLOOR
 
     seen = [OFF_MAP] * (VIEW_W * VIEW_H)   # what each visible cell shows
     lit = [False] * (VIEW_W * VIEW_H)      # visible and transparent

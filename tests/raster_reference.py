@@ -4,6 +4,8 @@
 A cell is visible when one of its (up to three) neighbours one step closer
 to the agent, column-wise, row-wise or diagonally, is visible and
 transparent; walls, the barrel and locked or half-open doors are opaque.
+An item lies at its home cell unless it is held or, for a diamond, in the
+barrel.
 """
 
 from __future__ import annotations
@@ -58,6 +60,12 @@ def _visibility(env, state) -> np.ndarray:
     return vis
 
 
+def _at_home(state, kind: str, color: int) -> bool:
+    if state.held == (kind, color):
+        return False
+    return kind == "key" or color not in state.barrel
+
+
 def rasterize(env, state) -> np.ndarray:
     planes = np.zeros((VIEW_W, VIEW_H, N_CHANNELS), dtype=np.float64)
     vis = _visibility(env, state)
@@ -81,11 +89,11 @@ def rasterize(env, state) -> np.ndarray:
                 continue
             occupied = False
             for c in range(4):
-                if state.key_present[c] and env.key_home[c] == cell:
+                if _at_home(state, "key", c) and env.key_home[c] == cell:
                     planes[vx, vy, CH_KEY + c] = 1.0
                     occupied = True
                     break
-                if state.diamond_present[c] and env.diamond_home[c] == cell:
+                if _at_home(state, "diamond", c) and env.diamond_home[c] == cell:
                     planes[vx, vy, CH_OBJ + c] = 1.0
                     occupied = True
                     break

@@ -73,7 +73,9 @@ class TestConfig:
         ("low_epochs", 0), ("high_epochs", 0), ("policy_epochs", 0),
         ("max_segments_per_edge", 0), ("latent_dim", 0), ("latent_dim", 9),
         ("obs_noise", -0.01), ("label_smoothing", 1.0), ("label_smoothing", -0.05),
-        ("p_truncated", -0.1), ("p_preroll", 1.5), ("p_truncated", 0.95), ("p_preroll", 0.95)])
+        ("p_truncated", -0.1), ("p_preroll", 1.5), ("p_truncated", 0.95), ("p_preroll", 0.95),
+        ("eta", "nan"), ("obs_noise", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"),
+        ("seed", -1), ("out_dir", "")])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
         # each of these values makes a later stage fail, or silently run
         # otherwise, after the ones before it ran; a finished run's
@@ -287,6 +289,17 @@ class TestCliExitCodes:
         code = main(["gen-demos", "--config", str(bad)])
         assert code == 2
         assert "configuration error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, flags", [("seed", ["--out", "D", "--seed", "-1"]),
+                                            ("out_dir", ["--out", "exp#2"])],
+                             ids=["seed", "out_dir"])
+    def test_bad_override_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
+                                                       key, flags):
+        # --out and --seed are checked like a file's values, before any stage runs
+        monkeypatch.chdir(tmp_path)
+        assert main(["gen-demos", *flags]) == 2
+        assert re.search(rf"\b{key}\b.* must ", capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_missing_config_file_is_exit_2(self, capsys):
         assert main(["gen-demos", "--config", "/nonexistent/x.cfg"]) == 2

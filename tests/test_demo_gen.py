@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,20 @@ def env():
 @pytest.fixture(scope="module")
 def dataset(env):
     return build_dataset(env, seed=0)
+
+
+# sha256 of the seed-0 demonstrations: every trajectory's observation rows,
+# and separately its actions as int64, in dataset order
+DEMO_OBS_SHA256 = "19a53b5920f46bae5efc16e3f201aed16957b80032176caa11867131434f2863"
+DEMO_ACTIONS_SHA256 = "b300c05d7d1a91ad95137ebd2c861f09d650bf1357e0211a970ddc859e7a9b90"
+
+
+def test_seed0_demonstrations_pinned(dataset):
+    obs, actions = hashlib.sha256(), hashlib.sha256()
+    for traj in dataset.trajectories:
+        obs.update(traj.observations.tobytes())
+        actions.update(traj.actions.astype(np.int64).tobytes())
+    assert (obs.hexdigest(), actions.hexdigest()) == (DEMO_OBS_SHA256, DEMO_ACTIONS_SHA256)
 
 
 class TestSplit:

@@ -74,7 +74,7 @@ class TestOracleEncoder:
             dataclasses.replace(state, pos=(4, 3)),
             dataclasses.replace(state, orientation=1),
             dataclasses.replace(state, held=("key", 2)),
-            dataclasses.replace(state, door_phase=(1, 0, 0, 0)),
+            dataclasses.replace(state, keys_applied=(frozenset({RED}),) + (frozenset(),) * 3),
             dataclasses.replace(state, barrel=(0,)),
         ]
         z0 = enc.encode(None, state)

@@ -16,6 +16,7 @@ from hubplan.maze import (
     HALF_OPEN,
     LOCKED,
     OPEN,
+    PICKUP,
     PURPLE,
     RED,
     TOGGLE,
@@ -32,6 +33,7 @@ from hubplan.maze import (
 )
 from hubplan.demos import build_dataset, generate_success_demo
 from hubplan.maze import raster, replay_states
+from hubplan.maze.raster import CH_KEY, CH_OBJ, N_CHANNELS, VIEW_H, VIEW_W
 
 from scenarios import VARIANT_MAP, build_scenario
 
@@ -146,7 +148,7 @@ class TestDoorsAndKeys:
         r = self.walk_and_apply(env, RED, RED)
         assert r.state.door_phase[RED] == HALF_OPEN
         assert r.state.held is None
-        assert r.state.key_present[RED]  # consumed key respawned at home
+        assert not env.passable(env.key_home[RED], r.state)  # consumed key respawned at home
         assert not r.state.terminal
 
     def test_both_keys_open_door(self, env):
@@ -189,14 +191,23 @@ class TestDeposits:
 
 class TestRasterize:
     def test_held_item_invisible(self, env):
-        from hubplan.demos.expert import Rollout, fetch_key
+        """An item in view before it is picked up shows nowhere once held."""
+        from hubplan.demos.expert import Rollout, goto_and_face, open_door
 
-        rollout = Rollout(env, 0, env.starts[0], Goal(RED, BLUE))
-        fetch_key(rollout, RED)
-        held_state = rollout.state
-        assert held_state.held == ("key", RED)
-        bare = held_state.__class__(**{**held_state.__dict__, "held": None})
-        np.testing.assert_array_equal(env.rasterize(held_state), env.rasterize(bare))
+        def plane(obs, channel):
+            return obs[:VIEW_SIZE].reshape(VIEW_W, VIEW_H, N_CHANNELS)[:, :, channel]
+
+        for item, home, channel, prepare in [
+                (("key", BLUE), env.key_home[BLUE], CH_KEY + BLUE, lambda r: None),
+                (("diamond", RED), env.diamond_home[RED], CH_OBJ + RED,
+                 lambda r: open_door(r, RED))]:
+            rollout = Rollout(env, 0, env.starts[0], Goal(RED, BLUE))
+            prepare(rollout)
+            goto_and_face(rollout, home)
+            assert plane(rollout.observations[-1], channel).any(), item
+            rollout.act(PICKUP)
+            assert rollout.state.held == item
+            assert not plane(rollout.observations[-1], channel).any(), item
 
     def test_cells_beyond_wall_occluded(self, env):
         # start A faces east; the key room beyond the divider wall is hidden
@@ -246,14 +257,15 @@ class TestRasterMatchesReference:
                 assert_same_raster(scenario.env, state)
 
     @settings(max_examples=25, deadline=None)
-    @given(st.tuples(*[st.sampled_from((LOCKED, HALF_OPEN, OPEN))] * 4),
-           st.tuples(*[st.booleans()] * 4), st.tuples(*[st.booleans()] * 4),
+    @given(st.tuples(*[st.frozensets(st.sampled_from(DOOR_REQUIREMENTS[door]))
+                       for door in range(4)]),
+           st.none() | st.tuples(st.sampled_from(("key", "diamond")), st.integers(0, 3)),
            st.lists(st.integers(0, 3), max_size=2))
-    def test_every_pose_of_both_maps(self, door_phase, key_present, diamond_present, barrel):
+    def test_every_pose_of_both_maps(self, keys_applied, held, barrel):
         for env in (MazeEnv(), MazeEnv(VARIANT_MAP)):
             state, _ = env.reset(env.starts[0], Goal(RED, BLUE))
-            state = dataclasses.replace(state, door_phase=door_phase, key_present=key_present,
-                                        diamond_present=diamond_present, barrel=tuple(barrel))
+            state = dataclasses.replace(state, keys_applied=keys_applied, held=held,
+                                        barrel=tuple(barrel))
             for x, y in zip(*np.nonzero(~env.wall)):
                 for orientation in range(4):
                     assert_same_raster(env, dataclasses.replace(
@@ -261,11 +273,12 @@ class TestRasterMatchesReference:
 
 
 def diamond_locations(env, state):
-    """Where each diamond currently is: world, hand, or barrel."""
+    """Where each diamond currently is: world, hand, or barrel. A diamond
+    lies in the world when it is neither held nor deposited."""
     out = {}
     for c in range(4):
         places = []
-        if state.diamond_present[c]:
+        if state.held != ("diamond", c) and c not in state.barrel:
             places.append("world")
         if state.held == ("diamond", c):
             places.append("hand")
@@ -291,6 +304,7 @@ def test_random_walk_invariants(actions, start_id, goal_idx):
         # door phase never regresses
         assert all(new >= old for new, old in zip(state.door_phase, phases))
         phases = state.door_phase
-        # success soundness
+        # success soundness: the goal pair in the barrel, and the episode over
         assert state.success == (state.barrel == (goal.first, goal.second))
+        assert state.terminal or not state.success
         assert state.step_count <= 400
