@@ -3,20 +3,24 @@
 A trajectory is one episode's observation matrix, one `raster` row per
 step including the last, and its action array, plus its task labels. On
 disk: a log of header comments followed by one action id per line, and a
-sidecar binary observation file holding the rows split into a `view`
-tensor and a `barrel` tensor of the slots' (color + 1) codes.
+sidecar observation file. Every observation value is a multiple of 1/4 in
+[0, 1], so the sidecar stores 4 x the matrix as one uint8 code per value:
+magic ``HBOB``, u32 rows, u32 columns, the codes row by row, and the sha256
+of all of it (`nn.io.write_checksummed`). Loading verifies the digest
+first and rebuilds the matrix as codes x 0.25, which is exact.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..nn.io import ArtifactError, load_params, save_params
-from .env import EnvState, Goal, MazeEnv, StartConfig
-from .raster import OBS_SIZE, VIEW_SIZE
+from ..nn.io import ArtifactError, read_checksummed, write_checksummed
+from .env import N_ACTIONS, EnvState, Goal, MazeEnv, StartConfig
+from .raster import OBS_SIZE
 
 
 @dataclass(eq=False)
@@ -38,11 +42,19 @@ class Trajectory:
         return len(self.actions)
 
 
-LOG_VERSION = "v2"
+LOG_VERSION = "v3"
+OBS_MAGIC = b"HBOB"
+_OBS_HEADER = struct.Struct("<4sII")     # magic, rows, columns
 
 
 def save_trajectory(traj: Trajectory, base: Path) -> None:
+    """Write `base.log` and `base.obs`; raises ValueError, writing nothing,
+    unless 4 x every observation value is an integer in [0, 255]."""
     base = Path(base)
+    scaled = traj.observations * 4
+    if not np.all(~np.signbit(scaled) & (scaled <= 255) & (scaled == np.floor(scaled))):
+        raise ValueError("4 x an observation value is not an integer in [0, 255]")
+    codes = scaled.astype(np.uint8)
     lines = [
         f"# trajectory {LOG_VERSION}",
         f"# start_id {traj.start_id}",
@@ -52,14 +64,16 @@ def save_trajectory(traj: Trajectory, base: Path) -> None:
     ]
     lines.extend(str(action) for action in traj.actions.tolist())
     base.with_suffix(".log").write_text("\n".join(lines) + "\n")
-    obs = traj.observations
-    save_params(base.with_suffix(".obs"), "trajectory",
-                {"view": obs[:, :VIEW_SIZE], "barrel": obs[:, VIEW_SIZE:] * 4})
+    write_checksummed(base.with_suffix(".obs"), [_OBS_HEADER.pack(OBS_MAGIC, *codes.shape), codes])
+
+
+def _bad(path: Path, why: str) -> ArtifactError:
+    return ArtifactError(f"{path}: {why}; run stage gen-demos again")
 
 
 def load_trajectory(base: Path) -> Trajectory:
     base = Path(base)
-    log = base.with_suffix(".log")
+    log, obs = base.with_suffix(".log"), base.with_suffix(".obs")
     header: dict[str, str] = {}
     body: list[str] = []
     for line in log.read_text().splitlines():
@@ -71,22 +85,38 @@ def load_trajectory(base: Path) -> Trajectory:
             body.append(line)
     version = header.get("trajectory")
     if version != LOG_VERSION:
-        raise ArtifactError(f"{log}: trajectory log version {version}, expected {LOG_VERSION}; "
-                            "run stage gen-demos again")
-    actions = [int(line) for line in body]
-    kind, tensors = load_params(base.with_suffix(".obs"), expect_kind="trajectory")
-    view, barrel = tensors["view"], tensors["barrel"]
-    if view.shape[0] != len(actions) + 1:
-        raise ArtifactError(f"{base}: observation count does not match action count")
-    sx, sy, so = header["start"].split()
-    return Trajectory(
-        start_id=int(header["start_id"]),
-        start=StartConfig((int(sx), int(sy)), int(so)),
-        goal=Goal.parse(header["goal"]),
-        success=bool(int(header["success"])),
-        observations=np.concatenate([view, barrel / 4], axis=1),
-        actions=actions,
-    )
+        raise _bad(log, f"trajectory log version {version}, expected {LOG_VERSION}")
+    try:
+        sx, sy, so = header["start"].split()
+        labels = dict(start_id=int(header["start_id"]),
+                      start=StartConfig((int(sx), int(sy)), int(so)),
+                      goal=Goal.parse(header["goal"]),
+                      success=bool(int(header["success"])))
+    except KeyError as e:
+        raise _bad(log, f"no {e.args[0]} header line") from None
+    except ValueError:
+        raise _bad(log, "malformed header line") from None
+    try:
+        actions = np.array([int(line) for line in body], dtype=np.intp)
+    except ValueError:
+        raise _bad(log, "an action line is not an integer") from None
+    if actions.size and not (0 <= actions.min() and actions.max() < N_ACTIONS):
+        raise _bad(log, f"an action id is outside [0, {N_ACTIONS})")
+
+    data = read_checksummed(obs)
+    if len(data) < _OBS_HEADER.size:
+        raise _bad(obs, "truncated header")
+    magic, rows, cols = _OBS_HEADER.unpack_from(data)
+    if magic != OBS_MAGIC:
+        raise _bad(obs, "bad magic")
+    if len(data) != _OBS_HEADER.size + rows * cols:
+        raise _bad(obs, f"{len(data) - _OBS_HEADER.size} observation bytes for {rows} x {cols}")
+    if (rows, cols) != (len(actions) + 1, OBS_SIZE):
+        raise _bad(obs, f"{rows} x {cols} observations for {len(actions)} actions")
+    codes = np.frombuffer(data, dtype=np.uint8, offset=_OBS_HEADER.size).reshape(rows, cols)
+
+    # exact: 0.25 is a power of two
+    return Trajectory(observations=codes * 0.25, actions=actions, **labels)
 
 
 def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:

@@ -1,57 +1,72 @@
-"""Binary parameter files.
+"""Checksummed binary artifacts, and the parameter files built on them.
 
-Layout: magic ``HBNP``, u32 version, length-prefixed model-kind tag,
-u32 tensor count, then per tensor: u16 name length + utf8 name, u8 rank,
-u32 dims, raw little-endian float64 payload. A sha256 digest of everything
-before it closes the file; loads verify it before touching any data.
+Every binary artifact is a body closed by the sha256 digest of the body;
+`write_checksummed` writes one and `read_checksummed` verifies it before any
+of the body is used. Parameter files lay their body out as magic ``HBNP``,
+u32 version, length-prefixed model-kind tag, u32 tensor count, then per
+tensor: u16 name length + utf8 name, u8 rank, u32 dims, raw little-endian
+float64 payload.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
 MAGIC = b"HBNP"
 VERSION = 1
+DIGEST_SIZE = 32
 
-__all__ = ["ArtifactError", "save_params", "load_params"]
+__all__ = ["ArtifactError", "save_params", "load_params", "write_checksummed",
+           "read_checksummed"]
 
 
 class ArtifactError(RuntimeError):
     """Corrupt, truncated, or wrong-version artifact file."""
 
 
-def save_params(path, kind: str, tensors: dict[str, np.ndarray]) -> None:
-    parts = [MAGIC, struct.pack("<I", VERSION)]
-    kb = kind.encode("utf-8")
-    parts.append(struct.pack("<H", len(kb)))
-    parts.append(kb)
-    parts.append(struct.pack("<I", len(tensors)))
-    for name, arr in tensors.items():
-        a = np.ascontiguousarray(arr, dtype=np.float64)
-        nb = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(nb)))
-        parts.append(nb)
-        parts.append(struct.pack("<B", a.ndim))
-        for d in a.shape:
-            parts.append(struct.pack("<I", d))
-        parts.append(a.astype("<f8").tobytes())
-    body = b"".join(parts)
+def write_checksummed(path, parts: Iterable) -> None:
+    """Write the bytes-like `parts` in order, then the sha256 of all of them."""
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(body)
-        fh.write(hashlib.sha256(body).digest())
+        for part in parts:
+            fh.write(part)
+            digest.update(part)
+        fh.write(digest.digest())
+
+
+def read_checksummed(path) -> memoryview:
+    """The body of a file written by `write_checksummed`, once its digest
+    matches; a read-only view of the bytes read, copying nothing."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    if len(blob) < DIGEST_SIZE:
+        raise ArtifactError(f"{path}: truncated file")
+    body = memoryview(blob)[:-DIGEST_SIZE]
+    if hashlib.sha256(body).digest() != blob[-DIGEST_SIZE:]:
+        raise ArtifactError(f"{path}: checksum mismatch")
+    return body
+
+
+def _param_parts(kind: str, tensors: dict[str, np.ndarray]):
+    kb = kind.encode("utf-8")
+    yield MAGIC + struct.pack("<IH", VERSION, len(kb)) + kb + struct.pack("<I", len(tensors))
+    for name, arr in tensors.items():
+        a = np.ascontiguousarray(arr, dtype="<f8")     # no copy if already so
+        nb = name.encode("utf-8")
+        yield struct.pack(f"<H{len(nb)}sB{a.ndim}I", len(nb), nb, a.ndim, *a.shape)
+        yield a
+
+
+def save_params(path, kind: str, tensors: dict[str, np.ndarray]) -> None:
+    write_checksummed(path, _param_parts(kind, tensors))
 
 
 def load_params(path, expect_kind: str | None = None) -> tuple[str, dict[str, np.ndarray]]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 32 + len(MAGIC) + 4:
-        raise ArtifactError(f"{path}: truncated file")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise ArtifactError(f"{path}: checksum mismatch")
+    body = read_checksummed(path)
     off = 0
 
     def take(n):
@@ -68,19 +83,19 @@ def load_params(path, expect_kind: str | None = None) -> tuple[str, dict[str, np
     if version != VERSION:
         raise ArtifactError(f"{path}: unsupported version {version}")
     (klen,) = struct.unpack("<H", take(2))
-    kind = take(klen).decode("utf-8")
+    kind = str(take(klen), "utf-8")
     if expect_kind is not None and kind != expect_kind:
         raise ArtifactError(f"{path}: model kind {kind!r}, expected {expect_kind!r}")
     (count,) = struct.unpack("<I", take(4))
     tensors: dict[str, np.ndarray] = {}
     for _ in range(count):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        name = str(take(nlen), "utf-8")
         (rank,) = struct.unpack("<B", take(1))
-        dims = tuple(struct.unpack("<I", take(4))[0] for _ in range(rank))
+        dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims)) if dims else 1
-        payload = take(8 * size)
-        tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).copy()
+        # the one copy: each tensor owns writable memory, apart from the file's
+        tensors[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
     if off != len(body):
         raise ArtifactError(f"{path}: trailing bytes")
     return kind, tensors

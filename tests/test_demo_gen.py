@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hubplan.demos import (
+    DemoDataset,
     build_dataset,
     enumerate_failure_specs,
     failure_candidates,
@@ -15,15 +16,18 @@ from hubplan.demos import (
 from hubplan.maze import (
     BLUE,
     GREEN,
+    N_ACTIONS,
     RED,
+    VIEW_SIZE,
     Goal,
     MazeEnv,
+    Trajectory,
     all_goals,
     load_trajectory,
     replay_states,
     save_trajectory,
 )
-from hubplan.nn import ArtifactError
+from hubplan.nn import ArtifactError, save_params
 from replay_reference import replay_check
 
 
@@ -165,7 +169,7 @@ class TestTrajectoryLog:
         traj = dataset.failures[0]
         save_trajectory(traj, tmp_path / "t")
         lines = (tmp_path / "t.log").read_text().splitlines()
-        assert lines[0] == "# trajectory v2"
+        assert lines[0] == "# trajectory v3"
         assert [line for line in lines if not line.startswith("#")] == \
             [str(a) for a in traj.actions.tolist()]
 
@@ -180,3 +184,83 @@ class TestTrajectoryLog:
         log.write_text("\n".join(header + steps) + "\n")
         with pytest.raises(ArtifactError, match="gen-demos"):
             load_trajectory(tmp_path / "t")
+
+    @pytest.mark.parametrize("edit", [
+        "drop start_id", "drop start", "drop goal", "drop success",
+        "action not an integer", "action id too large", "action id negative"])
+    def test_malformed_log_rejected_naming_gen_demos(self, dataset, tmp_path, edit):
+        traj = dataset.successes[0]
+        save_trajectory(traj, tmp_path / "t")
+        log = tmp_path / "t.log"
+        lines = log.read_text().splitlines()
+        if edit.startswith("drop "):
+            lines = [line for line in lines if line.split()[:2] != ["#", edit[5:]]]
+        else:
+            lines[-1] = {"action not an integer": "turn", "action id too large": str(N_ACTIONS),
+                         "action id negative": "-1"}[edit]
+        log.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ArtifactError, match=r"t\.log: .*gen-demos"):
+            load_trajectory(tmp_path / "t")
+
+
+class TestObservationFile:
+    def test_layout_is_header_codes_digest(self, dataset, tmp_path):
+        traj = dataset.failures[0]
+        save_trajectory(traj, tmp_path / "t")
+        blob = (tmp_path / "t.obs").read_bytes()
+        rows, cols = traj.observations.shape
+        assert blob[:4] == b"HBOB"
+        assert np.frombuffer(blob, "<u4", 2, 4).tolist() == [rows, cols]
+        codes = np.frombuffer(blob, np.uint8, rows * cols, 12)
+        np.testing.assert_array_equal(codes, 4 * traj.observations.ravel())
+        assert blob[12 + rows * cols:] == hashlib.sha256(blob[:12 + rows * cols]).digest()
+
+    @pytest.mark.parametrize("damage", ["payload byte", "row count", "truncated", "stub"])
+    def test_damaged_file_rejected_before_use(self, dataset, tmp_path, damage):
+        traj = dataset.successes[0]
+        save_trajectory(traj, tmp_path / "t")
+        path = tmp_path / "t.obs"
+        blob = bytearray(path.read_bytes())
+        if damage == "payload byte":
+            blob[len(blob) // 2] ^= 0x01
+        elif damage == "row count":
+            blob[4] ^= 0x01
+        elif damage == "truncated":
+            blob = blob[:-1]
+        else:
+            blob = blob[:20]
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ArtifactError, match="checksum|truncated"):
+            load_trajectory(tmp_path / "t")
+
+    def test_row_count_must_be_actions_plus_one(self, dataset, tmp_path):
+        traj = dataset.successes[0]
+        save_trajectory(traj, tmp_path / "t")
+        log = tmp_path / "t.log"
+        log.write_text("\n".join(log.read_text().splitlines()[:-1]) + "\n")
+        with pytest.raises(ArtifactError, match="observations for"):
+            load_trajectory(tmp_path / "t")
+
+    @pytest.mark.parametrize("value", [0.1, -0.25, -0.0, 64.0, np.nan, np.inf])
+    def test_inexact_value_rejected_and_nothing_written(self, dataset, tmp_path, value):
+        good = dataset.successes[0]
+        obs = good.observations.copy()
+        obs[-1, 3] = value
+        traj = Trajectory(good.start_id, good.start, good.goal, good.success, obs, good.actions)
+        with pytest.raises(ValueError, match="integer in \\[0, 255\\]"):
+            save_trajectory(traj, tmp_path / "t")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_dataset_of_the_previous_format_rejected_naming_gen_demos(self, dataset, tmp_path):
+        one = DemoDataset(seed=0, seen=dataset.seen[:1], unseen=[], successes=dataset.successes[:1],
+                          failures=[], failure_specs=[])
+        save_dataset(one, tmp_path)
+        # the previous format: a v2 log, and the observations as float64
+        # `view` and `barrel` tensors of a parameter file
+        log = tmp_path / "success_000.log"
+        log.write_text(log.read_text().replace("# trajectory v3", "# trajectory v2"))
+        obs = one.successes[0].observations
+        save_params(tmp_path / "success_000.obs", "trajectory",
+                    {"view": obs[:, :VIEW_SIZE], "barrel": obs[:, VIEW_SIZE:] * 4})
+        with pytest.raises(ArtifactError, match="version v2, expected v3; run stage gen-demos"):
+            load_dataset(tmp_path)

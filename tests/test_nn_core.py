@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -564,6 +565,30 @@ class TestSerialization:
         assert set(back) == set(tensors)
         for k in tensors:
             np.testing.assert_array_equal(back[k], tensors[k])
+
+    def test_loaded_tensors_own_separate_writable_memory(self, tmp_path):
+        path = tmp_path / "m.bin"
+        nn.save_params(path, "policy", {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4),
+                                        "c": np.zeros((0, 2))})
+        _kind, back = nn.load_params(path)
+        arrays = list(back.values())
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # every tensor is written as contiguous little-endian float64, whatever
+        # its layout, byte order or dtype; a 0-d tensor is written as shape (1,)
+        tensors = {"w": np.arange(12.0).reshape(3, 4), "w.T": np.arange(12.0).reshape(3, 4).T,
+                   "be": np.array([0.5, -1.25], dtype=">f8"), "int": np.arange(3),
+                   "scalar": np.array(2.5)}
+        path = tmp_path / "m.bin"
+        nn.save_params(path, "policy", tensors)
+        blob = path.read_bytes()
+        assert (len(blob), hashlib.sha256(blob).hexdigest()) == \
+            (350, "4e1e9db5d29c709f3f5a723ef58c3f8e9df0d911801ce4813dc3861335372cda")
 
     def test_kind_check(self, tmp_path):
         path = tmp_path / "m.bin"

@@ -22,12 +22,13 @@ from hubplan.topology import load_topology
 from conftest import load_bench_module
 
 # seed 0 at the default config: topology.txt, metrics.json and the plans/
-# directory as `bench/workloads.py` hashes them; a change of these bytes is
-# a re-baseline and is recorded as one
+# and dataset/ directories as `bench/workloads.py` hashes them; a change of
+# these bytes is a re-baseline and is recorded as one
 DEFAULT_CONFIG_SHA256 = {
     "topology.txt": "a31c2ba4fecb12debb00d63c0efb4d18836337656de8508dcef22a0fbf9c19e6",
     "metrics.json": "aa8e0e96537b44233f8f5a75d69d20db4d6fc229ea054a630e692326f79e55c7",
     "plans": "bfc41f550ebd5818bf6639780f8b2944f04f4625b3d41896534c25d3f4b68f36",
+    "dataset": "54a7747d475715374fc6d4261b4a05a6e6ee20dd57f2c53ccc5666536bf12c22",
 }
 # the BFS ablation of that run: ablate_bfs/metrics.json and ablate_bfs/plans/
 BFS_ABLATION_SHA256 = {
@@ -70,7 +71,8 @@ class TestArtifacts:
         out = oracle_run["out"]
         got = {"topology.txt": workloads.sha256_file(out / "topology.txt"),
                "metrics.json": workloads.sha256_file(out / "metrics.json"),
-               "plans": workloads.sha256_dir(out / "plans")}
+               "plans": workloads.sha256_dir(out / "plans"),
+               "dataset": workloads.sha256_dir(out / "dataset")}
         assert got == DEFAULT_CONFIG_SHA256
 
     def test_corrupted_artifact_rejected(self, oracle_run, tmp_path):
