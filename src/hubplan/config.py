@@ -92,7 +92,8 @@ class RunConfig:
 
     @property
     def effective_match_tol(self) -> float:
-        """Start- and arrival-matching tolerance: the hub bucket width."""
+        """`epsilon`. Unread by the program, which matches hubs within the
+        topology's own `epsilon`; kept because bench/workloads.py reads it."""
         return self.epsilon
 
 

@@ -52,19 +52,11 @@ PLATEAU_PATIENCE = 40
 PLATEAU_REL = 1e-4
 
 
-@dataclass
-class EdgeTrainingSegment:
-    base: Segment
-    variant: str            # canonical | truncated | preroll
-    perturbation: int       # steps removed or prepended
-    begin: int              # first step; every variant ends at base.end
-
-
-def perturb_segment(segment: Segment, rng: np.random.Generator,
-                    cfg: RunConfig) -> EdgeTrainingSegment:
-    """Draw a boundary-perturbed variant of an edge segment: truncated with
-    probability `cfg.p_truncated`, prerolled with `cfg.p_preroll`, and
-    canonical otherwise.
+def perturb_segment(segment: Segment, rng: np.random.Generator, cfg: RunConfig) -> int:
+    """First step of a boundary-perturbed draw of an edge segment; every draw
+    ends at `segment.end`. Truncated with probability `cfg.p_truncated`
+    (the first step is later than `segment.begin`), prerolled with
+    `cfg.p_preroll` (earlier), and canonical otherwise (`segment.begin`).
 
     Truncation drops up to `cfg.max_perturbation` leading steps but never
     empties the segment; preroll prepends true predecessor steps from the
@@ -74,21 +66,14 @@ def perturb_segment(segment: Segment, rng: np.random.Generator,
         raise ValueError("segment must contain at least one action")
     r = rng.random()
     if r < 1 - cfg.p_truncated - cfg.p_preroll:
-        variant = "canonical"
-    elif r < 1 - cfg.p_preroll:
-        variant = "truncated"
-    else:
-        variant = "preroll"
-
-    if variant == "truncated":
+        return segment.begin
+    if r < 1 - cfg.p_preroll:
         room = segment.end - segment.begin - 1
         if room >= 1:
-            cut = min(int(rng.integers(1, cfg.max_perturbation + 1)), room)
-            return EdgeTrainingSegment(segment, "truncated", cut, segment.begin + cut)
-    if variant == "preroll" and segment.begin >= 1:
-        ext = min(int(rng.integers(1, cfg.max_perturbation + 1)), segment.begin)
-        return EdgeTrainingSegment(segment, "preroll", ext, segment.begin - ext)
-    return EdgeTrainingSegment(segment, "canonical", 0, segment.begin)
+            return segment.begin + min(int(rng.integers(1, cfg.max_perturbation + 1)), room)
+    elif segment.begin >= 1:
+        return segment.begin - min(int(rng.integers(1, cfg.max_perturbation + 1)), segment.begin)
+    return segment.begin
 
 
 class EdgePolicy:
@@ -264,20 +249,20 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     in_dim = OBS_SIZE + embeddings.shape[1]
 
     for epoch in range(cfg.policy_epochs):
-        variants = [perturb_segment(s, rng, cfg) for s in segs]
-        n = len(variants)
-        t_max = max(v.base.end - v.begin for v in variants)
+        begins = [perturb_segment(s, rng, cfg) for s in segs]
+        n = len(segs)
+        t_max = max(s.end - begin for s, begin in zip(segs, begins))
         xs = np.zeros((n, t_max, in_dim))
         acts = np.zeros((n, t_max), dtype=np.intp)
         mask = np.zeros((n, t_max))
-        for i, v in enumerate(variants):
-            traj, length = trajectories[v.base.traj_id], v.base.end - v.begin
-            xs[i, :length, :OBS_SIZE] = traj.observations[v.begin:v.base.end]
+        for i, (seg, begin) in enumerate(zip(segs, begins)):
+            traj, length = trajectories[seg.traj_id], seg.end - begin
+            xs[i, :length, :OBS_SIZE] = traj.observations[begin:seg.end]
             if cfg.obs_noise > 0:
                 xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, cfg.obs_noise,
                                                          size=(length, VIEW_SIZE))
-            xs[i, :length, OBS_SIZE:] = embeddings[v.base.target]
-            acts[i, :length] = traj.actions[v.begin:v.base.end]
+            xs[i, :length, OBS_SIZE:] = embeddings[seg.target]
+            acts[i, :length] = traj.actions[begin:seg.end]
             mask[i, :length] = 1.0
 
         try:

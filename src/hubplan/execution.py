@@ -59,9 +59,12 @@ def edge_budget(topology: BehaviorTopology, edge: tuple[int, int]) -> int:
 def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
             encoder, embeddings: np.ndarray, topology: BehaviorTopology,
             match_tol: float | None = None) -> ExecutionResult:
-    """Run a plan from a freshly reset environment state."""
+    """Run a plan from a freshly reset environment state. An edge is reached
+    when the encoded latent lies in the target hub's bucket or within the
+    topology's `epsilon`, the bucket width its hubs were built with, of the
+    hub's representative. (`match_tol` replaces that tolerance; no program
+    path passes it, and it stays only because bench/workloads.py does.)"""
     tol = topology.epsilon if match_tol is None else match_tol
-    hubs_by_id = {h.id: h for h in topology.hubs}
     total_steps = 0
     trace: list[EdgeTrace] = []
     dead_edge = False
@@ -70,7 +73,7 @@ def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
         if source not in bank.policies:
             dead_edge = True
             break
-        target_hub = hubs_by_id[target]
+        target_hub = topology.hubs[target]
         budget = edge_budget(topology, (source, target))
         memory = bank.policies[source].initial_memory()
         emb = embeddings[target]

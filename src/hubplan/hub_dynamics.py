@@ -159,17 +159,13 @@ def train_on_sequences(model: HubDynamicsModel, sequences: list[list[int]],
             for t in range(t_max - 1):
                 x = nn.gather_rows(model.emb, ids[:, t])
                 h = nn.gru_step(model.gru, x, h)
-                w = valid[:, t + 1] * valid[:, t]
-                if w.sum() == 0:
-                    break
+                w = valid[:, t + 1]   # padding is a suffix, so this row was valid at t
                 logits = nn.matmul(h, model.head_w) + model.head_b
                 amask = np.where(w[:, None] > 0, mask_matrix[ids[:, t]], 0.0)
                 ce = nn.softmax_cross_entropy(logits, ids[:, t + 1], additive_mask=amask,
                                               sample_weight=w)
                 term = nn.tensor.scale(ce, w.sum() / total_examples)
                 loss = term if loss is None else nn.tensor.add(loss, term)
-            if loss is None:
-                raise ValueError("no training positions")
             if not np.isfinite(loss.data):
                 raise nn.NonFiniteError("non-finite hub-dynamics loss")
             grads = nn.backprop(tape, loss)

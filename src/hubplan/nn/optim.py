@@ -8,6 +8,10 @@ from .tensor import NonFiniteError, ShapeError, Tensor
 
 __all__ = ["Adam"]
 
+BETA1 = 0.9     # decay of the first-moment average
+BETA2 = 0.999   # decay of the second-moment average
+EPS = 1e-8      # added to the second-moment root
+
 
 class Adam:
     """Adam with the usual decay constants; updates parameters in place.
@@ -17,21 +21,17 @@ class Adam:
     poisons the whole training run.
     """
 
-    def __init__(self, params: list[Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: list[Tensor], lr: float):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = 1.0 - BETA1 ** self.t
+        b2t = 1.0 - BETA2 ** self.t
         for i, p in enumerate(self.params):
             g = grads.get(p)
             if g is None:
@@ -41,8 +41,8 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for parameter {p.name!r}")
             m, v = self.m[i], self.v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)

@@ -171,16 +171,16 @@ def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, e
               encoder, start_id: int, goal: Goal,
               planner=None) -> tuple[EnvState, np.ndarray, Plan]:
     """Reset `env` to a task, encode its first observation, match the start
-    hub and plan to the goal's hubs: with `planner(topo, start_hub,
-    goal_set)` when one is given (the BFS ablation passes `bfs_plan`), else
-    with the history search.
+    hub within `topo.epsilon` and plan to the goal's hubs: with
+    `planner(topo, start_hub, goal_set)` when one is given (the BFS ablation
+    passes `bfs_plan`), else with the history search.
 
     Returns (state, observation, plan); raises NoPlanError when the start
     matches no hub or no plan reaches the goal.
     """
     state, obs = env.reset(env.starts[start_id], goal)
     encoder.begin_episode()
-    start_hub = match_start_hub(encoder.encode(obs, state), topo, cfg.effective_match_tol)
+    start_hub = match_start_hub(encoder.encode(obs, state), topo)
     goal_set = goal_hub_set(goal, topo)
     if planner is not None:
         return state, obs, planner(topo, start_hub, goal_set)
@@ -191,7 +191,8 @@ def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, e
 def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal, bool]],
              log=print, plans_subdir: str = "plans", planner=None) -> list[TaskRecord]:
     """One episode per (start, goal, seen-flag) on the run's loaded topology,
-    planned as `plan_task` does with `planner`; plans dumped next to metrics."""
+    planned as `plan_task` does with `planner` and executed with arrivals
+    matched within `topo.epsilon`; plans dumped next to metrics."""
     out = Path(cfg.out_dir)
     model = load_high_model(cfg, "eval", len(topo.hubs))
     _require(out / "policies" / "index.json", "eval", "train-policies")
@@ -222,8 +223,7 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
                                 steps=0, edges_crossed=0, planned_edges=0,
                                 plan_cost=float("nan"), failure_reason="no-plan")
         else:
-            result = execute(plan, env, state, obs, bank, encoder, embeddings, topo,
-                             match_tol=cfg.effective_match_tol)
+            result = execute(plan, env, state, obs, bank, encoder, embeddings, topo)
             path.write_text(format_plan(plan, topo) + result.format())
             record = TaskRecord(start_id=start_id, goal=str(goal), seen=seen,
                                 success=result.success, steps=result.steps,

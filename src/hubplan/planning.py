@@ -51,7 +51,10 @@ class Plan:
 
 def match_start_hub(z0: np.ndarray, topology: BehaviorTopology,
                     tol: float | None = None) -> int:
-    """Exact bucket match first, then nearest representative within tolerance."""
+    """Exact bucket match first, then the nearest representative within the
+    topology's `epsilon`, the bucket width its hubs were built with. (`tol`
+    replaces that tolerance; no program path passes it, and it stays only
+    because bench/workloads.py does.)"""
     if not topology.hubs:
         raise NoPlanError("topology has no hubs")
     tol = topology.epsilon if tol is None else tol

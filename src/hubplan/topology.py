@@ -57,16 +57,22 @@ class LatentTrajectory:
 
 @dataclass
 class Hub:
+    """A hub and the labels that make it one. Its kinds are read from them:
+    START iff some start config lands here, TERMINAL iff some trajectory
+    ends here, plus the stored convergence and divergence flags."""
     id: int
     cluster: ClusterId
     representative: np.ndarray
-    kinds: frozenset
-    terminal_meta: frozenset = frozenset()   # {(Goal, y)}; non-empty iff terminal
     start_ids: frozenset = frozenset()       # start configs whose reset state lands here
+    terminal_meta: frozenset = frozenset()   # {(Goal, y)} of the trajectories ending here
+    convergence: bool = False                # entered from >= 2 distinct clusters
+    divergence: bool = False                 # left into >= 2 distinct clusters
 
-    def __post_init__(self):
-        if (TERMINAL in self.kinds) != bool(self.terminal_meta):
-            raise TopologyError("terminal metadata must accompany the terminal kind")
+    @property
+    def kinds(self) -> frozenset:
+        flags = ((START, self.start_ids), (TERMINAL, self.terminal_meta),
+                 (CONVERGENCE, self.convergence), (DIVERGENCE, self.divergence))
+        return frozenset(kind for kind, flag in flags if flag)
 
 
 @dataclass
@@ -105,7 +111,7 @@ class BehaviorTopology:
         return self.cluster_to_hub.get(cluster)
 
     def start_hubs(self) -> list[Hub]:
-        return [h for h in self.hubs if START in h.kinds]
+        return [h for h in self.hubs if h.start_ids]
 
     def goal_hubs(self, goal: Goal) -> list[int]:
         """Terminal-success hubs whose stored goal labels match."""
@@ -177,25 +183,17 @@ def detect_hubs(latent_trajectories: list[LatentTrajectory], epsilon: float) -> 
 
     hubs: list[Hub] = []
     for c in order:
-        kinds = set()
-        if c in starts:
-            kinds.add(START)
-        if c in terminals:
-            kinds.add(TERMINAL)
-        if len(preds[c]) >= 2:
-            kinds.add(CONVERGENCE)
-        if len(succs[c]) >= 2:
-            kinds.add(DIVERGENCE)
-        if not kinds:
-            continue
-        hubs.append(Hub(
-            id=len(hubs),
-            cluster=c,
-            representative=sums[c] / counts[c],
-            kinds=frozenset(kinds),
-            terminal_meta=frozenset(terminals.get(c, ())),
-            start_ids=frozenset(starts.get(c, ())),
-        ))
+        convergence, divergence = len(preds[c]) >= 2, len(succs[c]) >= 2
+        if c in starts or c in terminals or convergence or divergence:
+            hubs.append(Hub(
+                id=len(hubs),
+                cluster=c,
+                representative=sums[c] / counts[c],
+                start_ids=frozenset(starts.get(c, ())),
+                terminal_meta=frozenset(terminals.get(c, ())),
+                convergence=convergence,
+                divergence=divergence,
+            ))
     return hubs
 
 
@@ -277,8 +275,10 @@ def _parse_meta(text: str) -> frozenset:
 
 
 def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopology:
-    """Read a saved topology whose every segment spans steps of `trajectories`
-    and whose edge lines restate its segments' edges and counts."""
+    """Read a saved topology whose hubs are numbered 0..n-1 in file order,
+    whose every hub's `kinds=` agrees with its `starts=` and `terminal=`
+    labels, whose every segment spans steps of `trajectories`, and whose edge
+    lines restate its segments' edges and counts."""
     text = Path(path).read_text()
     body, _, tail = text.rpartition("checksum ")
     if not body or hashlib.sha256(body.encode()).hexdigest() != tail.strip():
@@ -291,17 +291,27 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
     idx = 3
     n_hubs = int(lines[idx].split()[1]); idx += 1
     hubs = []
-    for _ in range(n_hubs):
-        fields = dict(kv.split("=", 1) for kv in lines[idx].split()[2:])
+    for expected_id in range(n_hubs):
         hub_id = int(lines[idx].split()[1])
-        hubs.append(Hub(
+        if hub_id != expected_id:
+            raise TopologyError(f"{path}: hub line {expected_id} holds hub {hub_id}, but hubs are "
+                                f"numbered 0..{n_hubs - 1} in order; run stage build-topology again")
+        fields = dict(kv.split("=", 1) for kv in lines[idx].split()[2:])
+        kinds = frozenset(fields["kinds"].split(","))
+        hub = Hub(
             id=hub_id,
             cluster=tuple(int(v) for v in fields["cluster"].split(",")),
             representative=np.array([float(v) for v in fields["repr"].split(",")]),
-            kinds=frozenset(fields["kinds"].split(",")),
-            terminal_meta=_parse_meta(fields["terminal"]),
             start_ids=frozenset(int(s) for s in fields["starts"].split(",") if s),
-        ))
+            terminal_meta=_parse_meta(fields["terminal"]),
+            convergence=CONVERGENCE in kinds,
+            divergence=DIVERGENCE in kinds,
+        )
+        if hub.kinds != kinds:
+            raise TopologyError(f"{path}: hub {hub_id} kinds={fields['kinds']} disagree with its "
+                                f"starts= and terminal= labels, which give "
+                                f"{','.join(sorted(hub.kinds))}; run stage build-topology again")
+        hubs.append(hub)
         idx += 1
     edge_lines = lines[idx:idx + 1 + int(lines[idx].split()[1])]
     idx += len(edge_lines)

@@ -300,7 +300,7 @@ def test_criterion_demo_validity(oracle_run):
 
 
 def test_criterion_perturbation_mix():
-    from test_edge_policies import make_segment
+    from test_edge_policies import make_segment, variant
 
     rng = np.random.default_rng(777)
     seg = make_segment(n_actions=8, begin=5)
@@ -308,7 +308,7 @@ def test_criterion_perturbation_mix():
     n = 10_000
     cfg = RunConfig()
     for _ in range(n):
-        counts[perturb_segment(seg, rng, cfg).variant] += 1
+        counts[variant(perturb_segment(seg, rng, cfg), seg)] += 1
     fracs = {k: v / n for k, v in counts.items()}
     ok = (abs(fracs["canonical"] - 0.8) <= 0.02 and abs(fracs["truncated"] - 0.1) <= 0.02
           and abs(fracs["preroll"] - 0.1) <= 0.02)

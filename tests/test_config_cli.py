@@ -17,6 +17,7 @@ from hubplan.config import ConfigError, RunConfig, parse_config, save_config
 from hubplan.edge_policies import perturb_segment, train_policy_for_hub
 from hubplan.hub_dynamics import HubDynamicsModel, train_high
 from hubplan.latent import LowLevelModel, train_low_level
+from hubplan.maze.raster import OBS_SIZE
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
 from hubplan.pipeline import derive_no_memory_config
 from hubplan.topology import Segment
@@ -155,6 +156,20 @@ class TestReadmeConfigurationTable:
         assert not missing, f"README's configuration table lacks {sorted(missing)}"
 
 
+class TestReadmeObservationWidth:
+    """README gives an observation row's width, `raster.OBS_SIZE`, in two
+    places: the `(T + 1, width)` trajectory matrix and the `.obs` file's
+    column count."""
+
+    def test_widths_are_obs_size(self):
+        text = README.read_text()
+        formats = text.split("## File formats", 1)[1].split("\n## ", 1)[0]
+        obs_file = formats.split("- **observations**", 1)[1].split("\n- **", 1)[0]
+        assert re.findall(r"column\s+count\s+\((\d+)\)", obs_file) == [str(OBS_SIZE)]
+        shapes = re.findall(r"\(T \+ 1,\s*(\d+)\)", text)
+        assert shapes and set(shapes) == {str(OBS_SIZE)}, shapes
+
+
 class TestTrainersReadRunConfig:
     """Each trainer takes the run configuration and reads its own fields."""
 
@@ -188,9 +203,8 @@ class TestTrainersReadRunConfig:
     @staticmethod
     def preroll_share(_scenario, cfg):
         rng = np.random.default_rng(0)
-        draws = [perturb_segment(Segment(0, 1, 0, begin, begin + 4), rng, cfg)
-                 for begin in range(1, 6) for _ in range(40)]
-        return sum(v.variant == "preroll" and v.begin < v.base.begin for v in draws) / len(draws)
+        segs = [Segment(0, 1, 0, begin, begin + 4) for begin in range(1, 6) for _ in range(40)]
+        return sum(perturb_segment(seg, rng, cfg) < seg.begin for seg in segs) / len(segs)
 
     @pytest.mark.parametrize("overrides, measure, expected", [
         ({"high_epochs": 3}, high_epochs, 3),

@@ -86,8 +86,11 @@ class FakeTrajectory:
         self.actions = [t % 6 for t in range(length)]
 
 
-def variant_actions(v, traj):
-    return traj.actions[v.begin:v.base.end]
+def variant(begin, seg):
+    """What a draw is, read from its first step against the segment's."""
+    if begin > seg.begin:
+        return "truncated"
+    return "preroll" if begin < seg.begin else "canonical"
 
 
 class TestPerturbSegment:
@@ -95,11 +98,10 @@ class TestPerturbSegment:
         """Empirical canonical/truncated/preroll mix over 10k seeded draws."""
         rng = np.random.default_rng(42)
         seg = make_segment(n_actions=8, begin=5)
-        traj = FakeTrajectory()
         counts = {"canonical": 0, "truncated": 0, "preroll": 0}
         n = 10_000
         for _ in range(n):
-            counts[perturb_segment(seg, rng, DEFAULTS).variant] += 1
+            counts[variant(perturb_segment(seg, rng, DEFAULTS), seg)] += 1
         assert abs(counts["canonical"] / n - 0.8) <= 0.02
         assert abs(counts["truncated"] / n - 0.1) <= 0.02
         assert abs(counts["preroll"] / n - 0.1) <= 0.02
@@ -110,27 +112,27 @@ class TestPerturbSegment:
         traj = FakeTrajectory()
         seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            v = perturb_segment(seg, rng, DEFAULTS)
-            if v.variant == "truncated":
-                assert 1 <= v.perturbation <= 3
-                assert len(variant_actions(v, traj)) == 8 - v.perturbation
-                assert variant_actions(v, traj) == seg_actions[v.perturbation:]
+            begin = perturb_segment(seg, rng, DEFAULTS)
+            if begin > seg.begin:
+                cut = begin - seg.begin
+                assert 1 <= cut <= 3
+                assert len(traj.actions[begin:seg.end]) == 8 - cut
+                assert traj.actions[begin:seg.end] == seg_actions[cut:]
 
     def test_one_action_segment_never_truncates_to_empty(self):
         rng = np.random.default_rng(1)
         seg = make_segment(n_actions=1)
         traj = FakeTrajectory()
         for _ in range(200):
-            v = perturb_segment(seg, rng, DEFAULTS)
-            assert v.variant in ("canonical", "preroll")
-            assert len(variant_actions(v, traj)) >= 1
+            begin = perturb_segment(seg, rng, DEFAULTS)
+            assert begin <= seg.begin
+            assert len(traj.actions[begin:seg.end]) >= 1
 
     def test_preroll_at_trajectory_start_falls_back(self):
         rng = np.random.default_rng(2)
         seg = make_segment(n_actions=4, begin=0)
         for _ in range(200):
-            v = perturb_segment(seg, rng, DEFAULTS)
-            assert v.variant in ("canonical", "truncated")
+            assert perturb_segment(seg, rng, DEFAULTS) >= seg.begin
 
     def test_preroll_prepends_true_predecessors(self):
         rng = np.random.default_rng(3)
@@ -138,12 +140,13 @@ class TestPerturbSegment:
         traj = FakeTrajectory()
         seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            v = perturb_segment(seg, rng, DEFAULTS)
-            if v.variant == "preroll":
-                actions = variant_actions(v, traj)
-                assert 1 <= v.perturbation <= 3
-                assert actions[v.perturbation:] == seg_actions
-                assert actions[:v.perturbation] == traj.actions[5 - v.perturbation:5]
+            begin = perturb_segment(seg, rng, DEFAULTS)
+            if begin < seg.begin:
+                ext = seg.begin - begin
+                actions = traj.actions[begin:seg.end]
+                assert 1 <= ext <= 3
+                assert actions[ext:] == seg_actions
+                assert actions[:ext] == traj.actions[5 - ext:5]
                 break
         else:
             pytest.fail("no preroll drawn")

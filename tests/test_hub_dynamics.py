@@ -12,26 +12,21 @@ from hubplan.hub_dynamics import (
     train_on_sequences,
 )
 from hubplan.maze import Goal
-from hubplan.topology import START, TERMINAL, BehaviorTopology, Hub
+from hubplan.topology import BehaviorTopology, Hub
 
 from gradient_reference import finite_diff_check
 from hub_reference import next_hub_dist
 
 
 def toy_topology(n_hubs: int, edges: set, starts=(0,), terminals=()):
+    """Each of `starts` is start config 0's hub, each of `terminals` ends a
+    successful (0, 1) demonstration, and every other hub is a convergence hub."""
     hubs = []
     for i in range(n_hubs):
-        kinds = set()
-        if i in starts:
-            kinds.add(START)
-        meta = frozenset()
-        if i in terminals:
-            kinds.add(TERMINAL)
-            meta = frozenset({(Goal(0, 1), 1)})
-        if not kinds:
-            kinds.add("convergence")
         hubs.append(Hub(i, (i * 10,), np.array([i * 0.01 + 0.0005]),
-                        frozenset(kinds), terminal_meta=meta))
+                        start_ids=frozenset({0} if i in starts else ()),
+                        terminal_meta=frozenset({(Goal(0, 1), 1)} if i in terminals else ()),
+                        convergence=i not in starts and i not in terminals))
     return BehaviorTopology(epsilon=1e-3, latent_dim=1, hubs=hubs,
                             segments={e: ["seg"] for e in edges})
 

@@ -7,17 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hubplan import nn
+from hubplan import nn, pipeline
 from hubplan.cli import main
 from hubplan.config import RunConfig
 from hubplan.demos import build_dataset, load_dataset
 from hubplan.maze import DEFAULT_MAP, Goal, MazeEnv
+from hubplan.edge_policies import EdgePolicy, PolicyBank, save_bank
 from hubplan.hub_dynamics import HubDynamicsModel
 from hubplan.latent import LearnedEncoder, LowLevelModel
 from hubplan.pipeline import (HIGH_KIND, LOW_KIND, StageError, ablate_bfs, evaluate,
-                              load_high_model, make_encoder, stage_eval, stage_train_high)
-from hubplan.planning import bfs_plan
-from hubplan.topology import load_topology
+                              load_high_model, make_encoder, plan_task, stage_eval,
+                              stage_train_high)
+from hubplan.planning import NoPlanError, bfs_plan
+from hubplan.topology import BehaviorTopology, Hub, Segment, load_topology
 
 from conftest import load_bench_module
 
@@ -184,6 +186,60 @@ class TestStageGuards:
         seen = {(sid, str(g)) for sid, g in ds.seen}
         for traj in ds.trajectories:
             assert (traj.start_id, str(traj.goal)) in seen
+
+
+class TestMatchingTolerance:
+    """Start and arrival hubs match within the topology's `epsilon`, the
+    bucket width its hubs were built with, even where `cfg.epsilon` is wider."""
+
+    EPS = 1e-3
+    OFF = 2e-3      # beyond EPS of a representative, within the run's epsilon
+
+    class StubEncoder:
+        """The first latent of an episode is `first`, every later one `later`."""
+
+        def __init__(self, first, later):
+            self.first, self.later = first, later
+
+        def begin_episode(self):
+            self.calls = 0
+
+        def encode(self, obs, state):
+            self.calls += 1
+            return np.array([self.first if self.calls == 1 else self.later])
+
+    def topology(self):
+        """Start hub 0 at bucket 0, goal hub 1 at bucket 10, one edge 0 -> 1."""
+        hubs = [Hub(0, (0,), np.array([0.5 * self.EPS]), start_ids=frozenset({0})),
+                Hub(1, (10,), np.array([10.5 * self.EPS]),
+                    terminal_meta=frozenset({(Goal(0, 1), 1)}))]
+        return BehaviorTopology(self.EPS, 1, hubs, {(0, 1): [Segment(0, 1, 0, 0, 5)]})
+
+    def test_plan_task_start_outside_topology_epsilon(self, tmp_path):
+        topo = self.topology()
+        cfg = RunConfig(out_dir=str(tmp_path), epsilon=5 * self.EPS)
+        encoder = self.StubEncoder(topo.hubs[0].representative[0] + self.OFF, 0.0)
+        with pytest.raises(NoPlanError, match="tolerance"):
+            plan_task(cfg, topo, None, MazeEnv(), encoder, 0, Goal(0, 1), planner=bfs_plan)
+
+    @pytest.mark.parametrize("off", ["start", "arrival"])
+    def test_evaluate_matches_within_topology_epsilon(self, tmp_path, monkeypatch, off):
+        topo = self.topology()
+        cfg = RunConfig(out_dir=str(tmp_path), epsilon=5 * self.EPS)
+        model = HubDynamicsModel(np.random.default_rng(0), n_hubs=2)
+        nn.save_params(tmp_path / "highlevel.bin", HIGH_KIND, model.tensors())
+        policy = EdgePolicy(np.random.default_rng(1), model.emb_dim)
+        save_bank(PolicyBank(model.emb_dim, {0: policy}), tmp_path / "policies")
+        start, goal = (h.representative[0] for h in topo.hubs)
+        encoder = (self.StubEncoder(start + self.OFF, goal) if off == "start"
+                   else self.StubEncoder(start, goal + self.OFF))
+        monkeypatch.setattr(pipeline, "make_encoder", lambda _cfg, _out: encoder)
+        [record] = evaluate(cfg, topo, [(0, Goal(0, 1), True)], log=lambda _line: None)
+        if off == "start":
+            assert record.failure_reason == "no-plan"
+        else:
+            assert (record.planned_edges, record.edges_crossed) == (1, 0)
+            assert record.failure_reason in ("hub-timeout", "env-terminal")
 
 
 class TestPlanCli:

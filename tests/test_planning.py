@@ -12,23 +12,21 @@ from hubplan.planning import (
     match_start_hub,
     search,
 )
-from hubplan.topology import START, TERMINAL, BehaviorTopology, Hub, bucket_of
+from hubplan.topology import BehaviorTopology, Hub, bucket_of
 
 EPS = 1e-3
 
 
 def toy_topology(n_hubs, edges, terminals=()):
+    """Hub 0 is start config 0's hub, each of `terminals` ends a successful
+    (0, 1) demonstration, and every other hub is a convergence hub."""
     hubs = []
     for i in range(n_hubs):
-        kinds = {START} if i == 0 else set()
-        meta = frozenset()
-        if i in terminals:
-            kinds.add(TERMINAL)
-            meta = frozenset({(Goal(0, 1), 1)})
-        if not kinds:
-            kinds.add("convergence")
         z = np.array([(10 * i + 0.5) * EPS])
-        hubs.append(Hub(i, bucket_of(z, EPS), z, frozenset(kinds), terminal_meta=meta))
+        hubs.append(Hub(i, bucket_of(z, EPS), z,
+                        start_ids=frozenset({0} if i == 0 else ()),
+                        terminal_meta=frozenset({(Goal(0, 1), 1)} if i in terminals else ()),
+                        convergence=i != 0 and i not in terminals))
     return BehaviorTopology(epsilon=EPS, latent_dim=1, hubs=hubs,
                             segments={e: ["seg"] for e in edges})
 
@@ -221,11 +219,9 @@ class TestMatching:
 
     def test_goal_set_excludes_failures(self):
         hubs = [
-            Hub(0, (0,), np.array([0.0005]), frozenset({START})),
-            Hub(1, (10,), np.array([0.0105]), frozenset({TERMINAL}),
-                terminal_meta=frozenset({(Goal(0, 1), 1)})),
-            Hub(2, (20,), np.array([0.0205]), frozenset({TERMINAL}),
-                terminal_meta=frozenset({(Goal(0, 1), 0)})),
+            Hub(0, (0,), np.array([0.0005]), start_ids=frozenset({0})),
+            Hub(1, (10,), np.array([0.0105]), terminal_meta=frozenset({(Goal(0, 1), 1)})),
+            Hub(2, (20,), np.array([0.0205]), terminal_meta=frozenset({(Goal(0, 1), 0)})),
         ]
         topo = BehaviorTopology(EPS, 1, hubs, {(0, 1): ["s"], (0, 2): ["s"]})
         assert goal_hub_set(Goal(0, 1), topo) == {1}

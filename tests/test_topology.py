@@ -18,6 +18,7 @@ from hubplan.topology import (
     TERMINAL,
     Hub,
     LatentTrajectory,
+    TopologyError,
     bucket_of,
     bucket_rows,
     build_topology,
@@ -335,6 +336,13 @@ class TestSerialization:
         with pytest.raises(TopologyError, match="topo.txt"):
             load_topology(path, trajs)
 
+    @staticmethod
+    def write_with_checksum(path, lines):
+        """Write body lines under a fresh checksum, so only the load checks
+        can reject them."""
+        body = "\n".join(lines) + "\n"
+        path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+
     @pytest.mark.parametrize("edit", ["count", "edge"])
     def test_edge_lines_must_match_segments(self, tmp_path, edit):
         t0 = make_lt(0, [[0, 0], [1, 0], [5, 5], [6, 6], [9, 9]])
@@ -348,18 +356,63 @@ class TestSerialization:
         # one more segment than the file holds, or an edge no segment travels
         lines[i] = f"edge {s} {t} segments={n + 1}" if edit == "count" else \
             f"edge {t} {s} segments={n}"
-        body = "\n".join(lines) + "\n"
-        path.write_text(body + f"checksum {hashlib.sha256(body.encode()).hexdigest()}\n")
+        self.write_with_checksum(path, lines)
         from hubplan.topology import TopologyError
 
         with pytest.raises(TopologyError, match="edge lines"):
+            load_topology(path, [FakeTraj(4), FakeTraj(3)])
+
+    @staticmethod
+    def saved_hub_lines(path, latent):
+        """Save the topology of `latent`; return its body lines and the
+        indices of its hub lines."""
+        save_topology(build_topology(latent, detect_hubs(latent, EPS), EPS), path)
+        lines = path.read_text().rpartition("checksum ")[0].splitlines()
+        return lines, [k for k, line in enumerate(lines) if line.startswith("hub ")]
+
+    @pytest.mark.parametrize("edit", ["starts-emptied", "start-kind-dropped",
+                                      "terminal-emptied", "terminal-kind-dropped"])
+    def test_kinds_must_agree_with_labels(self, tmp_path, edit):
+        t0 = make_lt(0, [[0, 0], [1, 0], [5, 5], [6, 6], [9, 9]], goal=Goal(2, 0))
+        t1 = make_lt(1, [[0, 3], [5, 5], [7, 7], [9, 9]], start_id=1)
+        path = tmp_path / "topo.txt"
+        lines, hub_rows = self.saved_hub_lines(path, [t0, t1])
+        kind = START if edit.startswith("start") else TERMINAL
+        k = next(k for k in hub_rows if kind in lines[k].split()[2])
+        head, fields = lines[k].split()[:2], dict(kv.split("=", 1) for kv in lines[k].split()[2:])
+        if edit.endswith("emptied"):
+            fields["starts" if kind == START else "terminal"] = ""
+        else:
+            fields["kinds"] = ",".join(sorted(set(fields["kinds"].split(",")) - {kind})) \
+                or CONVERGENCE
+        lines[k] = " ".join(head + [f"{key}={value}" for key, value in fields.items()])
+        self.write_with_checksum(path, lines)
+
+        with pytest.raises(TopologyError, match="build-topology"):
+            load_topology(path, [FakeTraj(4), FakeTraj(3)])
+
+    @pytest.mark.parametrize("edit", ["swapped", "skipped"])
+    def test_hub_ids_must_count_up_from_zero(self, tmp_path, edit):
+        t0 = make_lt(0, [[0, 0], [1, 0], [5, 5], [6, 6], [9, 9]])
+        t1 = make_lt(1, [[0, 3], [5, 5], [7, 7], [9, 9]], start_id=1)
+        path = tmp_path / "topo.txt"
+        lines, hub_rows = self.saved_hub_lines(path, [t0, t1])
+        first, last = hub_rows[0], hub_rows[-1]
+        if edit == "swapped":
+            lines[first], lines[first + 1] = lines[first + 1], lines[first]
+        else:
+            _hub, hub_id, rest = lines[last].split(" ", 2)
+            lines[last] = f"hub {int(hub_id) + 1} {rest}"
+        self.write_with_checksum(path, lines)
+
+        with pytest.raises(TopologyError, match="build-topology"):
             load_topology(path, [FakeTraj(4), FakeTraj(3)])
 
 
 class TestMatchesHub:
     def test_exact_bucket_and_tolerance(self):
         z = lat([[3, 3]])[0]
-        hub = Hub(0, bucket_of(z, EPS), z.copy(), frozenset({START}))
+        hub = Hub(0, bucket_of(z, EPS), z.copy(), start_ids=frozenset({0}))
         assert matches_hub(z, hub, EPS, EPS)
         assert matches_hub(z + EPS / 10, hub, EPS, EPS)
         assert not matches_hub(z + 10 * EPS, hub, EPS, EPS)
