@@ -160,7 +160,7 @@ def train_on_sequences(model: HubDynamicsModel, sequences: list[list[int]],
                 x = nn.gather_rows(model.emb, ids[:, t])
                 h = nn.gru_step(model.gru, x, h)
                 w = valid[:, t + 1]   # padding is a suffix, so this row was valid at t
-                logits = nn.matmul(h, model.head_w) + model.head_b
+                logits = nn.linear(h, model.head_w, model.head_b)
                 amask = np.where(w[:, None] > 0, mask_matrix[ids[:, t]], 0.0)
                 ce = nn.softmax_cross_entropy(logits, ids[:, t + 1], additive_mask=amask,
                                               sample_weight=w)

@@ -5,7 +5,8 @@ recurrent history correction; the dynamics head predicts the next latent
 from (latent, action); the decoder reconstructs next-observation content
 (raster, the two barrel slots, terminal status) from the predicted latent.
 
-`LowLevelModel` records its steps on the tape, for training only.
+`LowLevelModel` records its steps on the tape, for training only; each
+dense layer is one fused `nn.linear` node.
 `LearnedEncoder.encode` is plain numpy: it runs the encoder MLP, the GRU
 input projections and the correction head once over a (T, 1, width) stack
 of a whole observation matrix, and only the GRU memory update per step.
@@ -82,26 +83,27 @@ class LowLevelModel:
     # -- network pieces -----------------------------------------------------
 
     def immediate_summary(self, obs_batch) -> nn.Tensor:
-        h = nn.relu(nn.matmul(obs_batch, self.enc_w1) + self.enc_b1)
-        return nn.tanh(nn.matmul(h, self.enc_w2) + self.enc_b2)
+        h = nn.relu(nn.linear(obs_batch, self.enc_w1, self.enc_b1))
+        return nn.tanh(nn.linear(h, self.enc_w2, self.enc_b2))
 
     def encode_step(self, obs_batch, h_prev):
         """One encoding step; returns (latent, new hidden)."""
         imm = self.immediate_summary(obs_batch)
         h_new = nn.gru_step(self.gru, imm, h_prev)
-        z = imm + (nn.matmul(h_new, self.enc_corr_w) + self.enc_corr_b)
+        z = imm + nn.linear(h_new, self.enc_corr_w, self.enc_corr_b)
         return z, h_new
 
     def predict_next(self, z, action_onehot) -> nn.Tensor:
+        # (z @ wz + a @ wa) + b1 rounds as written; no single `linear` computes it
         pre = nn.relu(nn.matmul(z, self.dyn_wz) + nn.matmul(action_onehot, self.dyn_wa) + self.dyn_b1)
-        return nn.matmul(pre, self.dyn_w2) + self.dyn_b2
+        return nn.linear(pre, self.dyn_w2, self.dyn_b2)
 
     def decode(self, z_hat):
-        d = nn.relu(nn.matmul(z_hat, self.dec_w1) + self.dec_b1)
-        vis = nn.matmul(d, self.dec_vis_w) + self.dec_vis_b
-        bar0 = nn.matmul(d, self.dec_bar0_w) + self.dec_bar0_b
-        bar1 = nn.matmul(d, self.dec_bar1_w) + self.dec_bar1_b
-        term = nn.matmul(d, self.dec_term_w) + self.dec_term_b
+        d = nn.relu(nn.linear(z_hat, self.dec_w1, self.dec_b1))
+        vis = nn.linear(d, self.dec_vis_w, self.dec_vis_b)
+        bar0 = nn.linear(d, self.dec_bar0_w, self.dec_bar0_b)
+        bar1 = nn.linear(d, self.dec_bar1_w, self.dec_bar1_b)
+        term = nn.linear(d, self.dec_term_w, self.dec_term_b)
         return vis, bar0, bar1, term
 
 

@@ -1,11 +1,14 @@
 """Training loop for the low-level latent model.
 
-Each trajectory's observation matrix is copied once into a zero-padded
-(trajectories, steps + 1, OBS_SIZE) batch; the view and barrel targets are
-read from that batch. The batch is processed in fixed windows of
-`history_len` transitions; the recurrent hidden state crosses window
-boundaries by value only (detached), which clips backpropagation through
-time to the window. Each window is one optimizer step.
+The trajectories are processed in fixed windows of `history_len`
+transitions. Each window is one optimizer step, run in its own function:
+the window's observation rows a..b of every trajectory are copied into a
+zero-padded (trajectories, b - a + 1, OBS_SIZE) batch, the view and barrel
+targets are read from it, and the window's tape and batch are freed before
+the next window's forward pass starts, so training holds the graph and
+observations of one window at a time. The recurrent hidden state crosses
+window boundaries by value only (detached), which clips backpropagation
+through time to the window.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from ..config import RunConfig
 from ..maze.env import N_ACTIONS
 from ..maze.raster import OBS_SIZE, VIEW_SIZE, channel_weights
 from ..maze.trajectory import Trajectory
+from ..nn.tensor import _accum, _node, _wrap
 from .model import LowLevelModel
 
 # weights of the per-step loss terms: latent prediction, view reconstruction,
@@ -27,96 +31,117 @@ W_BARREL = 1.0
 W_TERMINAL = 0.5
 
 
-def weighted_sq_error(pred, target, weight: np.ndarray, normalizer: float):
-    """Sum of weight * (pred - target)^2 over every entry, divided by
-    `normalizer`; exactly 0 when equal. `weight` broadcasts against the
-    (batch, width) difference: a row mask, or a mask times channel weights."""
-    diff = nn.tensor.sub(pred, target)
-    return nn.tensor.scale(nn.sum_all(nn.tensor.mul(nn.tensor.mul(diff, diff), weight)),
-                           1.0 / normalizer)
+def weighted_sq_error(pred, target, weight: np.ndarray, normalizer: float,
+                      channel_weight: np.ndarray | None = None) -> nn.Tensor:
+    """Sum of w * (pred - target)^2 over every entry, divided by
+    `normalizer`; exactly 0 when equal. w is `weight`, which broadcasts
+    against the (batch, width) difference (a row mask), times
+    `channel_weight[j]` in column j when that is given.
+
+    One tape node that keeps only the difference and recomputes w in its
+    backward. Loss and gradients are bit-identical to the composition
+    sub, mul(diff, diff), mul(., w), sum_all, scale: the backward repeats
+    its float ops, G = (g * c) * w, t = G * diff, d = t + t, then d to
+    `pred` and -d to `target`."""
+    pred, target = _wrap(pred), _wrap(target)
+    c = float(1.0 / normalizer)
+
+    def w():
+        return weight if channel_weight is None else weight * channel_weight[None, :]
+
+    diff = pred.data - target.data
+    data = np.asarray((diff * diff * w()).sum()) * c
+
+    def backward(g):
+        t = g * c * w() * diff
+        d = t + t
+        if pred.requires_grad:
+            _accum(pred, d)
+        if target.requires_grad:
+            _accum(target, -d)
+
+    return _node(data, (pred, target), backward)
 
 
-def _pack(trajectories: list[Trajectory]):
-    n = len(trajectories)
-    t_max = max(len(t) for t in trajectories)
-    obs = np.zeros((n, t_max + 1, OBS_SIZE))
-    term_tgt = np.zeros((n, t_max + 1, 2))
-    actions = np.zeros((n, t_max), dtype=np.intp)
-    mask = np.zeros((n, t_max))
+def _pack_window(trajectories: list[Trajectory], a: int, b: int) -> np.ndarray:
+    """Observation rows a..b of every trajectory, zero past its end."""
+    obs = np.zeros((len(trajectories), b - a + 1, OBS_SIZE))
     for i, traj in enumerate(trajectories):
-        ln = len(traj)
-        obs[i, :ln + 1] = traj.observations
-        actions[i, :ln] = traj.actions
-        mask[i, :ln] = 1.0
-        term_tgt[i, ln, 0] = 1.0
-        term_tgt[i, ln, 1] = 1.0 if traj.success else 0.0
-    # a barrel slot holds (color + 1) / 4, exactly, so 4x is its class id
-    barrel_tgt = (obs[:, :, VIEW_SIZE:] * 4).astype(np.intp)
-    return obs, obs[:, :, :VIEW_SIZE], barrel_tgt, term_tgt, actions, mask
+        rows = traj.observations[a:b + 1]
+        obs[i, :len(rows)] = rows
+    return obs
 
 
 def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
                     cfg: RunConfig) -> list[float]:
     """`cfg.low_epochs` epochs at `cfg.lr_low` in windows of `cfg.history_len`
     transitions. Returns the per-epoch mean loss; raises on a non-finite loss."""
-    obs, vis_tgt, barrel_tgt, term_tgt, actions, mask = _pack(trajectories)
-    n, t_max = mask.shape
+    n = len(trajectories)
+    t_max = max(len(t) for t in trajectories)
+    term_tgt = np.zeros((n, t_max + 1, 2))
+    actions = np.zeros((n, t_max), dtype=np.intp)
+    mask = np.zeros((n, t_max))
+    for i, traj in enumerate(trajectories):
+        ln = len(traj)
+        actions[i, :ln] = traj.actions
+        mask[i, :ln] = 1.0
+        term_tgt[i, ln, 0] = 1.0
+        term_tgt[i, ln, 1] = 1.0 if traj.success else 0.0
     eye = np.eye(N_ACTIONS)
     cw = channel_weights()
     cw_norm = cw / cw.sum()
-    params = model.parameters()
-    opt = nn.Adam(params, lr=cfg.lr_low)
+    opt = nn.Adam(model.parameters(), lr=cfg.lr_low)
     windows = [(a, min(a + cfg.history_len, t_max)) for a in range(0, t_max, cfg.history_len)]
+
+    def window(a: int, b: int, hidden: np.ndarray, epoch: int) -> tuple[float, np.ndarray]:
+        """One optimizer step over transitions a..b-1 from `hidden`; returns
+        the window's mean step loss and the hidden state before obs[b], from
+        which the next window re-encodes obs[b]. Every step has a valid row:
+        the longest trajectory runs to t_max."""
+        obs = _pack_window(trajectories, a, b)
+        vis_tgt = obs[:, :, :VIEW_SIZE]
+        # a barrel slot holds (color + 1) / 4, exactly, so 4x is its class id
+        barrel_tgt = (obs[:, :, VIEW_SIZE:] * 4).astype(np.intp)
+        with nn.Tape() as tape:
+            z, h = model.encode_step(nn.Tensor(obs[:, 0]), nn.Tensor(hidden))
+            losses = []
+            for t in range(a, b):
+                k = t + 1 - a       # obs[t + 1] in the window's batch
+                valid = mask[:, t]
+                count = valid.sum()
+                z_hat = model.predict_next(z, nn.Tensor(eye[actions[:, t]]))
+                carry = h.data
+                z_next, h = model.encode_step(nn.Tensor(obs[:, k]), h)
+                w_col = valid[:, None]
+                l_z = weighted_sq_error(z_hat, z_next, w_col, count)
+                vis, bar0, bar1, term = model.decode(z_hat)
+                l_vis = weighted_sq_error(vis, vis_tgt[:, k], w_col, count, cw_norm)
+                l_bar = nn.softmax_cross_entropy(bar0, barrel_tgt[:, k, 0], sample_weight=valid)
+                l_bar = nn.tensor.add(l_bar, nn.softmax_cross_entropy(
+                    bar1, barrel_tgt[:, k, 1], sample_weight=valid))
+                l_term = nn.bce_with_logits(term, term_tgt[:, t + 1], sample_weight=valid)
+                losses.append(nn.tensor.add(
+                    nn.tensor.add(nn.tensor.scale(l_z, W_Z), nn.tensor.scale(l_vis, W_VIS)),
+                    nn.tensor.add(nn.tensor.scale(l_bar, W_BARREL),
+                                  nn.tensor.scale(l_term, W_TERMINAL))))
+            window_loss = losses[0]
+            for extra in losses[1:]:
+                window_loss = nn.tensor.add(window_loss, extra)
+            window_loss = nn.tensor.scale(window_loss, 1.0 / (b - a))
+            if not np.isfinite(window_loss.data):
+                raise nn.NonFiniteError(
+                    f"non-finite training loss at epoch {epoch}, window {a}:{b}")
+            grads = nn.backprop(tape, window_loss)
+        opt.step(grads)
+        return float(window_loss.data), carry.copy()  # detach: clips BPTT at the boundary
 
     epoch_losses: list[float] = []
     for epoch in range(cfg.low_epochs):
         hidden = np.zeros((n, model.latent_dim))
         total, steps = 0.0, 0
         for a, b in windows:
-            with nn.Tape() as tape:
-                h = nn.Tensor(hidden)
-                z, h = model.encode_step(nn.Tensor(obs[:, a]), h)
-                losses = []
-                n_valid_steps = 0
-                carry = hidden
-                for t in range(a, b):
-                    valid = mask[:, t]
-                    count = valid.sum()
-                    if count == 0:
-                        break
-                    n_valid_steps += 1
-                    z_hat = model.predict_next(z, nn.Tensor(eye[actions[:, t]]))
-                    # hidden before encoding obs[t+1]; the next window re-encodes
-                    # obs[b] starting from exactly this value
-                    carry = h.data
-                    z_next, h = model.encode_step(nn.Tensor(obs[:, t + 1]), h)
-                    w_col = valid[:, None]
-                    l_z = weighted_sq_error(z_hat, z_next, w_col, count)
-                    vis, bar0, bar1, term = model.decode(z_hat)
-                    l_vis = weighted_sq_error(vis, nn.Tensor(vis_tgt[:, t + 1]),
-                                              w_col * cw_norm[None, :], count)
-                    l_bar = nn.softmax_cross_entropy(bar0, barrel_tgt[:, t + 1, 0], sample_weight=valid)
-                    l_bar = nn.tensor.add(l_bar, nn.softmax_cross_entropy(
-                        bar1, barrel_tgt[:, t + 1, 1], sample_weight=valid))
-                    l_term = nn.bce_with_logits(term, term_tgt[:, t + 1], sample_weight=valid)
-                    step_loss = nn.tensor.add(
-                        nn.tensor.add(nn.tensor.scale(l_z, W_Z), nn.tensor.scale(l_vis, W_VIS)),
-                        nn.tensor.add(nn.tensor.scale(l_bar, W_BARREL),
-                                      nn.tensor.scale(l_term, W_TERMINAL)))
-                    losses.append(step_loss)
-                if not losses:
-                    break
-                window_loss = losses[0]
-                for extra in losses[1:]:
-                    window_loss = nn.tensor.add(window_loss, extra)
-                window_loss = nn.tensor.scale(window_loss, 1.0 / n_valid_steps)
-                if not np.isfinite(window_loss.data):
-                    raise nn.NonFiniteError(
-                        f"non-finite training loss at epoch {epoch}, window {a}:{b}")
-                grads = nn.backprop(tape, window_loss)
-            opt.step(grads)
-            hidden = carry.copy()  # detach: clips BPTT at the window boundary
-            total += float(window_loss.data) * n_valid_steps
-            steps += n_valid_steps
+            loss, hidden = window(a, b, hidden, epoch)
+            total += loss * (b - a)
+            steps += b - a
         epoch_losses.append(total / max(steps, 1))
     return epoch_losses

@@ -19,6 +19,11 @@ class Adam:
     Deterministic given the sequence of gradients. Rejects non-finite
     gradients with the offending parameter's name, since a silent NaN here
     poisons the whole training run.
+
+    A step writes each update through two scratch buffers the size of the
+    largest parameter, not fresh temporaries, doing the textbook update's
+    float ops in its order, so every value is bit-identical to it
+    (`tests/test_nn_core.py::TestAdam`).
     """
 
     def __init__(self, params: list[Tensor], lr: float):
@@ -27,6 +32,8 @@ class Adam:
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
+        size = max((p.data.size for p in self.params), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self, grads: dict[Tensor, np.ndarray]) -> None:
         self.t += 1
@@ -41,8 +48,16 @@ class Adam:
             if not np.all(np.isfinite(g)):
                 raise NonFiniteError(f"non-finite gradient for parameter {p.name!r}")
             m, v = self.m[i], self.v[i]
+            a, b = (s[:g.size].reshape(g.shape) for s in self._scratch)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=a)
             v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            p.data -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)
+            np.multiply(g, g, out=a)
+            v += np.multiply(a, 1.0 - BETA2, out=a)
+            np.divide(m, b1t, out=a)                 # lr * (m / b1t) / (sqrt(v / b2t) + eps)
+            a *= self.lr
+            np.divide(v, b2t, out=b)
+            np.sqrt(b, out=b)
+            b += EPS
+            a /= b
+            p.data -= a

@@ -7,10 +7,18 @@ just compute values. Only training records on a tape (the hub and low-level
 models); every inference path is plain numpy.
 
 A node's backward is any closure that hands gradients to its parents with
-`_accum`. Most ops here are one primitive each; a fused node (the gated
-recurrent step in `layers.py`) runs a whole hand-written backward in one
-call and passes each contribution to a parent separately, in the order the
-unfused composition would, so its gradients are bit-identical to it.
+`_accum`. Most ops here are one primitive each; a fused node (`linear`, the
+gated recurrent step in `layers.py`, the low-level model's weighted squared
+error) runs a whole hand-written backward in one call and passes each
+contribution to a parent separately, in the order the unfused composition
+would, so its gradients are bit-identical to it. A fused node also keeps
+fewer arrays alive than the intermediate nodes it replaces.
+`tests/lowlevel_reference.py` and `tests/test_nn_core.py` hold the unfused
+compositions.
+
+The sweep drops each node's gradient once that node's backward has run, so
+at any point it holds only the gradients of nodes still to be visited, not
+one per node of the tape.
 
 Everything is float64. Tensor shapes are at most rank 2; broadcasting is
 limited to the usual (B, n) + (n,) bias pattern. The plain-numpy softmax
@@ -29,6 +37,7 @@ __all__ = [
     "parameter",
     "backprop",
     "matmul",
+    "linear",
     "relu",
     "tanh",
     "scale",
@@ -215,6 +224,26 @@ def matmul(a, b) -> Tensor:
     return _node(data, (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for a (batch, in) input, an (in, out) weight and an (out,)
+    bias: one node in place of `matmul` then `add`. Its backward hands out
+    the bias, input and weight gradients in that order, as the pair would."""
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul shapes {x.data.shape} x {w.data.shape}")
+    data = x.data @ w.data + b.data
+
+    def backward(g):
+        if b.requires_grad:
+            _accum(b, _unbroadcast(g, b.data.shape))
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+
+    return _node(data, (x, w, b), backward)
+
+
 def relu(a) -> Tensor:
     a = _wrap(a)
     data = np.maximum(a.data, 0.0)
@@ -387,8 +416,9 @@ def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = 
 def backprop(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Gradient of a scalar loss w.r.t. every parameter reachable on the tape.
 
-    Returns a map keyed by the parameter Tensor objects. Grad buffers on the
-    tape are cleared afterwards so repeated calls never leak accumulation.
+    Returns a map keyed by the parameter Tensor objects. A node's gradient
+    is dropped as soon as its backward has run; the parameters' buffers are
+    cleared afterwards, so repeated calls never leak accumulation.
     """
     if loss.data.shape != ():
         raise ShapeError(f"loss must be scalar, got shape {loss.data.shape}")
@@ -406,13 +436,13 @@ def backprop(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     loss.grad = np.ones((), dtype=np.float64)
     for node in reversed(tape.nodes):
-        if node.grad is None or node._backward is None:
+        g = node.grad
+        if g is None or node._backward is None:
             continue
-        node._backward(node.grad)
+        node.grad = None
+        node._backward(g)
 
     grads = {p: p.grad for p in params if p.grad is not None}
-    for node in tape.nodes:
-        node.grad = None
     for p in params:
         p.grad = None
     return grads

@@ -128,7 +128,8 @@ def _load_topology(cfg: RunConfig, stage: str) -> tuple[DemoDataset, BehaviorTop
 
 def stage_train_high(cfg: RunConfig, log=print) -> HubDynamicsModel:
     out = Path(cfg.out_dir)
-    _ds, topo = _load_topology(cfg, "train-high")
+    # the dataset only checks the topology's spans; its observations are freed here
+    topo = _load_topology(cfg, "train-high")[1]
     model = HubDynamicsModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x41])),
                              n_hubs=len(topo.hubs))
     pre = pretrain_on_traversals(model, topo, cfg)

@@ -12,6 +12,7 @@ from hubplan.maze.raster import OBS_SIZE
 from hubplan.nn import tensor as T
 
 from gradient_reference import finite_diff_check, sigmoid
+from lowlevel_reference import unfused_linear
 
 
 def make_gru(rng, n_in, n_h):
@@ -124,6 +125,25 @@ class TestBackprop:
         err = finite_diff_check(f, [w1, b1, w2, b2], h=1e-5)
         assert err < 1e-4
 
+    def test_gradient_dropped_once_its_node_has_run(self):
+        x = nn.parameter(np.array([[0.3, -0.2]]), "x")
+        with nn.Tape() as tape:
+            y1 = nn.tanh(x)
+            y2 = nn.tanh(y1)
+            loss = nn.sum_all(T.mul(y2, y2))
+        seen = []
+        backward = y1._backward
+
+        def spy(g):
+            seen.append((y1.grad, y2.grad, loss.grad))
+            backward(g)
+
+        y1._backward = spy
+        grads = nn.backprop(tape, loss)
+        assert seen == [(None, None, None)]
+        assert all(node.grad is None for node in tape.nodes)
+        assert set(grads) == {x}
+
     def test_forward_twice_is_bit_identical(self):
         rng = np.random.default_rng(3)
         w = nn.init_weight(rng, 3, 3, "w")
@@ -232,6 +252,70 @@ class TestFusedGru:
 
         self.assert_same_grads(loss_fn, [x, *p.tensors().values()])
         assert h0.grad is None
+
+
+class TestFusedLinear:
+    """`linear` is one tape node whose value and gradients equal `matmul`
+    then `add` exactly."""
+
+    def assert_same(self, loss_fn, params):
+        results = []
+        for lin in (nn.linear, unfused_linear):
+            with nn.Tape() as tape:
+                loss = loss_fn(lin)
+            results.append((loss.data, nn.backprop(tape, loss)))
+        (loss, grads), (ref_loss, ref) = results
+        assert np.array_equal(loss, ref_loss)
+        assert set(grads) == set(ref) == set(params)
+        for q in params:
+            assert np.array_equal(grads[q], ref[q]), q.name
+
+    def test_one_node(self):
+        rng = np.random.default_rng(0)
+        with nn.Tape() as tape:
+            out = nn.linear(rng.normal(size=(3, 4)), nn.init_weight(rng, 4, 2, "w"),
+                            nn.init_bias(2, "b"))
+        assert len(tape.nodes) == 1 and out.data.shape == (3, 2)
+        with pytest.raises(nn.ShapeError):
+            nn.linear(np.ones((3, 5)), np.ones((4, 2)), np.ones(2))
+
+    def test_input_feeds_later_nodes(self):
+        # an MLP whose hidden layer also feeds a later add, as the encoder's
+        # summary does; the input is data and receives no gradient
+        rng = np.random.default_rng(1)
+        w1, b1 = nn.init_weight(rng, 6, 5, "w1"), nn.parameter(rng.normal(size=5), "b1")
+        w2, b2 = nn.init_weight(rng, 5, 5, "w2"), nn.parameter(rng.normal(size=5), "b2")
+        w3, b3 = nn.init_weight(rng, 5, 3, "w3"), nn.parameter(rng.normal(size=3), "b3")
+        x = rng.normal(size=(4, 6))
+        tgt = rng.integers(0, 3, size=4)
+
+        def loss_fn(lin):
+            h = nn.tanh(lin(nn.Tensor(x), w1, b1))
+            z = T.add(h, lin(h, w2, b2))
+            return nn.softmax_cross_entropy(lin(nn.relu(z), w3, b3), tgt)
+
+        self.assert_same(loss_fn, [w1, b1, w2, b2, w3, b3])
+
+    def test_only_input_needs_gradient(self):
+        rng = np.random.default_rng(2)
+        x = nn.parameter(rng.normal(size=(3, 4)), "x")
+        w, b = rng.normal(size=(4, 2)), rng.normal(size=2)
+
+        def loss_fn(lin):
+            y = lin(x, w, b)
+            return nn.sum_all(T.mul(y, y))
+
+        self.assert_same(loss_fn, [x])
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(3)
+        x = nn.parameter(rng.normal(size=(3, 4)), "x")
+        w, b = nn.init_weight(rng, 4, 2, "w"), nn.parameter(rng.normal(size=2), "b")
+
+        def f():
+            return nn.sum_all(nn.tanh(nn.linear(x, w, b)))
+
+        assert finite_diff_check(f, [x, w, b]) < 1e-4
 
 
 class TestFiniteDiffCheck:
@@ -387,6 +471,26 @@ class TestStackedNumpyFacts:
         assert np.array_equal(np.add.reduce(per_step[::-1], axis=0), acc), \
             STACKED_BLAS_BROKEN.format("reversed np.add.reduce over time")
 
+    @pytest.mark.parametrize("rows", [5, 76, 230])
+    def test_strided_row_view_is_its_copy(self, rows):
+        """A (138, 590) slice at one step of a (138, rows, 590) batch gives
+        the same products as its contiguous copy: the low-level trainer packs
+        one window's rows (76 at the default window, 5 in the seed-0 last
+        window) where it packed every trajectory's 230."""
+        rng = np.random.default_rng(rows)
+        batch = rng.uniform(size=(138, rows, OBS_SIZE))
+        w = rng.normal(size=(OBS_SIZE, 128))
+        g = rng.normal(size=(138, 128))
+        for t in (0, rows - 1):
+            view = batch[:, t]
+            copy = np.ascontiguousarray(view)
+            msg = (f"numpy/BLAS no longer multiplies a (138, {OBS_SIZE}) row view of a "
+                   f"(138, {rows}, {OBS_SIZE}) batch as its contiguous copy; the low-level "
+                   "trainer's per-window packing relies on it, so lowlevel.bin would change "
+                   "bytes")
+            assert np.array_equal(view @ w, copy @ w), msg
+            assert np.array_equal(view.T @ g, copy.T @ g), msg
+
     def test_stacked_sums_are_per_step_sums(self):
         rng = np.random.default_rng(1)
         for n in (1, 5, 8, 13):
@@ -475,7 +579,35 @@ class TestSaturatedGates:
         assert float(nn.bce_with_logits(x, np.array([[0.0, 1.0]])).data) == 0.0
 
 
+def textbook_adam_step(p, m, v, g, t, lr):
+    """One Adam update in its textbook form, with fresh temporaries: the
+    reference `nn.Adam.step` must match bit for bit."""
+    from hubplan.nn.optim import BETA1, BETA2, EPS
+
+    m *= BETA1
+    m += (1.0 - BETA1) * g
+    v *= BETA2
+    v += (1.0 - BETA2) * (g * g)
+    p -= lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+
+
 class TestAdam:
+    def test_matches_textbook_update(self):
+        rng = np.random.default_rng(4)
+        shapes = [(622, 128), (128,), (3, 1), ()]
+        params = [nn.parameter(rng.normal(size=s), f"p{i}") for i, s in enumerate(shapes)]
+        ref = [(p.data.copy(), np.zeros(p.data.shape), np.zeros(p.data.shape)) for p in params]
+        opt = nn.Adam(params, lr=3e-3)
+        for t in range(1, 201):
+            scale = 10.0 ** rng.uniform(-6, 1)
+            grads = {p: scale * rng.normal(size=p.data.shape) for p in params}
+            opt.step(grads)
+            for p, (rp, rm, rv) in zip(params, ref):
+                textbook_adam_step(rp, rm, rv, grads[p], t, 3e-3)
+        for i, (p, (rp, rm, rv)) in enumerate(zip(params, ref)):
+            assert np.array_equal(p.data, rp), p.name
+            assert np.array_equal(opt.m[i], rm) and np.array_equal(opt.v[i], rv), p.name
+
     def test_zero_gradient_fixed_point(self):
         p = nn.parameter(np.array([1.0, -2.0]), "p")
         before = p.data.copy()
