@@ -227,13 +227,41 @@ def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarra
     in_dim = OBS_SIZE + embeddings.shape[1]
     for seg in segs:
         x = np.empty((seg.end - seg.begin, 1, in_dim))
-        x[:, 0, :OBS_SIZE] = trajectories[seg.traj_id].observations[seg.begin:seg.end]
+        trajectories[seg.traj_id].decode_rows(seg.begin, seg.end, x[:, 0, :OBS_SIZE])
         x[:, 0, OBS_SIZE:] = embeddings[seg.target]
         hs, _caches = nn.gru_unroll(policy.gru, policy.encode(x), policy.initial_memory())
         greedy = nn.softmax_np(policy.head(hs[1:])).argmax(axis=-1)[:, 0]
         if not np.array_equal(greedy, trajectories[seg.traj_id].actions[seg.begin:seg.end]):
             return False
     return True
+
+
+def _fill_batch(segs: list[Segment], begins: list[int], trajectories: list[Trajectory],
+                embeddings: np.ndarray, cfg: RunConfig, rng: np.random.Generator):
+    """One epoch's zero-padded batch of draws: (xs, acts, mask), row i running
+    from `begins[i]` to the end of `segs[i]`.
+
+    Each draw's observation rows are decoded from its trajectory's uint8
+    codes straight into the batch, then get their noise, drawn as standard
+    normals into one scratch block and scaled in place, which is bitwise
+    `rng.normal(0.0, cfg.obs_noise)` from the same stream."""
+    n = len(segs)
+    t_max = max(s.end - begin for s, begin in zip(segs, begins))
+    xs = np.zeros((n, t_max, OBS_SIZE + embeddings.shape[1]))
+    acts = np.zeros((n, t_max), dtype=np.intp)
+    mask = np.zeros((n, t_max))
+    noise = np.empty((t_max, VIEW_SIZE))
+    for i, (seg, begin) in enumerate(zip(segs, begins)):
+        traj, length = trajectories[seg.traj_id], seg.end - begin
+        traj.decode_rows(begin, seg.end, xs[i, :length, :OBS_SIZE])
+        if cfg.obs_noise > 0:
+            draw = rng.standard_normal(out=noise[:length])
+            draw *= cfg.obs_noise
+            xs[i, :length, :VIEW_SIZE] += draw
+        xs[i, :length, OBS_SIZE:] = embeddings[seg.target]
+        acts[i, :length] = traj.actions[begin:seg.end]
+        mask[i, :length] = 1.0
+    return xs, acts, mask
 
 
 def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajectory],
@@ -246,24 +274,9 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     best = np.inf
     stale = 0
 
-    in_dim = OBS_SIZE + embeddings.shape[1]
-
     for epoch in range(cfg.policy_epochs):
         begins = [perturb_segment(s, rng, cfg) for s in segs]
-        n = len(segs)
-        t_max = max(s.end - begin for s, begin in zip(segs, begins))
-        xs = np.zeros((n, t_max, in_dim))
-        acts = np.zeros((n, t_max), dtype=np.intp)
-        mask = np.zeros((n, t_max))
-        for i, (seg, begin) in enumerate(zip(segs, begins)):
-            traj, length = trajectories[seg.traj_id], seg.end - begin
-            xs[i, :length, :OBS_SIZE] = traj.observations[begin:seg.end]
-            if cfg.obs_noise > 0:
-                xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, cfg.obs_noise,
-                                                         size=(length, VIEW_SIZE))
-            xs[i, :length, OBS_SIZE:] = embeddings[seg.target]
-            acts[i, :length] = traj.actions[begin:seg.end]
-            mask[i, :length] = 1.0
+        xs, acts, mask = _fill_batch(segs, begins, trajectories, embeddings, cfg, rng)
 
         try:
             loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, cfg.label_smoothing)

@@ -2,13 +2,13 @@
 
 The trajectories are processed in fixed windows of `history_len`
 transitions. Each window is one optimizer step, run in its own function:
-the window's observation rows a..b of every trajectory are copied into a
-zero-padded (trajectories, b - a + 1, OBS_SIZE) batch, the view and barrel
-targets are read from it, and the window's tape and batch are freed before
-the next window's forward pass starts, so training holds the graph and
-observations of one window at a time. The recurrent hidden state crosses
-window boundaries by value only (detached), which clips backpropagation
-through time to the window.
+the window's observation rows a..b of every trajectory are decoded from
+their uint8 codes into a zero-padded (trajectories, b - a + 1, OBS_SIZE)
+batch, the view and barrel targets are read from it, and the window's tape
+and batch are freed before the next window's forward pass starts, so
+training holds the graph and observations of one window at a time. The
+recurrent hidden state crosses window boundaries by value only (detached),
+which clips backpropagation through time to the window.
 """
 
 from __future__ import annotations
@@ -64,11 +64,12 @@ def weighted_sq_error(pred, target, weight: np.ndarray, normalizer: float,
 
 
 def _pack_window(trajectories: list[Trajectory], a: int, b: int) -> np.ndarray:
-    """Observation rows a..b of every trajectory, zero past its end."""
+    """Observation rows a..b of every trajectory, decoded from its codes
+    straight into the batch; zero past its end."""
     obs = np.zeros((len(trajectories), b - a + 1, OBS_SIZE))
     for i, traj in enumerate(trajectories):
-        rows = traj.observations[a:b + 1]
-        obs[i, :len(rows)] = rows
+        rows = max(0, min(b + 1, len(traj) + 1) - a)
+        traj.decode_rows(a, a + rows, obs[i, :rows])
     return obs
 
 

@@ -1,13 +1,19 @@
 """Recorded episodes and their on-disk form.
 
-A trajectory is one episode's observation matrix, one `raster` row per
-step including the last, and its action array, plus its task labels. On
-disk: a log of header comments followed by one action id per line, and a
-sidecar observation file. Every observation value is a multiple of 1/4 in
-[0, 1], so the sidecar stores 4 x the matrix as one uint8 code per value:
-magic ``HBOB``, u32 rows, u32 columns, the codes row by row, and the sha256
-of all of it (`nn.io.write_checksummed`). Loading verifies the digest
-first and rebuilds the matrix as codes x 0.25, which is exact.
+A trajectory is one episode's observations, one `raster` row per step
+including the last, its action array and its task labels. Every observation
+value is a multiple of 1/4 in [0, 1], so a trajectory holds 4 x its
+observation matrix as one uint8 code per value, in memory as on disk: the
+constructor encodes float rows once and rejects a value with no code.
+`decode_rows` writes the float rows a network reads, codes x 0.25, which is
+exact, into the caller's buffer; `observations` decodes the whole matrix
+for one-off readers.
+
+On disk: a log of header comments followed by one action id per line, and a
+sidecar observation file of the codes: magic ``HBOB``, u32 rows, u32
+columns, the codes row by row, and the sha256 of all of it
+(`nn.io.write_checksummed`). Loading verifies the digest first and keeps
+the codes as read.
 """
 
 from __future__ import annotations
@@ -23,23 +29,45 @@ from .env import N_ACTIONS, EnvState, Goal, MazeEnv, StartConfig
 from .raster import OBS_SIZE
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class Trajectory:
     start_id: int
     start: StartConfig
     goal: Goal
     success: bool                 # the y label
-    observations: np.ndarray      # (T + 1, OBS_SIZE); a list of rows is stacked
+    codes: np.ndarray             # (T + 1, OBS_SIZE) uint8, 4 x each observation value
     actions: np.ndarray           # (T,) np.intp; a list is converted
 
-    def __post_init__(self):
-        self.observations = np.asarray(self.observations, dtype=np.float64)
-        self.actions = np.asarray(self.actions, dtype=np.intp)
-        if self.observations.shape != (len(self.actions) + 1, OBS_SIZE):
+    def __init__(self, start_id: int, start: StartConfig, goal: Goal, success: bool,
+                 observations, actions, *, codes: np.ndarray | None = None):
+        """`observations` are float rows (a list of rows is stacked), encoded
+        here; raises ValueError unless 4 x every value is an integer in
+        [0, 255]. With `observations=None`, `codes` is taken as is."""
+        self.start_id, self.start, self.goal, self.success = start_id, start, goal, success
+        if codes is None:
+            scaled = np.asarray(observations, dtype=np.float64) * 4
+            if not np.all(~np.signbit(scaled) & (scaled <= 255) & (scaled == np.floor(scaled))):
+                raise ValueError("4 x an observation value is not an integer in [0, 255]")
+            codes = scaled.astype(np.uint8)
+        self.codes = codes
+        self.actions = np.asarray(actions, dtype=np.intp)
+        if self.codes.shape != (len(self.actions) + 1, OBS_SIZE):
             raise ValueError("need one observation row of OBS_SIZE values more than actions")
 
     def __len__(self) -> int:
         return len(self.actions)
+
+    def decode_rows(self, a: int, b: int, out: np.ndarray) -> np.ndarray:
+        """Observation rows a..b-1 written into `out`, of their shape; returns `out`."""
+        # exact: 0.25 is a power of two
+        return np.multiply(self.codes[a:b], 0.25, out=out)
+
+    @property
+    def observations(self) -> np.ndarray:
+        """The whole (T + 1, OBS_SIZE) observation matrix, decoded; read-only."""
+        obs = self.decode_rows(0, len(self.codes), np.empty(self.codes.shape))
+        obs.flags.writeable = False
+        return obs
 
 
 LOG_VERSION = "v3"
@@ -48,13 +76,8 @@ _OBS_HEADER = struct.Struct("<4sII")     # magic, rows, columns
 
 
 def save_trajectory(traj: Trajectory, base: Path) -> None:
-    """Write `base.log` and `base.obs`; raises ValueError, writing nothing,
-    unless 4 x every observation value is an integer in [0, 255]."""
+    """Write `base.log` and `base.obs`."""
     base = Path(base)
-    scaled = traj.observations * 4
-    if not np.all(~np.signbit(scaled) & (scaled <= 255) & (scaled == np.floor(scaled))):
-        raise ValueError("4 x an observation value is not an integer in [0, 255]")
-    codes = scaled.astype(np.uint8)
     lines = [
         f"# trajectory {LOG_VERSION}",
         f"# start_id {traj.start_id}",
@@ -64,7 +87,8 @@ def save_trajectory(traj: Trajectory, base: Path) -> None:
     ]
     lines.extend(str(action) for action in traj.actions.tolist())
     base.with_suffix(".log").write_text("\n".join(lines) + "\n")
-    write_checksummed(base.with_suffix(".obs"), [_OBS_HEADER.pack(OBS_MAGIC, *codes.shape), codes])
+    write_checksummed(base.with_suffix(".obs"),
+                      [_OBS_HEADER.pack(OBS_MAGIC, *traj.codes.shape), traj.codes])
 
 
 def _bad(path: Path, why: str) -> ArtifactError:
@@ -114,9 +138,7 @@ def load_trajectory(base: Path) -> Trajectory:
     if (rows, cols) != (len(actions) + 1, OBS_SIZE):
         raise _bad(obs, f"{rows} x {cols} observations for {len(actions)} actions")
     codes = np.frombuffer(data, dtype=np.uint8, offset=_OBS_HEADER.size).reshape(rows, cols)
-
-    # exact: 0.25 is a power of two
-    return Trajectory(observations=codes * 0.25, actions=actions, **labels)
+    return Trajectory(observations=None, actions=actions, codes=codes, **labels)
 
 
 def replay_states(env: MazeEnv, traj: Trajectory) -> list[EnvState]:

@@ -1,6 +1,7 @@
 import importlib.util
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,6 +22,17 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 def quiet(*_args, **_kwargs):
     pass
+
+
+def traced_peak_bytes(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of the Python and numpy memory traced
+    while it ran, in bytes)."""
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def load_bench_module(name: str):

@@ -17,6 +17,7 @@ from hubplan.maze import (
     BLUE,
     GREEN,
     N_ACTIONS,
+    OBS_SIZE,
     RED,
     VIEW_SIZE,
     Goal,
@@ -28,6 +29,8 @@ from hubplan.maze import (
     save_trajectory,
 )
 from hubplan.nn import ArtifactError, save_params
+
+from conftest import traced_peak_bytes
 from replay_reference import replay_check
 
 
@@ -203,6 +206,38 @@ class TestTrajectoryLog:
             load_trajectory(tmp_path / "t")
 
 
+class TestObservationCodes:
+    def test_decoded_rows_are_codes_times_a_quarter(self, dataset, tmp_path):
+        save_trajectory(dataset.failures[3], tmp_path / "t")
+        traj = load_trajectory(tmp_path / "t")
+        assert traj.codes.dtype == np.uint8
+        np.testing.assert_array_equal(traj.codes, dataset.failures[3].codes)
+        want = traj.codes * 0.25
+        assert traj.observations.tobytes() == want.tobytes()
+        assert not traj.observations.flags.writeable
+        for a, b in ((0, len(traj) + 1), (2, 7), (len(traj), len(traj) + 1), (4, 4)):
+            out = np.empty((b - a, want.shape[1]))
+            assert traj.decode_rows(a, b, out) is out
+            assert out.tobytes() == want[a:b].tobytes()
+
+    def test_decoding_into_a_strided_view(self, dataset):
+        traj = dataset.successes[5]
+        want = traj.codes * 0.25
+        batch = np.full((3, len(traj) + 4, want.shape[1] + 8), np.nan)
+        view = batch[1, 2:len(traj) + 3, :want.shape[1]]
+        traj.decode_rows(0, len(traj) + 1, view)
+        assert batch[1, 2:len(traj) + 3, :want.shape[1]].tobytes() == want.tobytes()
+        assert np.isnan(batch[1, :2]).all() and np.isnan(batch[1, 2:, want.shape[1]:]).all()
+        assert np.isnan(batch[[0, 2]]).all()
+
+    def test_float_rows_encoded_once_at_construction(self, dataset):
+        good = dataset.successes[1]
+        traj = Trajectory(good.start_id, good.start, good.goal, good.success,
+                          list(good.observations), good.actions.tolist())
+        np.testing.assert_array_equal(traj.codes, good.codes)
+        assert traj.codes.dtype == np.uint8
+
+
 class TestObservationFile:
     def test_layout_is_header_codes_digest(self, dataset, tmp_path):
         traj = dataset.failures[0]
@@ -246,10 +281,21 @@ class TestObservationFile:
         good = dataset.successes[0]
         obs = good.observations.copy()
         obs[-1, 3] = value
-        traj = Trajectory(good.start_id, good.start, good.goal, good.success, obs, good.actions)
         with pytest.raises(ValueError, match="integer in \\[0, 255\\]"):
+            traj = Trajectory(good.start_id, good.start, good.goal, good.success, obs,
+                              good.actions)
             save_trajectory(traj, tmp_path / "t")
         assert list(tmp_path.iterdir()) == []
+
+    def test_loaded_dataset_holds_one_byte_per_value(self, dataset, tmp_path):
+        """Loading keeps each observation value as its uint8 code: the traced
+        peak of `load_dataset` stays under 1.5 bytes per value, where a
+        float64 matrix would take 8."""
+        save_dataset(dataset, tmp_path)
+        loaded, peak = traced_peak_bytes(load_dataset, tmp_path)
+        values = sum((len(t) + 1) * OBS_SIZE for t in loaded.trajectories)
+        assert values == sum(t.observations.size for t in dataset.trajectories)
+        assert peak < 1.5 * values, peak / values
 
     def test_dataset_of_the_previous_format_rejected_naming_gen_demos(self, dataset, tmp_path):
         one = DemoDataset(seed=0, seen=dataset.seen[:1], unseen=[], successes=dataset.successes[:1],

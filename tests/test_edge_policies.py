@@ -8,6 +8,7 @@ from hubplan.config import RunConfig
 from hubplan.edge_policies import (
     EdgePolicy,
     PolicyBank,
+    _fill_batch,
     _greedy_exact,
     load_bank,
     perturb_segment,
@@ -16,6 +17,8 @@ from hubplan.edge_policies import (
     train_policies,
     train_policy_for_hub,
 )
+from hubplan.maze import Goal, MazeEnv
+from hubplan.maze.raster import OBS_SIZE, VIEW_SIZE
 from hubplan.topology import Segment
 
 from gradient_reference import finite_diff_error
@@ -68,8 +71,9 @@ def greedy_exact_by_act(policy, segs, embeddings, trajectories):
     for seg in segs:
         memory = policy.initial_memory()
         traj = trajectories[seg.traj_id]
+        recorded = traj.observations
         for t in range(seg.begin, seg.end):
-            probs, memory = policy.act(traj.observations[t], embeddings[seg.target], memory)
+            probs, memory = policy.act(recorded[t], embeddings[seg.target], memory)
             if int(np.argmax(probs)) != traj.actions[t]:
                 return False
     return True
@@ -84,6 +88,11 @@ class FakeTrajectory:
     def __init__(self, length=30):
         self.observations = np.repeat(0.1 * np.arange(length + 1.0)[:, None], 590, axis=1)
         self.actions = [t % 6 for t in range(length)]
+
+    def decode_rows(self, a, b, out):
+        """`Trajectory.decode_rows` over these float rows."""
+        out[...] = self.observations[a:b]
+        return out
 
 
 def variant(begin, seg):
@@ -150,6 +159,51 @@ class TestPerturbSegment:
                 break
         else:
             pytest.fail("no preroll drawn")
+
+
+def fill_batch_reference(segs, begins, trajectories, embeddings, cfg, rng):
+    """The policy batch fill over float observation rows, its noise drawn by
+    `rng.normal`: the reference for `_fill_batch`."""
+    t_max = max(s.end - begin for s, begin in zip(segs, begins))
+    xs = np.zeros((len(segs), t_max, OBS_SIZE + embeddings.shape[1]))
+    acts = np.zeros((len(segs), t_max), dtype=np.intp)
+    mask = np.zeros((len(segs), t_max))
+    for i, (seg, begin) in enumerate(zip(segs, begins)):
+        traj, length = trajectories[seg.traj_id], seg.end - begin
+        xs[i, :length, :OBS_SIZE] = traj.observations[begin:seg.end]
+        if cfg.obs_noise > 0:
+            xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, cfg.obs_noise, size=(length, VIEW_SIZE))
+        xs[i, :length, OBS_SIZE:] = embeddings[seg.target]
+        acts[i, :length] = traj.actions[begin:seg.end]
+        mask[i, :length] = 1.0
+    return xs, acts, mask
+
+
+class TestFillBatch:
+    @pytest.mark.parametrize("obs_noise", [0.01, 0.0])
+    def test_batch_from_codes_is_batch_from_float_rows(self, obs_noise):
+        """A canonical, a truncated and a prerolled draw, and a short draw
+        whose row ends in a padded tail, from two demonstrations."""
+        from hubplan.demos import generate_success_demo
+
+        env = MazeEnv()
+        trajs = [generate_success_demo(env, 0, Goal(0, 1)),
+                 generate_success_demo(env, 1, Goal(2, 3))]
+        segs = [Segment(0, 1, 0, 5, 12), Segment(0, 2, 1, 10, 20), Segment(0, 1, 1, 8, 14),
+                Segment(0, 2, 0, 2, 4)]
+        begins = [5, 12, 6, 2]
+        assert [variant(b, s) for b, s in zip(begins, segs)] == [
+            "canonical", "truncated", "preroll", "canonical"]
+        embeddings = np.random.default_rng(0).normal(size=(3, 4))
+        cfg = RunConfig(obs_noise=obs_noise)
+        rngs = [np.random.default_rng(11), np.random.default_rng(11)]
+        got = _fill_batch(segs, begins, trajs, embeddings, cfg, rngs[0])
+        want = fill_batch_reference(segs, begins, trajs, embeddings, cfg, rngs[1])
+        assert got[0].shape == (4, 8, OBS_SIZE + 4)
+        assert not got[2][3, 2:].any()       # the short draw's padded tail
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert rngs[0].random() == rngs[1].random()   # the streams stay in step
 
 
 class TestEdgePolicy:

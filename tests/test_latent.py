@@ -18,6 +18,7 @@ from hubplan.maze.env import TURN_LEFT, TURN_RIGHT
 from hubplan.maze.raster import OBS_SIZE
 from hubplan.topology import bucket_of
 
+from conftest import traced_peak_bytes
 from gradient_reference import finite_diff_check
 from lowlevel_reference import train_low_level_reference, unfused_weighted_sq_error
 
@@ -308,8 +309,6 @@ class TestLowLevelTraining:
         forward pass. (Where the previous window's graph stayed reachable
         during the next forward pass, the ratio measured 1.13 with every
         gradient kept to the end of the sweep and 1.62 without.)"""
-        import tracemalloc
-
         from hubplan.demos import generate_success_demo
 
         demo = generate_success_demo(env, 0, Goal(0, 1))
@@ -317,13 +316,8 @@ class TestLowLevelTraining:
         def peak_mb(steps):
             trajs = [cut(demo, steps - i % 3) for i in range(24)]
             model = LowLevelModel(np.random.default_rng(0))
-            tracemalloc.start()
-            try:
-                train_low_level(model, trajs, RunConfig(low_epochs=1, lr_low=1e-4,
-                                                        history_len=10))
-                return tracemalloc.get_traced_memory()[1] / 2 ** 20
-            finally:
-                tracemalloc.stop()
+            cfg = RunConfig(low_epochs=1, lr_low=1e-4, history_len=10)
+            return traced_peak_bytes(train_low_level, model, trajs, cfg)[1] / 2 ** 20
 
         one, three = peak_mb(10), peak_mb(30)
         assert three < 1.05 * one, (one, three)

@@ -491,6 +491,24 @@ class TestStackedNumpyFacts:
             assert np.array_equal(view @ w, copy @ w), msg
             assert np.array_equal(view.T @ g, copy.T @ g), msg
 
+    @pytest.mark.parametrize("shape", [(1, 588), (7, 588), (100, 588), (3, 5)])
+    def test_scaled_standard_normal_is_normal(self, shape):
+        """`Generator.normal(0.0, s)` equals `s` times `standard_normal` drawn
+        into a scratch block, bitwise, and leaves the stream at the same point."""
+        for seed in range(20):
+            for s in (0.01, 0.3, 2.0):
+                rngs = [np.random.default_rng(seed), np.random.default_rng(seed)]
+                want = rngs[0].normal(0.0, s, size=shape)
+                block = np.empty((shape[0] + 3, shape[1]))
+                got = rngs[1].standard_normal(out=block[:shape[0]])
+                got *= s
+                msg = ("numpy's Generator.normal(0.0, s) is no longer s * standard_normal "
+                       f"from the same stream at {shape}; the policy batch fill "
+                       "(`edge_policies._fill_batch`) draws its observation noise that way, and "
+                       "policy banks would change bytes")
+                assert want.tobytes() == got.tobytes(), msg
+                assert rngs[0].random() == rngs[1].random(), msg
+
     def test_stacked_sums_are_per_step_sums(self):
         rng = np.random.default_rng(1)
         for n in (1, 5, 8, 13):
