@@ -71,7 +71,9 @@ class RunConfig:
                 raise ConfigError(f"{name} must be at least 1")
         if not 0 <= self.p_min < 1:
             raise ConfigError("p_min must be in [0, 1)")
-        for name in ("eta", "obs_noise"):
+        # 0 turns pretraining off; a negative count would do so silently
+        for name in ("eta", "obs_noise", "pretrain_traversals", "pretrain_max_len",
+                     "pretrain_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
         if not 0 <= self.label_smoothing < 1:

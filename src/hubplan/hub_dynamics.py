@@ -135,7 +135,11 @@ def train_on_sequences(model: HubDynamicsModel, sequences: list[list[int]],
     """Full-batch cross-entropy over every prefix of every sequence.
 
     One GRU pass per sequence scores all its prefixes at once; padded
-    positions carry zero weight and a neutral mask.
+    positions carry zero weight and a neutral mask. Each step's tape holds
+    no array as wide as the hub count: the head and its masked loss are one
+    `nn.linear_softmax_cross_entropy` node, which keeps only the loss
+    gradient's few nonzero entries (at most the out-degree per row), and
+    the `nn.gru_step` node keeps four (batch, hidden) arrays.
     """
     seqs = [s for s in sequences if len(s) >= 2]
     if not seqs:
@@ -160,10 +164,10 @@ def train_on_sequences(model: HubDynamicsModel, sequences: list[list[int]],
                 x = nn.gather_rows(model.emb, ids[:, t])
                 h = nn.gru_step(model.gru, x, h)
                 w = valid[:, t + 1]   # padding is a suffix, so this row was valid at t
-                logits = nn.linear(h, model.head_w, model.head_b)
                 amask = np.where(w[:, None] > 0, mask_matrix[ids[:, t]], 0.0)
-                ce = nn.softmax_cross_entropy(logits, ids[:, t + 1], additive_mask=amask,
-                                              sample_weight=w)
+                ce = nn.linear_softmax_cross_entropy(h, model.head_w, model.head_b,
+                                                     ids[:, t + 1], additive_mask=amask,
+                                                     sample_weight=w)
                 term = nn.tensor.scale(ce, w.sum() / total_examples)
                 loss = term if loss is None else nn.tensor.add(loss, term)
             if not np.isfinite(loss.data):

@@ -7,6 +7,7 @@ from .tensor import (
     bce_with_logits,
     gather_rows,
     linear,
+    linear_softmax_cross_entropy,
     matmul,
     parameter,
     relu,
@@ -33,7 +34,8 @@ from .io import ArtifactError, load_params, save_params
 
 __all__ = [
     "NonFiniteError", "ShapeError", "Tape", "Tensor", "backprop",
-    "bce_with_logits", "gather_rows", "linear", "matmul", "parameter", "relu",
+    "bce_with_logits", "gather_rows", "linear",
+    "linear_softmax_cross_entropy", "matmul", "parameter", "relu",
     "softmax_cross_entropy", "softmax_cross_entropy_np", "softmax_np", "sum_all",
     "tanh", "GruCellParams",
     "gru_cell", "gru_cell_backward", "gru_input_grads", "gru_input_proj", "gru_param_grads",

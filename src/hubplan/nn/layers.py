@@ -8,7 +8,12 @@ memory (`gru_cell_backward`), and the non-recurrent gradients of the input
 `gru_unroll` is the one multi-step forward (policy training and replay,
 the learned encoder); single-step inference (`act`, `advance`) calls
 `gru_cell`, and `gru_step` records one step on the tape as a single node
-for the tape-trained models. The cell's gates saturate to exactly 0 or 1
+for the tape-trained models. A `GruCache` holds six arrays per step; the
+`gru_step` node keeps four of them (the previous memory, the two gates and
+the candidate) and rebuilds reset * memory and 1 - update by `gru_cell`'s
+own expressions when its backward runs, so its gradients do not change
+and a tape of steps holds two fewer (batch, hidden) arrays per step.
+The cell's gates saturate to exactly 0 or 1
 where exp overflows: a caller of `gru_cell` enters
 `np.errstate(over="ignore")` once around its step loop.
 
@@ -197,7 +202,9 @@ def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
     at 0, so h_t = 0.5 * h_prev. Inputs are (batch, input_size) and
     (batch, hidden_size); plain 1-d arrays are promoted to a single row.
     Records one tape node whose backward is `gru_cell_backward` and the
-    gradient helpers.
+    gradient helpers. The node keeps the previous memory, the two gates and
+    the candidate, and rebuilds the rest of `GruCache` when its backward
+    runs.
     """
     if not isinstance(x_t, Tensor):
         x_t = Tensor(np.atleast_2d(np.asarray(x_t, dtype=np.float64)))
@@ -212,11 +219,14 @@ def gru_step(params: GruCellParams, x_t, h_prev) -> Tensor:
 
     weights = tuple(params.tensors().values())
     with np.errstate(over="ignore"):
-        data, cache = gru_cell(params, gru_input_proj(params, x_t.data), h_prev.data)
+        data, (h, u, r, _rh, c, _omu) = gru_cell(params, gru_input_proj(params, x_t.data),
+                                                 h_prev.data)
 
     def backward(g):
+        # reset * memory and 1 - update by `gru_cell`'s own expressions
+        cache = GruCache(h, u, r, r * h, c, 1.0 - u)
         da, dh = gru_cell_backward(params, cache, g, h_prev.requires_grad)
-        for w, d in zip(weights, gru_param_grads(x_t.data, cache.h, cache.rh, da)):
+        for w, d in zip(weights, gru_param_grads(x_t.data, h, cache.rh, da)):
             if w.requires_grad:
                 _accum(w, d)
         if x_t.requires_grad:

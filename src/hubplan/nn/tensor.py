@@ -7,14 +7,16 @@ just compute values. Only training records on a tape (the hub and low-level
 models); every inference path is plain numpy.
 
 A node's backward is any closure that hands gradients to its parents with
-`_accum`. Most ops here are one primitive each; a fused node (`linear`, the
-gated recurrent step in `layers.py`, the low-level model's weighted squared
-error) runs a whole hand-written backward in one call and passes each
-contribution to a parent separately, in the order the unfused composition
-would, so its gradients are bit-identical to it. A fused node also keeps
-fewer arrays alive than the intermediate nodes it replaces.
-`tests/lowlevel_reference.py` and `tests/test_nn_core.py` hold the unfused
-compositions.
+`_accum`. Most ops here are one primitive each; a fused node (`linear`,
+`linear_softmax_cross_entropy` for the hub model's masked head and loss,
+the gated recurrent step in `layers.py`, the low-level model's weighted
+squared error) runs a whole hand-written backward in one call and passes
+each contribution to a parent separately, in the order the unfused
+composition would, so its gradients are bit-identical to it. A fused node
+also keeps fewer arrays alive than the intermediate nodes it replaces:
+`linear_softmax_cross_entropy` keeps no logits and only the nonzero
+entries of its loss gradient. `tests/lowlevel_reference.py` and
+`tests/test_nn_core.py` hold the unfused compositions.
 
 The sweep drops each node's gradient once that node's backward has run, so
 at any point it holds only the gradients of nodes still to be visited, not
@@ -45,6 +47,7 @@ __all__ = [
     "gather_rows",
     "softmax_cross_entropy",
     "softmax_cross_entropy_np",
+    "linear_softmax_cross_entropy",
     "bce_with_logits",
     "softmax_np",
 ]
@@ -228,20 +231,29 @@ def linear(x, w, b) -> Tensor:
     """x @ w + b for a (batch, in) input, an (in, out) weight and an (out,)
     bias: one node in place of `matmul` then `add`. Its backward hands out
     the bias, input and weight gradients in that order, as the pair would."""
-    x, w, b = _wrap(x), _wrap(w), _wrap(b)
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
-        raise ShapeError(f"matmul shapes {x.data.shape} x {w.data.shape}")
+    x, w, b = _linear_operands(x, w, b)
     data = x.data @ w.data + b.data
 
     def backward(g):
-        if b.requires_grad:
-            _accum(b, _unbroadcast(g, b.data.shape))
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
+        _linear_backward(x, w, b, g)
 
     return _node(data, (x, w, b), backward)
+
+
+def _linear_operands(x, w, b) -> tuple[Tensor, Tensor, Tensor]:
+    x, w, b = _wrap(x), _wrap(w), _wrap(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise ShapeError(f"matmul shapes {x.data.shape} x {w.data.shape}")
+    return x, w, b
+
+
+def _linear_backward(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    if b.requires_grad:
+        _accum(b, _unbroadcast(g, b.data.shape))
+    if x.requires_grad:
+        _accum(x, g @ w.data.T)
+    if w.requires_grad:
+        _accum(w, x.data.T @ g)
 
 
 def relu(a) -> Tensor:
@@ -388,6 +400,40 @@ def softmax_cross_entropy(
             _accum(logits, dlogits * g)
 
     return _node(data, (logits,), backward)
+
+
+def linear_softmax_cross_entropy(
+    x,
+    w,
+    b,
+    target_idx,
+    additive_mask: np.ndarray | None = None,
+    sample_weight: np.ndarray | None = None,
+) -> Tensor:
+    """`softmax_cross_entropy(linear(x, w, b), ...)` as one node that keeps
+    neither the logits nor the dense loss gradient.
+
+    The node stores only the loss gradient's entries whose bits are not all
+    zero (a masked class's entry is an exact 0, a padded row's target entry
+    a -0.0 that is kept), and its backward scatters them back into zeros:
+    the gradient is rebuilt exactly. It multiplies by the upstream gradient
+    first, then hands out the bias, input and weight gradients in
+    `linear`'s order, so every gradient is bit-identical to the pair's.
+    """
+    x, w, b = _linear_operands(x, w, b)
+    data, dlogits = softmax_cross_entropy_np(x.data @ w.data + b.data, target_idx,
+                                             additive_mask, sample_weight)
+    shape = dlogits.shape
+    at = np.flatnonzero(dlogits.view(np.uint64))
+    values = dlogits.ravel()[at]
+
+    def backward(g):
+        dl = np.zeros(shape)
+        np.put(dl, at, values)
+        dl *= g   # in place: a second fresh (batch, classes) array costs page faults
+        _linear_backward(x, w, b, dl)
+
+    return _node(data, (x, w, b), backward)
 
 
 def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = None) -> Tensor:

@@ -8,6 +8,7 @@ run seed, making whole runs bit-reproducible.
 
 from __future__ import annotations
 
+import resource
 import time
 from pathlib import Path
 
@@ -266,11 +267,17 @@ STAGES = {
 
 
 def run_pipeline(cfg: RunConfig, log=print) -> dict:
-    """Every stage in order; returns eval's aggregates."""
-    t0 = time.time()
-    for stage in STAGES.values():
+    """Every stage in order; returns eval's aggregates. After each stage it
+    logs the stage's wall time and the process's peak RSS so far (a peak
+    that a later stage does not raise shows only at the stage that set it)."""
+    t0 = time.perf_counter()
+    for name, stage in STAGES.items():
+        t_stage = time.perf_counter()
         result = stage(cfg, log=log)
-    log(f"run-all: finished in {time.time() - t0:.1f}s")
+        wall = time.perf_counter() - t_stage
+        maxrss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss   # kilobytes on Linux
+        log(f"stage={name} wall_s={wall:.2f} maxrss_mb={maxrss_kb / 1024:.1f}")
+    log(f"run-all: finished in {time.perf_counter() - t0:.1f}s")
     return result
 
 

@@ -76,7 +76,8 @@ class TestConfig:
         ("obs_noise", -0.01), ("label_smoothing", 1.0), ("label_smoothing", -0.05),
         ("p_truncated", -0.1), ("p_preroll", 1.5), ("p_truncated", 0.95), ("p_preroll", 0.95),
         ("eta", "nan"), ("obs_noise", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"),
-        ("seed", -1), ("out_dir", "")])
+        ("seed", -1), ("out_dir", ""), ("pretrain_traversals", -1),
+        ("pretrain_max_len", -2), ("pretrain_epochs", -3)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
         # each of these values makes a later stage fail, or silently run
         # otherwise, after the ones before it ran; a finished run's

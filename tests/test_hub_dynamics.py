@@ -14,8 +14,9 @@ from hubplan.hub_dynamics import (
 from hubplan.maze import Goal
 from hubplan.topology import BehaviorTopology, Hub
 
+from conftest import traced_peak_bytes
 from gradient_reference import finite_diff_check
-from hub_reference import next_hub_dist
+from hub_reference import next_hub_dist, train_on_sequences_reference
 
 
 def toy_topology(n_hubs: int, edges: set, starts=(0,), terminals=()):
@@ -171,6 +172,61 @@ class TestTraining:
             return loss
 
         assert finite_diff_check(f, model.parameters(), h=1e-5) < 1e-4
+
+        # the trainer's wiring: the head and loss as one node, and a second
+        # sequence that is padded (weight 0, neutral mask) at its last step
+        ids = np.array([[0, 1, 3], [0, 2, 0]])
+        valid = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+
+        def f_node():
+            h = nn.Tensor(np.zeros((2, 4)))
+            loss = None
+            for t in range(2):
+                x = nn.gather_rows(model.emb, ids[:, t])
+                h = nn.gru_step(model.gru, x, h)
+                w = valid[:, t + 1]
+                amask = np.where(w[:, None] > 0, mask[ids[:, t]], 0.0)
+                ce = nn.linear_softmax_cross_entropy(h, model.head_w, model.head_b,
+                                                     ids[:, t + 1], additive_mask=amask,
+                                                     sample_weight=w)
+                term = nn.tensor.scale(ce, w.sum() / 3)
+                loss = term if loss is None else nn.tensor.add(loss, term)
+            return loss
+
+        assert finite_diff_check(f_node, model.parameters(), h=1e-5) < 1e-4
+
+    def test_matches_reference_trainer_bitwise(self):
+        # unequal lengths, so later steps hold padded rows of weight 0; hub 3
+        # has one out-edge, whose rows have an all-zero loss gradient
+        topo = toy_topology(6, {(0, 1), (0, 2), (0, 4), (1, 3), (2, 3), (2, 5), (3, 4),
+                                (4, 5), (4, 0)})
+        seqs = [[0, 1, 3, 4, 5], [0, 2], [0, 2, 3, 4, 0, 4], [0, 4, 5], [0, 2, 5], [4]]
+        models = [HubDynamicsModel(np.random.default_rng(21), 6, emb_dim=5, hidden=7)
+                  for _ in range(2)]
+        losses = train_on_sequences(models[0], seqs, topo, lr=3e-2, epochs=3)
+        want = train_on_sequences_reference(models[1], seqs, topo, lr=3e-2, epochs=3)
+        assert np.array(losses).tobytes() == np.array(want).tobytes()
+        for name, value in models[0].tensors().items():
+            assert value.tobytes() == models[1].tensors()[name].tobytes(), name
+
+    def test_step_holds_no_array_as_wide_as_the_hub_count(self):
+        """One epoch over many hubs peaks less than one (batch, hubs) array
+        per step above the same epoch over few hubs. (A tape that keeps each
+        step's logits and dense loss gradient holds two.)"""
+        rng = np.random.default_rng(5)
+        edges = {(a, b) for a in range(8) for b in rng.choice(8, size=3, replace=False)
+                 if a != b}
+        walks = sample_traversals(toy_topology(8, edges), 100, 25, rng)
+        assert len(walks) == 100 and max(map(len, walks)) == 25
+
+        def peak_bytes(n_hubs):
+            topo = toy_topology(n_hubs, edges)
+            model = HubDynamicsModel(np.random.default_rng(0), n_hubs)
+            return traced_peak_bytes(train_on_sequences, model, walks, topo, 1e-3, 1)[1]
+
+        few, many = peak_bytes(8), peak_bytes(300)
+        one_array_per_step = 24 * 100 * (300 - 8) * 8
+        assert many - few < one_array_per_step, (few, many, one_array_per_step)
 
 
 class TestAdvance:

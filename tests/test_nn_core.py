@@ -11,6 +11,7 @@ from hubplan import nn
 from hubplan.maze.raster import OBS_SIZE
 from hubplan.nn import tensor as T
 
+from conftest import traced_peak_bytes
 from gradient_reference import finite_diff_check, sigmoid
 from lowlevel_reference import unfused_linear
 
@@ -193,6 +194,27 @@ class TestFusedGru:
             nn.gru_step(p, np.ones(3), np.ones(4))
         assert len(tape.nodes) == 1
 
+    def test_chain_holds_four_arrays_per_step(self):
+        """Each step of a tape of steps adds the memory, the two gates and
+        the candidate: four (batch, hidden) arrays and the node itself,
+        under five arrays. (A node that keeps the whole `GruCache` adds six.)"""
+        rng = np.random.default_rng(34)
+        p = make_gru(rng, 16, 32)
+        x = nn.Tensor(rng.normal(size=(64, 16)))
+        one_array = 64 * 32 * 8
+
+        def chain(steps):
+            with nn.Tape() as tape:
+                h = nn.Tensor(np.zeros((64, 32)))
+                for _ in range(steps):
+                    h = nn.gru_step(p, x, h)
+            return tape
+
+        (tape, short), (_, long) = traced_peak_bytes(chain, 40), traced_peak_bytes(chain, 80)
+        assert len(tape.nodes) == 40
+        per_step = (long - short) / 40 / one_array
+        assert per_step < 5, per_step
+
     def test_hidden_feeds_head(self):
         # policy and hub wiring: an encoded input per step, a head on every h_t
         rng = np.random.default_rng(31)
@@ -316,6 +338,57 @@ class TestFusedLinear:
             return nn.sum_all(nn.tanh(nn.linear(x, w, b)))
 
         assert finite_diff_check(f, [x, w, b]) < 1e-4
+
+
+class TestFusedHeadLoss:
+    """`linear_softmax_cross_entropy` is one tape node whose loss and
+    gradients equal `linear` then `softmax_cross_entropy` bit for bit."""
+
+    @pytest.mark.parametrize("bias_shape", [(7,), (5, 7)], ids=["row_bias", "full_bias"])
+    def test_matches_linear_then_loss_bitwise(self, bias_shape):
+        rng = np.random.default_rng(41)
+        x = nn.parameter(rng.normal(size=(5, 4)), "x")
+        w = nn.init_weight(rng, 4, 7, "w")
+        b = nn.parameter(rng.normal(size=bias_shape), "b")
+        tgt = np.array([2, 0, 6, 4, 1])
+        mask = np.where(rng.random((5, 7)) < 0.5, -np.inf, 0.0)
+        mask[np.arange(5), tgt] = 0.0
+        mask[0] = -np.inf   # row 0: one allowed class, as at a hub with one out-edge
+        mask[0, 2] = 0.0
+        mask[3] = 0.0       # row 3: padded, with weight 0 and a neutral mask
+        weight = np.array([1.0, 0.5, 2.0, 0.0, 1.0])
+
+        results = []
+        for fused in (True, False):
+            with nn.Tape() as tape:
+                if fused:
+                    ce = nn.linear_softmax_cross_entropy(x, w, b, tgt, additive_mask=mask,
+                                                         sample_weight=weight)
+                else:
+                    ce = nn.softmax_cross_entropy(nn.linear(x, w, b), tgt, additive_mask=mask,
+                                                  sample_weight=weight)
+                loss = T.scale(ce, 0.7)
+            results.append((len(tape.nodes), loss.data, nn.backprop(tape, loss)))
+        (nodes, loss, grads), (ref_nodes, ref_loss, ref) = results
+        assert (nodes, ref_nodes) == (2, 3)
+        assert loss.tobytes() == ref_loss.tobytes()
+        assert set(grads) == set(ref) == {x, w, b}
+        for q in (x, w, b):
+            assert grads[q].tobytes() == ref[q].tobytes(), q.name
+        if bias_shape == (5, 7):
+            # a full bias's gradient is the loss gradient itself: the padded
+            # row's target entry is a -0.0, every other entry of it and of
+            # the one-edge row an exact +0.0
+            dl = grads[b]
+            assert dl[3, 4] == 0.0 and np.signbit(dl[3, 4])
+            rest = np.delete(dl[3], 4)
+            assert not rest.any() and not np.signbit(rest).any()
+            assert not dl[0].any() and not np.signbit(dl[0]).any()
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(nn.ShapeError):
+            nn.linear_softmax_cross_entropy(np.ones((3, 5)), np.ones((4, 2)), np.ones(2),
+                                            np.zeros(3, dtype=int))
 
 
 class TestFiniteDiffCheck:

@@ -109,6 +109,20 @@ class TestDeterminism:
         assert ds.failure_specs != seed0_specs
 
 
+def test_run_pipeline_logs_each_stage_wall_and_peak(monkeypatch):
+    def stage(cfg, log):
+        log("stage body")
+        return {"ran": True}
+
+    monkeypatch.setattr(pipeline, "STAGES", {"first": stage, "second": stage})
+    lines = []
+    assert pipeline.run_pipeline(RunConfig(), log=lines.append) == {"ran": True}
+    pattern = r"stage={} wall_s=\d+\.\d\d maxrss_mb=\d+\.\d"
+    assert re.fullmatch(pattern.format("first"), lines[1])
+    assert re.fullmatch(pattern.format("second"), lines[3])
+    assert lines[0] == lines[2] == "stage body" and lines[4].startswith("run-all: finished")
+
+
 class TestStageGuards:
     def test_missing_topology_names_stage(self, tmp_path):
         cfg = RunConfig(out_dir=str(tmp_path / "fresh"))
