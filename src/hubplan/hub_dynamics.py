@@ -76,13 +76,15 @@ class CachedDist:
     """next-dist adapter for plan search with an incremental hidden-state cache.
 
     Search queries histories parent-first, so each new history costs one
-    recurrent step instead of re-running the whole prefix.
+    recurrent step instead of re-running the whole prefix. `calls` counts
+    the queries: one per history the search expands.
     """
 
     def __init__(self, model: HubDynamicsModel, topology: BehaviorTopology):
         self.model = model
         self.topology = topology
         self._hidden: dict[tuple[int, ...], np.ndarray] = {}
+        self.calls = 0
 
     def hidden_for(self, history: tuple[int, ...]) -> np.ndarray:
         cached = self._hidden.get(history)
@@ -96,6 +98,7 @@ class CachedDist:
         return h
 
     def __call__(self, history) -> np.ndarray:
+        self.calls += 1
         history = tuple(history)
         return self.model.dist_from_hidden(self.hidden_for(history), history[-1], self.topology)
 

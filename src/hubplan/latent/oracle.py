@@ -81,6 +81,5 @@ class OracleEncoder:
         codes = self.codes(state)
         # mid-bucket placement: value / epsilon == SPACING * code + 0.5
         z = np.full(self.latent_dim, 0.5 * self.epsilon)
-        for i, code in enumerate(codes):
-            z[i] = (SPACING * code + 0.5) * self.epsilon
+        z[:len(codes)] = [(SPACING * code + 0.5) * self.epsilon for code in codes]
         return z

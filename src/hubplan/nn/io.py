@@ -6,6 +6,15 @@ of the body is used. Parameter files lay their body out as magic ``HBNP``,
 u32 version, length-prefixed model-kind tag, u32 tensor count, then per
 tensor: u16 name length + utf8 name, u8 rank, u32 dims, raw little-endian
 float64 payload.
+
+`load_params` copies each tensor to a 64-byte boundary (`aligned_copy`,
+which `init_weight` uses too). numpy aligns its own allocations to 16
+bytes only, and where a weight starts decides how fast BLAS multiplies by
+it. On a two-core x86-64 host with one OpenBLAS thread, a policy step's
+(1, 622) @ (622, 128) product took 11.5-11.8 us with the weight at 0 mod
+64 against 17.0-18.2 us at 16, 32 or 48, and the learned encoder's
+(130, 1, 590) @ (590, 128) stack 1.0 ms against 1.8-1.9 ms; the results
+are bit-identical at every offset (`tests/test_nn_core.py::TestStackedNumpyFacts`).
 """
 
 from __future__ import annotations
@@ -19,13 +28,25 @@ import numpy as np
 MAGIC = b"HBNP"
 VERSION = 1
 DIGEST_SIZE = 32
+ALIGN = 64  # bytes
 
-__all__ = ["ArtifactError", "save_params", "load_params", "write_checksummed",
-           "read_checksummed"]
+__all__ = ["ArtifactError", "aligned_copy", "save_params", "load_params",
+           "write_checksummed", "read_checksummed"]
 
 
 class ArtifactError(RuntimeError):
     """Corrupt, truncated, or wrong-version artifact file."""
+
+
+def aligned_copy(data) -> np.ndarray:
+    """A writable, C-contiguous float64 copy of `data` that starts at a
+    64-byte boundary; it is a view into a buffer of its own, 64 bytes longer."""
+    src = np.asarray(data, dtype=np.float64)
+    buf = np.empty(src.size + ALIGN // 8)
+    start = -buf.ctypes.data % ALIGN // 8
+    out = buf[start:start + src.size].reshape(src.shape)
+    out[...] = src
+    return out
 
 
 def write_checksummed(path, parts: Iterable) -> None:
@@ -94,8 +115,8 @@ def load_params(path, expect_kind: str | None = None) -> tuple[str, dict[str, np
         (rank,) = struct.unpack("<B", take(1))
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
         size = int(np.prod(dims)) if dims else 1
-        # the one copy: each tensor owns writable memory, apart from the file's
-        tensors[name] = np.frombuffer(take(8 * size), dtype="<f8").reshape(dims).copy()
+        # the one copy: each tensor gets writable memory of its own, aligned
+        tensors[name] = aligned_copy(np.frombuffer(take(8 * size), dtype="<f8").reshape(dims))
     if off != len(body):
         raise ArtifactError(f"{path}: trailing bytes")
     return kind, tensors

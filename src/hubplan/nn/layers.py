@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .io import aligned_copy
 from .tensor import ShapeError, Tensor, _accum, _node, _sigmoid_np, parameter
 
 __all__ = ["init_weight", "GruCellParams", "GruCache", "gru_input_proj", "gru_cell",
@@ -46,9 +47,10 @@ _GRU_TAGS = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset"
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Tensor:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight matrix."""
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight matrix, 64-byte
+    aligned as `load_params` aligns it."""
     bound = 1.0 / np.sqrt(fan_in)
-    return parameter(rng.uniform(-bound, bound, size=(fan_in, fan_out)), name)
+    return parameter(aligned_copy(rng.uniform(-bound, bound, size=(fan_in, fan_out))), name)
 
 
 def init_bias(fan_out: int, name: str) -> Tensor:

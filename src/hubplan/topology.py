@@ -31,15 +31,20 @@ class TopologyError(RuntimeError):
     pass
 
 
-def bucket_rows(zs: np.ndarray, epsilon: float) -> list[ClusterId]:
-    """Per-coordinate tolerance bucket of every row of a latent matrix."""
+def _bucket_floors(zs: np.ndarray, epsilon: float) -> np.ndarray:
+    """floor(zs / epsilon), once every value is known to fit int64."""
     if epsilon <= 0.0:
         raise ValueError("tolerance must be positive")
     floors = np.floor(zs / epsilon)
     # a NaN fails both comparisons; astype would wrap what int64 cannot hold
-    if not np.all((floors >= -2.0 ** 63) & (floors < 2.0 ** 63)):
+    if floors.size and not (floors.min() >= -2.0 ** 63 and floors.max() < 2.0 ** 63):
         raise ValueError(f"latent / {epsilon!r} is not finite or outside int64")
-    return [tuple(row) for row in floors.astype(np.int64).tolist()]
+    return floors
+
+
+def bucket_rows(zs: np.ndarray, epsilon: float) -> list[ClusterId]:
+    """Per-coordinate tolerance bucket of every row of a latent matrix."""
+    return [tuple(row) for row in _bucket_floors(zs, epsilon).astype(np.int64).tolist()]
 
 
 def bucket_of(z: np.ndarray, epsilon: float) -> ClusterId:
@@ -336,7 +341,10 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
 
 
 def matches_hub(z: np.ndarray, hub: Hub, epsilon: float, tol: float) -> bool:
-    """Runtime hub matching: exact bucket, else within tol of the representative."""
-    if bucket_of(z, epsilon) == hub.cluster:
+    """Runtime hub matching: exact bucket, else within tol of the representative.
+    Raises `bucket_of`'s ValueError for a latent with no bucket."""
+    # a float equals an int only at the same value, so this is
+    # bucket_of(z, epsilon) == hub.cluster without the int64 tuple
+    if _bucket_floors(z, epsilon).tolist() == list(hub.cluster):
         return True
     return bool(np.max(np.abs(z - hub.representative)) <= tol)

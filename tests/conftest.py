@@ -48,7 +48,8 @@ def oracle_run(tmp_path_factory):
     """Full oracle-backend pipeline run shared across the whole session.
 
     It runs under the traced benchmark's tracer (`bench/tracing.py`); the
-    spans it installed and those that fired are kept for the span guard."""
+    spans it installed and those that fired are kept for the span guard,
+    and the lines it logged for the log checks."""
     out = tmp_path_factory.mktemp("oracle_run")
     cfg = RunConfig(out_dir=str(out), seed=0, encoder_backend="oracle")
     tracing = load_bench_module("tracing")
@@ -56,13 +57,14 @@ def oracle_run(tmp_path_factory):
     try:
         spans = tracing.install(tracer)
         t0 = time.time()
-        agg = run_pipeline(cfg, log=quiet)
+        lines: list[str] = []
+        agg = run_pipeline(cfg, log=lines.append)
         runtime = time.time() - t0
     finally:
         tracer.uninstall()
     fired = {name for name in spans if tracer.calls[name]}
     return {"cfg": cfg, "out": out, "agg": agg, "runtime": runtime,
-            "spans": spans, "fired": fired}
+            "spans": spans, "fired": fired, "log": lines}
 
 
 @pytest.fixture(scope="session")

@@ -229,6 +229,28 @@ class TestEdgePolicy:
             assert np.array_equal(probs, nn.softmax_np(logits.data)[0])
             assert np.array_equal(memory, h.data)
 
+    @pytest.mark.parametrize("special", [None, -np.inf, np.inf, np.nan, "all -inf"])
+    def test_act_probabilities_are_softmax_np_bitwise(self, special):
+        """With a zero head weight the logits are the head bias exactly, so
+        the bias sets them: random ones (some equal, some far apart), and
+        ones holding -inf, +inf or NaN for the `softmax_np` fallback."""
+        policy = EdgePolicy(np.random.default_rng(6), emb_dim=8)
+        policy.head_w.data[...] = 0.0
+        rng = np.random.default_rng(7)
+        obs, emb = rng.uniform(size=590), rng.normal(size=8)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for trial in range(200):
+                logits = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=6)
+                logits[rng.integers(6)] = logits[rng.integers(6)]
+                if special == "all -inf":
+                    logits[:] = -np.inf
+                elif special is not None:
+                    logits[rng.integers(6)] = special
+                policy.head_b.data[...] = logits
+                probs, memory = policy.act(obs, emb, policy.initial_memory())
+                want = nn.softmax_np(policy.head(memory))[0]
+                assert probs.tobytes() == want.tobytes(), (special, trial)
+
     @pytest.mark.parametrize("widths, lengths, t_max", [
         ((6, 5), [5, 2, 4], None),
         ((128, 64), [5, 2, 4], None),

@@ -498,6 +498,23 @@ LEARNED_ENCODE_BROKEN = (
     "the learned run's topology.txt, would change bytes")
 
 
+ALIGNMENT_BROKEN = (
+    "numpy/BLAS no longer computes a {} bit-identically whatever the weight's "
+    "offset mod 64; `nn.load_params` and `nn.init_weight` move every weight to a "
+    "64-byte boundary (`nn.io.aligned_copy`), which is only free while the offset "
+    "does not change a bit, so loaded and trained models would change bytes")
+
+
+def weight_at(w: np.ndarray, offset: int) -> np.ndarray:
+    """A copy of `w` whose data starts `offset` bytes past a 64-byte boundary."""
+    buf = np.empty(w.size + 16)
+    start = (-buf.ctypes.data % 64 + offset) // 8
+    out = buf[start:start + w.size].reshape(w.shape)
+    out[...] = w
+    assert out.ctypes.data % 64 == offset
+    return out
+
+
 class TestStackedNumpyFacts:
     """The numpy facts that let policy training move non-recurrent ops out of
     its step loop without changing a bit, at the trainer's shapes."""
@@ -534,6 +551,18 @@ class TestStackedNumpyFacts:
             for t in range(steps):
                 assert np.array_equal(got[t], stack[t] @ w), LEARNED_ENCODE_BROKEN.format(
                     f"({steps}, 1, {k}) @ ({k}, {m})")
+
+    @pytest.mark.parametrize("x_shape", [(1, 622), (130, 1, 590), (28, 4, 622)])
+    def test_products_ignore_weight_alignment(self, x_shape):
+        """A policy's one-row step, the learned encoder's stacked encode and a
+        policy training batch, against their weight at 0, 16, 32 and 48 mod 64."""
+        rng = np.random.default_rng(x_shape[0])
+        w = rng.normal(size=(x_shape[-1], 128))
+        x = rng.normal(size=x_shape)
+        want = x @ weight_at(w, 0)
+        for offset in (16, 32, 48):
+            assert np.array_equal(x @ weight_at(w, offset), want), ALIGNMENT_BROKEN.format(
+                f"{x_shape} @ {w.shape} product")
 
     @pytest.mark.parametrize("shape", [(40, 64, 6), (40, 128), (1, 64, 6)])
     def test_reversed_reduce_is_sequential_fold(self, shape):
@@ -789,17 +818,36 @@ class TestSerialization:
         for k in tensors:
             np.testing.assert_array_equal(back[k], tensors[k])
 
-    def test_loaded_tensors_own_separate_writable_memory(self, tmp_path):
+    def test_loaded_tensors_own_separate_writable_memory(self, tmp_path, monkeypatch):
         path = tmp_path / "m.bin"
-        nn.save_params(path, "policy", {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4),
-                                        "c": np.zeros((0, 2))})
+        tensors = {"a": np.arange(6.0).reshape(2, 3), "b": np.ones(4), "c": np.zeros((0, 2)),
+                   "d": np.array(2.5)}
+        nn.save_params(path, "policy", tensors)
+        bodies = []
+        read = nn.io.read_checksummed
+        monkeypatch.setattr(nn.io, "read_checksummed", lambda p: bodies.append(read(p)) or bodies[-1])
         _kind, back = nn.load_params(path)
+        file_bytes = np.frombuffer(bodies[0], dtype=np.uint8)
         arrays = list(back.values())
         for arr in arrays:
-            assert arr.flags.writeable and arr.flags.owndata and arr.flags.c_contiguous
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.ctypes.data % 64 == 0 or arr.size == 0   # an empty one has no data
+            assert not np.shares_memory(arr, file_bytes)
         for i, x in enumerate(arrays):
             for y in arrays[i + 1:]:
                 assert not np.shares_memory(x, y)
+        for arr in arrays:
+            arr[...] = -1.0
+        _kind, again = nn.load_params(path)
+        for k in tensors:
+            np.testing.assert_array_equal(again[k], tensors[k])
+
+    def test_drawn_weights_are_aligned(self):
+        rng = np.random.default_rng(0)
+        want = np.random.default_rng(0).uniform(-1 / np.sqrt(622), 1 / np.sqrt(622), size=(622, 128))
+        w = nn.init_weight(rng, 622, 128, "w").data
+        assert w.ctypes.data % 64 == 0 and w.flags.writeable and w.flags.c_contiguous
+        assert w.tobytes() == want.tobytes()
 
     def test_file_bytes_pinned(self, tmp_path):
         # every tensor is written as contiguous little-endian float64, whatever

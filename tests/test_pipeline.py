@@ -276,6 +276,17 @@ class TestPlanCli:
         assert "transition" in sample and "execution success=" in sample
 
 
+    def test_eval_log_counts_search_expansions(self, oracle_run):
+        """Each eval line names the histories its task's search expanded.
+        A* expands 423 histories over this run's 36 tasks; best-first
+        search by cost alone (`tests/planning_reference.py`) expanded 1,860."""
+        lines = [line for line in oracle_run["log"] if line.startswith("eval: start=")]
+        assert len(lines) == 36
+        found = [re.fullmatch(r"eval: .* expansions=(\d+)", line) for line in lines]
+        assert all(found), lines[0]
+        assert sum(int(m.group(1)) for m in found) <= 500
+
+
 class TestBfsAblationOnStandardMaze:
     def test_bfs_planner_metrics(self, oracle_run):
         # with the state-injective feature map every demonstrated edge is

@@ -2,17 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubplan.maze import Goal
 from hubplan.planning import (
     NoPlanError,
     SearchConfig,
     bfs_plan,
+    goal_distances,
     goal_hub_set,
     match_start_hub,
     search,
 )
 from hubplan.topology import BehaviorTopology, Hub, bucket_of
+from planning_reference import search_reference
 
 EPS = 1e-3
 
@@ -175,6 +179,100 @@ class TestSearchMatchesEnumeration:
             for (a, b), p in zip(plan.edges, plan.transition_probs):
                 assert (a, b) in topo.edges
                 assert p >= cfg.p_min
+
+
+def _ulp_neighbours(values):
+    return [v for x in values for v in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0))]
+
+
+@st.composite
+def search_cases(draw):
+    """A small random topology, goal set and search configuration, with a
+    history-dependent `next_dist` table whose probabilities come from a
+    palette built to tie: bottlenecks a whole number of hop penalties apart
+    (and one ulp either side of that), certain transitions, and the
+    probability floor itself."""
+    n = draw(st.integers(2, 7))
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    edges = set(draw(st.lists(st.sampled_from(pairs), min_size=n, max_size=2 * n + 4,
+                              unique=True)))
+    start = draw(st.integers(0, n - 1))
+    goal_set = draw(st.sets(st.sampled_from([h for h in range(n) if h != start]),
+                            min_size=1, max_size=3))
+    if draw(st.integers(0, 19)) == 0:       # now and then no goal, or the start
+        goal_set = draw(st.sampled_from([set(), goal_set | {start}]))
+    eta = draw(st.sampled_from([0.0, 0.01, 0.1, 0.25, 1 / 3]))
+    p_min = draw(st.sampled_from([0.0, 1e-3, 0.05]))
+    cfg = SearchConfig(p_min=p_min, eta=eta, depth_limit=draw(st.integers(1, 6)))
+    base = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    palette = [1.0, 0.0, p_min, float(np.nextafter(p_min, 0.0))]
+    palette += [float(p) for p in _ulp_neighbours(
+        [np.exp(-(base + k * eta)) for k in range(5)] + [np.exp(-base) ** (k + 1) for k in range(3)])]
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+
+    def next_dist(history):
+        rng = np.random.default_rng([seed, *history])
+        return np.array(palette)[rng.integers(len(palette), size=n)]
+
+    topo = toy_topology(n, edges, terminals=tuple(goal_set))
+    return topo, next_dist, start, goal_set, cfg
+
+
+def outcome(planner, topo, next_dist, start, goal_set, cfg):
+    """(plan history, cost repr, probability reprs) or the error text, and
+    the histories `next_dist` was asked about."""
+    asked = []
+
+    def spy(history):
+        asked.append(tuple(history))
+        return next_dist(history)
+
+    try:
+        plan = planner(topo, spy, start, goal_set, cfg)
+    except NoPlanError as e:
+        return f"NoPlanError: {e}", asked
+    return (plan.history, repr(plan.cost), [repr(p) for p in plan.transition_probs]), asked
+
+
+class TestAStarMatchesReference:
+    @settings(max_examples=600, deadline=None)
+    @given(search_cases())
+    def test_same_plan_from_a_subset_of_histories(self, case):
+        got, asked = outcome(search, *case)
+        want, ref_asked = outcome(search_reference, *case)
+        assert got == want
+        assert set(asked) <= set(ref_asked)
+        assert len(set(asked)) == len(asked)
+
+    def test_fewer_expansions_on_a_long_detour(self):
+        # a chain 0 -> 1 -> ... -> 6 to the goal, and a fan of dead-end
+        # branches off hub 0 the reference scores first
+        edges = {(i, i + 1) for i in range(6)} | {(0, h) for h in range(7, 12)}
+        topo = toy_topology(12, edges, terminals=(6,))
+        dist = table_dist(12, {0: {1: 0.5, **{h: 0.9 for h in range(7, 12)}},
+                               **{i: {i + 1: 0.5} for i in range(1, 6)}})
+        got, asked = outcome(search, topo, dist, 0, {6}, SearchConfig())
+        want, ref_asked = outcome(search_reference, topo, dist, 0, {6}, SearchConfig())
+        assert got == want
+        assert len(asked) == 6 and len(ref_asked) > len(asked)
+
+    def test_near_tie_needs_the_bound_rounded_per_hop(self):
+        # the best plan 0 -> 1 -> ... -> 7 costs 2 ulps less than 0 -> 8 -> 7.
+        # After its first hop, eta added six times is 2.6814874480507354, its
+        # cost, but the one product cost + 6 * eta rounds 3 ulps above it,
+        # which would let the worse plan's prefix and goal leave the queue first
+        edges = {(i, i + 1) for i in range(7)} | {(0, 8), (8, 7)}
+        topo = toy_topology(9, edges, terminals=(7,))
+        dist = table_dist(9, {0: {1: 0.07342524625660811, 8: 0.06984425474049653},
+                              **{i: {i + 1: 1.0} for i in range(1, 7)}, 8: {7: 1.0}})
+        got, _ = outcome(search, topo, dist, 0, {7}, SearchConfig())
+        assert got == outcome(search_reference, topo, dist, 0, {7}, SearchConfig())[0]
+        assert got[:2] == ([0, 1, 2, 3, 4, 5, 6, 7], "np.float64(2.6814874480507354)")
+
+    def test_goal_distances(self):
+        topo = toy_topology(5, {(0, 1), (1, 2), (0, 2), (3, 0)}, terminals=(2,))
+        assert goal_distances(topo, {2}) == {2: 0, 1: 1, 0: 1, 3: 2}
+        assert goal_distances(topo, set()) == {}
 
 
 class TestBfsPlan:

@@ -416,3 +416,34 @@ class TestMatchesHub:
         assert matches_hub(z, hub, EPS, EPS)
         assert matches_hub(z + EPS / 10, hub, EPS, EPS)
         assert not matches_hub(z + 10 * EPS, hub, EPS, EPS)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 6), st.sampled_from([EPS, 0.25, 3.0]), st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_bucket_or_tolerance(self, dim, epsilon, seed):
+        """On bucket edges, one ulp either side of them, mid-bucket and at
+        the int64 limits, for hubs in the same bucket, a neighbouring one
+        or far away, and tolerances from none to several buckets."""
+        rng = np.random.default_rng(seed)
+        k = rng.integers(-5, 6, size=(4, dim)).astype(np.float64)
+        edges = k * epsilon
+        zs = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                             (k + 0.5) * epsilon,
+                             rng.choice([-2.0 ** 63, 2.0 ** 63 - 1024, 0.0], size=(1, dim)) * epsilon])
+        for rep in zs[rng.integers(len(zs), size=4)]:
+            hub = Hub(0, bucket_of(rep, epsilon), rep)
+            for tol in (0.0, epsilon / 2, epsilon, 3 * epsilon):
+                for z in zs:
+                    want = (bucket_of(z, epsilon) == hub.cluster
+                            or bool(np.max(np.abs(z - hub.representative)) <= tol))
+                    assert matches_hub(z, hub, epsilon, tol) == want
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 63, -2.0 ** 64, 1e300])
+    def test_latent_with_no_bucket_raises_bucket_of_error(self, bad):
+        z = np.array([0.5, bad, 1.5])
+        hub = Hub(0, (0, 0, 1), np.array([0.5, 0.5, 1.5]))
+        with pytest.raises(ValueError) as want:
+            bucket_of(z, 1.0)
+        # within any tolerance of the representative too, for an infinite one
+        with pytest.raises(ValueError) as got:
+            matches_hub(z, hub, 1.0, np.inf)
+        assert str(got.value) == str(want.value)
