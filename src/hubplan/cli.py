@@ -82,12 +82,13 @@ def _load_config(args) -> RunConfig:
 
 
 def _cmd_plan(cfg: RunConfig, args) -> None:
+    from .hub_dynamics import CachedDist
     from .pipeline import _load_topology, load_high_model, make_encoder, make_env, plan_task
     from .planning import format_plan
 
     _ds, topo = _load_topology(cfg, "plan")
-    model = load_high_model(cfg, "plan", len(topo.hubs))
-    _state, _obs, plan = plan_task(cfg, topo, model, make_env(cfg),
+    next_dist = CachedDist(load_high_model(cfg, "plan", len(topo.hubs)), topo)
+    _state, _obs, plan = plan_task(cfg, topo, next_dist, make_env(cfg),
                                    make_encoder(cfg, Path(cfg.out_dir)), args.start, args.goal)
     sys.stdout.write(format_plan(plan, topo))
 

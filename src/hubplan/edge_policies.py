@@ -128,22 +128,14 @@ class EdgePolicy:
         """Action distribution for one observation; returns (probs, new memory).
 
         The observation and the target embedding are written into one
-        (1, OBS_SIZE + emb_dim) input row. When the largest logit is finite,
-        the distribution is exp(logits - max) over its sum, the float ops
-        `nn.softmax_np` does on such a row, so it is bit for bit the same;
-        other logits (an infinite or NaN maximum) go through `softmax_np`.
+        (1, OBS_SIZE + emb_dim) input row rather than concatenated.
         """
         x = np.empty((1, OBS_SIZE + self.emb_dim))
         x[0, :OBS_SIZE] = obs_vec
         x[0, OBS_SIZE:] = target_emb
         with np.errstate(over="ignore"):
             h, _cache = nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, self.encode(x)), memory)
-        logits = self.head(h)[0]
-        top = logits.max()
-        if not np.isfinite(top):
-            return nn.softmax_np(logits), h
-        e = np.exp(logits - top)
-        return e / e.sum(), h
+        return nn.softmax_np(self.head(h))[0], h
 
 
 def _reverse_time_sum(per_step: np.ndarray) -> np.ndarray:

@@ -310,15 +310,21 @@ def gather_rows(table: Tensor, idx) -> Tensor:
     return _node(data, (table,), backward)
 
 
-def _masked_log_softmax_parts(x: np.ndarray):
-    # over the last axis; rows with at least one finite entry assumed; exp(-inf) is an exact 0
+def _masked_exp(x: np.ndarray):
+    # (exp(x - max), max) over the last axis; rows with at least one finite entry assumed;
+    # exp(-inf) is an exact 0. Under a finite row max every non-finite entry is -inf, which
+    # the subtraction keeps, so only rows with an infinite or NaN max need the mask
     m = x.max(axis=-1, keepdims=True)
     shifted = x - m
-    shifted[~np.isfinite(x)] = -np.inf
-    e = np.exp(shifted)
+    if not np.isfinite(m).all():
+        shifted[~np.isfinite(x)] = -np.inf
+    return np.exp(shifted), m
+
+
+def _masked_log_softmax_parts(x: np.ndarray):
+    e, m = _masked_exp(x)
     z = e.sum(axis=-1, keepdims=True)
-    log_z = m + np.log(z)
-    return e / z, log_z
+    return e / z, m + np.log(z)
 
 
 def softmax_np(logits: np.ndarray, additive_mask: np.ndarray | None = None) -> np.ndarray:
@@ -327,8 +333,8 @@ def softmax_np(logits: np.ndarray, additive_mask: np.ndarray | None = None) -> n
     x = np.asarray(logits, dtype=np.float64)
     if additive_mask is not None:
         x = x + additive_mask
-    probs, _ = _masked_log_softmax_parts(x)
-    return probs
+    e, _ = _masked_exp(x)
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def softmax_cross_entropy_np(

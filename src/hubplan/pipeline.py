@@ -169,14 +169,14 @@ def stage_train_policies(cfg: RunConfig, log=print) -> PolicyBank:
     return bank
 
 
-def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, env: MazeEnv,
-              encoder, start_id: int, goal: Goal, planner=None,
-              next_dist: CachedDist | None = None) -> tuple[EnvState, np.ndarray, Plan]:
+def plan_task(cfg: RunConfig, topo: BehaviorTopology, next_dist: CachedDist | None,
+              env: MazeEnv, encoder, start_id: int, goal: Goal,
+              planner=None) -> tuple[EnvState, np.ndarray, Plan]:
     """Reset `env` to a task, encode its first observation, match the start
     hub within `topo.epsilon` and plan to the goal's hubs: with
     `planner(topo, start_hub, goal_set)` when one is given (the BFS ablation
-    passes `bfs_plan`), else with the history search over `next_dist`
-    (a fresh `CachedDist(model, topo)` when none is given).
+    passes `bfs_plan` and no `next_dist`), else with the history search
+    over `next_dist`.
 
     Returns (state, observation, plan); raises NoPlanError when the start
     matches no hub or no plan reaches the goal.
@@ -188,7 +188,6 @@ def plan_task(cfg: RunConfig, topo: BehaviorTopology, model: HubDynamicsModel, e
     if planner is not None:
         return state, obs, planner(topo, start_hub, goal_set)
     scfg = SearchConfig(p_min=cfg.p_min, eta=cfg.eta, depth_limit=cfg.depth_limit)
-    next_dist = CachedDist(model, topo) if next_dist is None else next_dist
     return state, obs, search(topo, next_dist, start_hub, goal_set, scfg)
 
 
@@ -196,8 +195,8 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
              log=print, plans_subdir: str = "plans", planner=None) -> list[TaskRecord]:
     """One episode per (start, goal, seen-flag) on the run's loaded topology,
     planned as `plan_task` does with `planner` and executed with arrivals
-    matched within `topo.epsilon`; plans dumped next to metrics. Each task's
-    log line counts the histories its search expanded."""
+    matched within `topo.epsilon`; plans dumped next to metrics. Without a
+    `planner`, each task's log line counts the histories its search expanded."""
     out = Path(cfg.out_dir)
     model = load_high_model(cfg, "eval", len(topo.hubs))
     _require(out / "policies" / "index.json", "eval", "train-policies")
@@ -220,10 +219,9 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
     records: list[TaskRecord] = []
     for start_id, goal, seen in pairs:
         path = plans_dir / f"plan_{start_id}_{goal.first}{goal.second}.txt"
-        dist = CachedDist(model, topo)
+        dist = CachedDist(model, topo) if planner is None else None
         try:
-            state, obs, plan = plan_task(cfg, topo, model, env, encoder, start_id, goal,
-                                         planner, dist)
+            state, obs, plan = plan_task(cfg, topo, dist, env, encoder, start_id, goal, planner)
         except NoPlanError as e:
             path.write_text(f"no plan: {e}\n")
             record = TaskRecord(start_id=start_id, goal=str(goal), seen=seen, success=False,
@@ -238,8 +236,9 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
                                 planned_edges=result.planned_edges, plan_cost=float(plan.cost),
                                 failure_reason=result.failure_reason)
         records.append(record)
+        expanded = "" if dist is None else f" expansions={dist.calls}"
         log(f"eval: start={start_id} goal={goal} seen={int(seen)} "
-            f"success={int(record.success)} steps={record.steps} expansions={dist.calls}")
+            f"success={int(record.success)} steps={record.steps}{expanded}")
     return records
 
 

@@ -233,7 +233,7 @@ class TestEdgePolicy:
     def test_act_probabilities_are_softmax_np_bitwise(self, special):
         """With a zero head weight the logits are the head bias exactly, so
         the bias sets them: random ones (some equal, some far apart), and
-        ones holding -inf, +inf or NaN for the `softmax_np` fallback."""
+        ones holding -inf, +inf or NaN, which `softmax_np` masks."""
         policy = EdgePolicy(np.random.default_rng(6), emb_dim=8)
         policy.head_w.data[...] = 0.0
         rng = np.random.default_rng(7)

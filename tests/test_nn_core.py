@@ -440,6 +440,28 @@ class TestSoftmaxCrossEntropy:
         assert probs[0, 1] == 0.0 and probs[0, 3] == 0.0
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("special", [None, -np.inf, np.inf, np.nan])
+    def test_softmax_np_masks_only_rows_that_need_it(self, special):
+        """`softmax_np` masks non-finite entries only when a row's max is
+        infinite or NaN; its probabilities are bitwise those of masking
+        every row, with some rows holding -inf, +inf or NaN entries."""
+        def always_masked(x):
+            shifted = x - x.max(axis=-1, keepdims=True)
+            shifted[~np.isfinite(x)] = -np.inf
+            e = np.exp(shifted)
+            return e / e.sum(axis=-1, keepdims=True)
+
+        rng = np.random.default_rng(3)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for trial in range(200):
+                x = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=(int(rng.integers(1, 4)), 6))
+                x[0, rng.integers(6)] = x[0, rng.integers(6)]
+                if special is not None:
+                    x[rng.integers(len(x)), rng.integers(6)] = special
+                x[rng.integers(len(x)), rng.integers(6)] = -np.inf
+                got, want = nn.softmax_np(x), always_masked(x)
+                assert got.tobytes() == want.tobytes(), (special, trial)
+
     def test_label_smoothing_floor(self):
         # confident correct prediction still pays the smoothing floor
         logits = nn.Tensor(np.array([[30.0, 0.0, 0.0]]))

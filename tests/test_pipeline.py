@@ -295,9 +295,12 @@ class TestBfsAblationOnStandardMaze:
         ds = load_dataset(oracle_run["out"] / "dataset")
         topo = load_topology(oracle_run["out"] / "topology.txt", ds.trajectories)
         pairs = [(sid, g, True) for sid, g in ds.seen][:4]
-        records = evaluate(oracle_run["cfg"], topo, pairs, log=lambda *a: None,
+        lines = []
+        records = evaluate(oracle_run["cfg"], topo, pairs, log=lines.append,
                            plans_subdir="bfs_probe", planner=bfs_plan)
         assert all(r.success for r in records)
+        # BFS asks the hub model nothing, so its lines count no expansions
+        assert len(lines) == 4 and not any("expansions=" in line for line in lines), lines
         # hop-minimality: bfs plans never exceed the history-planner's length
         hist = json.loads((oracle_run["out"] / "metrics.json").read_text())["per_task"]
         by_key = {(r["start_id"], r["goal"]): r for r in hist}
