@@ -41,11 +41,6 @@ class RunConfig:
     # edge policies
     lr_policy: float = 1e-3
     policy_epochs: int = 200
-    p_truncated: float = 0.1
-    p_preroll: float = 0.1
-    max_perturbation: int = 3
-    obs_noise: float = 0.01
-    label_smoothing: float = 0.05
     max_segments_per_edge: int = 4
     # plan search
     p_min: float = 1e-3
@@ -66,23 +61,15 @@ class RunConfig:
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
         for name in ("history_len", "low_epochs", "high_epochs", "policy_epochs",
-                     "max_perturbation", "max_segments_per_edge", "depth_limit"):
+                     "max_segments_per_edge", "depth_limit"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if not 0 <= self.p_min < 1:
             raise ConfigError("p_min must be in [0, 1)")
         # 0 turns pretraining off; a negative count would do so silently
-        for name in ("eta", "obs_noise", "pretrain_traversals", "pretrain_max_len",
-                     "pretrain_epochs"):
+        for name in ("eta", "pretrain_traversals", "pretrain_max_len", "pretrain_epochs"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must not be negative")
-        if not 0 <= self.label_smoothing < 1:
-            raise ConfigError("label_smoothing must be in [0, 1)")
-        for name in ("p_truncated", "p_preroll"):
-            if not 0 <= getattr(self, name) <= 1:
-                raise ConfigError(f"{name} must be in [0, 1]")
-        if self.p_truncated + self.p_preroll > 1:
-            raise ConfigError("p_truncated + p_preroll must be at most 1")
         # a function-local import: latent.training imports this module
         from .latent.oracle import BACKEND_FIELDS, code_width
 

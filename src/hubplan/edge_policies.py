@@ -5,7 +5,10 @@ target hub's embedding; all of that hub's outgoing segments are its training
 data, read through each segment's step span from its trajectory. Segment
 starts are stochastically perturbed during training (canonical / truncated /
 preroll), observations get small additive noise on the raster channels, and
-action labels are smoothed.
+action labels are smoothed. The strengths of that recipe are module
+constants (`P_TRUNCATED`, `P_PREROLL`, `MAX_PERTURBATION`, `OBS_NOISE`,
+`LABEL_SMOOTHING`), as are the early-stopping rule's (`MIN_EPOCHS` to
+`PLATEAU_REL`).
 
 Training backpropagates through time by hand, and its values and gradients
 are bit-identical to recording the same steps op by op on a tape. It stacks,
@@ -43,6 +46,13 @@ from .maze.trajectory import Trajectory
 from .topology import BehaviorTopology, Segment
 
 MODEL_KIND = "policy"
+# the behaviour-cloning recipe: segment boundary perturbation (`perturb_segment`),
+# raster observation noise (`_fill_batch`) and action label smoothing
+P_TRUNCATED = 0.1
+P_PREROLL = 0.1
+MAX_PERTURBATION = 3
+OBS_NOISE = 0.01
+LABEL_SMOOTHING = 0.05
 # early stopping: from MIN_EPOCHS on, every CHECK_EVERY epochs stop once greedy
 # replay of every segment is exact, or once the loss has not improved by a
 # relative PLATEAU_REL for PLATEAU_PATIENCE epochs
@@ -52,27 +62,27 @@ PLATEAU_PATIENCE = 40
 PLATEAU_REL = 1e-4
 
 
-def perturb_segment(segment: Segment, rng: np.random.Generator, cfg: RunConfig) -> int:
+def perturb_segment(segment: Segment, rng: np.random.Generator) -> int:
     """First step of a boundary-perturbed draw of an edge segment; every draw
-    ends at `segment.end`. Truncated with probability `cfg.p_truncated`
-    (the first step is later than `segment.begin`), prerolled with
-    `cfg.p_preroll` (earlier), and canonical otherwise (`segment.begin`).
+    ends at `segment.end`. Truncated with probability `P_TRUNCATED` (the
+    first step is later than `segment.begin`), prerolled with `P_PREROLL`
+    (earlier), and canonical otherwise (`segment.begin`).
 
-    Truncation drops up to `cfg.max_perturbation` leading steps but never
+    Truncation drops up to `MAX_PERTURBATION` leading steps but never
     empties the segment; preroll prepends true predecessor steps from the
     origin trajectory and falls back to canonical at the trajectory start.
     """
     if segment.end - segment.begin < 1:
         raise ValueError("segment must contain at least one action")
     r = rng.random()
-    if r < 1 - cfg.p_truncated - cfg.p_preroll:
+    if r < 1 - P_TRUNCATED - P_PREROLL:
         return segment.begin
-    if r < 1 - cfg.p_preroll:
+    if r < 1 - P_PREROLL:
         room = segment.end - segment.begin - 1
         if room >= 1:
-            return segment.begin + min(int(rng.integers(1, cfg.max_perturbation + 1)), room)
+            return segment.begin + min(int(rng.integers(1, MAX_PERTURBATION + 1)), room)
     elif segment.begin >= 1:
-        return segment.begin - min(int(rng.integers(1, cfg.max_perturbation + 1)), segment.begin)
+        return segment.begin - min(int(rng.integers(1, MAX_PERTURBATION + 1)), segment.begin)
     return segment.begin
 
 
@@ -243,14 +253,14 @@ def _greedy_exact(policy: EdgePolicy, segs: list[Segment], embeddings: np.ndarra
 
 
 def _fill_batch(segs: list[Segment], begins: list[int], trajectories: list[Trajectory],
-                embeddings: np.ndarray, cfg: RunConfig, rng: np.random.Generator):
+                embeddings: np.ndarray, rng: np.random.Generator):
     """One epoch's zero-padded batch of draws: (xs, acts, mask), row i running
     from `begins[i]` to the end of `segs[i]`.
 
     Each draw's observation rows are decoded from its trajectory's uint8
     codes straight into the batch, then get their noise, drawn as standard
     normals into one scratch block and scaled in place, which is bitwise
-    `rng.normal(0.0, cfg.obs_noise)` from the same stream."""
+    `rng.normal(0.0, OBS_NOISE)` from the same stream."""
     n = len(segs)
     t_max = max(s.end - begin for s, begin in zip(segs, begins))
     xs = np.zeros((n, t_max, OBS_SIZE + embeddings.shape[1]))
@@ -260,10 +270,9 @@ def _fill_batch(segs: list[Segment], begins: list[int], trajectories: list[Traje
     for i, (seg, begin) in enumerate(zip(segs, begins)):
         traj, length = trajectories[seg.traj_id], seg.end - begin
         traj.decode_rows(begin, seg.end, xs[i, :length, :OBS_SIZE])
-        if cfg.obs_noise > 0:
-            draw = rng.standard_normal(out=noise[:length])
-            draw *= cfg.obs_noise
-            xs[i, :length, :VIEW_SIZE] += draw
+        draw = rng.standard_normal(out=noise[:length])
+        draw *= OBS_NOISE
+        xs[i, :length, :VIEW_SIZE] += draw
         xs[i, :length, OBS_SIZE:] = embeddings[seg.target]
         acts[i, :length] = traj.actions[begin:seg.end]
         mask[i, :length] = 1.0
@@ -281,11 +290,11 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     stale = 0
 
     for epoch in range(cfg.policy_epochs):
-        begins = [perturb_segment(s, rng, cfg) for s in segs]
-        xs, acts, mask = _fill_batch(segs, begins, trajectories, embeddings, cfg, rng)
+        begins = [perturb_segment(s, rng) for s in segs]
+        xs, acts, mask = _fill_batch(segs, begins, trajectories, embeddings, rng)
 
         try:
-            loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, cfg.label_smoothing)
+            loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, LABEL_SMOOTHING)
         except nn.NonFiniteError as err:
             raise nn.NonFiniteError(f"policy for hub {hub_id}: {err}") from err
         if not np.isfinite(loss):
@@ -337,12 +346,19 @@ def save_bank(bank: PolicyBank, out_dir: Path) -> None:
 
 
 def load_bank(out_dir: Path) -> PolicyBank:
+    """The bank `save_bank` wrote; raises `nn.ArtifactError` naming a policy
+    file whose stored hub id is not the hub `index.json` lists it for."""
     from .nn.io import load_params
 
     out_dir = Path(out_dir)
     index = json.loads((out_dir / "index.json").read_text())
     bank = PolicyBank(emb_dim=index["emb_dim"])
     for hub_id in index["hubs"]:
-        _kind, tensors = load_params(out_dir / f"policy_{hub_id:04d}.bin", expect_kind=MODEL_KIND)
+        path = out_dir / f"policy_{hub_id:04d}.bin"
+        _kind, tensors = load_params(path, expect_kind=MODEL_KIND)
+        stored = tensors.get("hub_id", np.empty(0)).tolist()
+        if stored != [hub_id]:
+            raise nn.ArtifactError(f"{path}: stores hub_id {stored}, but index.json lists it "
+                                   f"for hub {hub_id}")
         bank.policies[hub_id] = EdgePolicy.from_tensors(tensors)
     return bank

@@ -113,8 +113,6 @@ class LearnedEncoder:
     The recurrent hidden state runs through the whole episode; training carries
     it by value across its BPTT windows, so encodings do not depend on them."""
 
-    name = "learned"
-
     def __init__(self, model: LowLevelModel):
         self.model = model
         self.hidden = np.zeros((1, model.latent_dim))
@@ -135,3 +133,10 @@ class LearnedEncoder:
         self.hidden = hs[-1]
         z = imm + (hs[1:] @ m.enc_corr_w.data + m.enc_corr_b.data)
         return z.reshape(obs.shape[:-1] + (m.latent_dim,))
+
+    def encode_trajectory(self, env, traj) -> np.ndarray:
+        """(len(traj) + 1, latent_dim) latents of the trajectory's observation
+        rows, decoded for this call only, from a fresh episode; `env` is
+        unused."""
+        self.begin_episode()
+        return self.encode(traj.decode_rows(0, len(traj) + 1, np.empty((len(traj) + 1, OBS_SIZE))))

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..maze.env import EnvState
+from ..maze.trajectory import replay_states
 
 # latent coordinates each field's codes take, in encoding order
 FIELD_WIDTHS = {"position": 2, "orientation": 1, "held": 1, "doors": 4, "barrel": 2}
@@ -43,8 +44,6 @@ class OracleEncoder:
     Raises ValueError on construction for an unknown field, or for a
     `latent_dim` narrower than the fields' codes.
     """
-
-    name = "oracle"
 
     def __init__(self, latent_dim: int = 64, epsilon: float = 1e-3,
                  fields: tuple[str, ...] = ALL_FIELDS):
@@ -83,3 +82,8 @@ class OracleEncoder:
         z = np.full(self.latent_dim, 0.5 * self.epsilon)
         z[:len(codes)] = [(SPACING * code + 0.5) * self.epsilon for code in codes]
         return z
+
+    def encode_trajectory(self, env, traj) -> np.ndarray:
+        """(len(traj) + 1, latent_dim) latents of the trajectory's states,
+        replayed in `env`; reads no observation."""
+        return np.stack([self.encode(None, state) for state in replay_states(env, traj)])

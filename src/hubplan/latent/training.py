@@ -20,7 +20,6 @@ from ..config import RunConfig
 from ..maze.env import N_ACTIONS
 from ..maze.raster import OBS_SIZE, VIEW_SIZE, channel_weights
 from ..maze.trajectory import Trajectory
-from ..nn.tensor import _accum, _node, _wrap
 from .model import LowLevelModel
 
 # weights of the per-step loss terms: latent prediction, view reconstruction,
@@ -29,38 +28,6 @@ W_Z = 1.0
 W_VIS = 1.0
 W_BARREL = 1.0
 W_TERMINAL = 0.5
-
-
-def weighted_sq_error(pred, target, weight: np.ndarray, normalizer: float,
-                      channel_weight: np.ndarray | None = None) -> nn.Tensor:
-    """Sum of w * (pred - target)^2 over every entry, divided by
-    `normalizer`; exactly 0 when equal. w is `weight`, which broadcasts
-    against the (batch, width) difference (a row mask), times
-    `channel_weight[j]` in column j when that is given.
-
-    One tape node that keeps only the difference and recomputes w in its
-    backward. Loss and gradients are bit-identical to the composition
-    sub, mul(diff, diff), mul(., w), sum_all, scale: the backward repeats
-    its float ops, G = (g * c) * w, t = G * diff, d = t + t, then d to
-    `pred` and -d to `target`."""
-    pred, target = _wrap(pred), _wrap(target)
-    c = float(1.0 / normalizer)
-
-    def w():
-        return weight if channel_weight is None else weight * channel_weight[None, :]
-
-    diff = pred.data - target.data
-    data = np.asarray((diff * diff * w()).sum()) * c
-
-    def backward(g):
-        t = g * c * w() * diff
-        d = t + t
-        if pred.requires_grad:
-            _accum(pred, d)
-        if target.requires_grad:
-            _accum(target, -d)
-
-    return _node(data, (pred, target), backward)
 
 
 def _pack_window(trajectories: list[Trajectory], a: int, b: int) -> np.ndarray:
@@ -114,9 +81,9 @@ def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
                 carry = h.data
                 z_next, h = model.encode_step(nn.Tensor(obs[:, k]), h)
                 w_col = valid[:, None]
-                l_z = weighted_sq_error(z_hat, z_next, w_col, count)
+                l_z = nn.weighted_sq_error(z_hat, z_next, w_col, count)
                 vis, bar0, bar1, term = model.decode(z_hat)
-                l_vis = weighted_sq_error(vis, vis_tgt[:, k], w_col, count, cw_norm)
+                l_vis = nn.weighted_sq_error(vis, vis_tgt[:, k], w_col, count, cw_norm)
                 l_bar = nn.softmax_cross_entropy(bar0, barrel_tgt[:, k, 0], sample_weight=valid)
                 l_bar = nn.tensor.add(l_bar, nn.softmax_cross_entropy(
                     bar1, barrel_tgt[:, k, 1], sample_weight=valid))

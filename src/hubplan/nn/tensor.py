@@ -48,6 +48,7 @@ __all__ = [
     "softmax_cross_entropy",
     "softmax_cross_entropy_np",
     "linear_softmax_cross_entropy",
+    "weighted_sq_error",
     "bce_with_logits",
     "softmax_np",
 ]
@@ -440,6 +441,38 @@ def linear_softmax_cross_entropy(
         _linear_backward(x, w, b, dl)
 
     return _node(data, (x, w, b), backward)
+
+
+def weighted_sq_error(pred, target, weight: np.ndarray, normalizer: float,
+                      channel_weight: np.ndarray | None = None) -> Tensor:
+    """Sum of w * (pred - target)^2 over every entry, divided by
+    `normalizer`; exactly 0 when equal. w is `weight`, which broadcasts
+    against the (batch, width) difference (a row mask), times
+    `channel_weight[j]` in column j when that is given.
+
+    One tape node that keeps only the difference and recomputes w in its
+    backward. Loss and gradients are bit-identical to the composition
+    sub, mul(diff, diff), mul(., w), sum_all, scale: the backward repeats
+    its float ops, G = (g * c) * w, t = G * diff, d = t + t, then d to
+    `pred` and -d to `target`."""
+    pred, target = _wrap(pred), _wrap(target)
+    c = float(1.0 / normalizer)
+
+    def w():
+        return weight if channel_weight is None else weight * channel_weight[None, :]
+
+    diff = pred.data - target.data
+    data = np.asarray((diff * diff * w()).sum()) * c
+
+    def backward(g):
+        t = g * c * w() * diff
+        d = t + t
+        if pred.requires_grad:
+            _accum(pred, d)
+        if target.requires_grad:
+            _accum(target, -d)
+
+    return _node(data, (pred, target), backward)
 
 
 def bce_with_logits(logits: Tensor, targets, sample_weight: np.ndarray | None = None) -> Tensor:

@@ -157,26 +157,18 @@ def search(topology: BehaviorTopology, next_dist, h_s: int, goal_set: set[int],
 
 
 def bfs_plan(topology: BehaviorTopology, h_s: int, goal_set: set[int]) -> Plan:
-    """Shortest edge-path to any goal hub, ignoring transition probabilities."""
+    """Shortest edge-path to any goal hub, ignoring transition probabilities:
+    from each hub, the lowest-numbered successor one hop nearer the goal set."""
     if not goal_set:
         raise NoPlanError("empty goal set")
-    if h_s in goal_set:
-        return Plan(history=[h_s], cost=0.0)
-    parent = {h_s: None}
-    frontier = deque([h_s])
-    while frontier:
-        hub = frontier.popleft()
-        for nxt in topology.out_neighbors(hub):
-            if nxt in parent:
-                continue
-            parent[nxt] = hub
-            if nxt in goal_set:
-                path = [nxt]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return Plan(history=path[::-1], cost=float("nan"))
-            frontier.append(nxt)
-    raise NoPlanError("no edge path reaches a goal hub")
+    to_goal = goal_distances(topology, goal_set)
+    if h_s not in to_goal:
+        raise NoPlanError("no edge path reaches a goal hub")
+    history = [h_s]
+    while hops := to_goal[history[-1]]:
+        history.append(next(h for h in topology.out_neighbors(history[-1])
+                            if to_goal.get(h) == hops - 1))
+    return Plan(history=history, cost=0.0 if len(history) == 1 else float("nan"))
 
 
 def format_plan(plan: Plan, topology: BehaviorTopology) -> str:

@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .maze.env import Goal
-from .maze.raster import OBS_SIZE
 from .maze.trajectory import Trajectory
 
 ClusterId = tuple[int, ...]
@@ -139,24 +138,11 @@ class BehaviorTopology:
 
 
 def encode_dataset(env, dataset, encoder) -> list[LatentTrajectory]:
-    """Encode every trajectory (successes first, then failures, in dataset order).
-
-    The oracle encodes each replayed state and reads no observation; the
-    learned encoder takes a trajectory's whole observation matrix, decoded
-    for that call only."""
-    from .maze.trajectory import replay_states
-
-    out = []
-    needs_state = getattr(encoder, "name", "") == "oracle"
-    for tid, traj in enumerate(dataset.trajectories):
-        encoder.begin_episode()
-        if needs_state:
-            zs = np.stack([encoder.encode(None, state) for state in replay_states(env, traj)])
-        else:
-            zs = encoder.encode(traj.decode_rows(0, len(traj) + 1,
-                                                 np.empty((len(traj) + 1, OBS_SIZE))))
-        out.append(LatentTrajectory(tid, traj.start_id, traj.goal, traj.success, zs))
-    return out
+    """Encode every trajectory (successes first, then failures, in dataset
+    order) with `encoder.encode_trajectory`."""
+    return [LatentTrajectory(tid, traj.start_id, traj.goal, traj.success,
+                             encoder.encode_trajectory(env, traj))
+            for tid, traj in enumerate(dataset.trajectories)]
 
 
 def detect_hubs(latent_trajectories: list[LatentTrajectory], epsilon: float) -> list[Hub]:

@@ -196,7 +196,7 @@ def test_criterion_gradient_correctness():
         f_encoder, [model.enc_w1, model.enc_b1, model.enc_w2, model.enc_b2,
                     model.enc_corr_w, model.enc_corr_b] + list(model.gru.tensors().values()))
 
-    from hubplan.latent.training import weighted_sq_error
+    from hubplan.nn import weighted_sq_error
     from hubplan.maze.raster import VIEW_SIZE, channel_weights
 
     cwn = channel_weights() / channel_weights().sum()
@@ -306,9 +306,8 @@ def test_criterion_perturbation_mix():
     seg = make_segment(n_actions=8, begin=5)
     counts = {"canonical": 0, "truncated": 0, "preroll": 0}
     n = 10_000
-    cfg = RunConfig()
     for _ in range(n):
-        counts[variant(perturb_segment(seg, rng, cfg), seg)] += 1
+        counts[variant(perturb_segment(seg, rng), seg)] += 1
     fracs = {k: v / n for k, v in counts.items()}
     ok = (abs(fracs["canonical"] - 0.8) <= 0.02 and abs(fracs["truncated"] - 0.1) <= 0.02
           and abs(fracs["preroll"] - 0.1) <= 0.02)

@@ -14,13 +14,12 @@ import pytest
 import hubplan
 from hubplan.cli import _build_parser, _load_config, main
 from hubplan.config import ConfigError, RunConfig, parse_config, save_config
-from hubplan.edge_policies import perturb_segment, train_policy_for_hub
+from hubplan.edge_policies import train_policy_for_hub
 from hubplan.hub_dynamics import HubDynamicsModel, train_high
 from hubplan.latent import LowLevelModel, train_low_level
 from hubplan.maze.raster import OBS_SIZE
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
 from hubplan.pipeline import derive_no_memory_config
-from hubplan.topology import Segment
 
 from scenarios import build_scenario, scenario_topology
 
@@ -70,12 +69,10 @@ class TestConfig:
         return path
 
     @pytest.mark.parametrize("key, value", [
-        ("depth_limit", 0), ("eta", -0.01), ("max_perturbation", 0), ("history_len", 0),
+        ("depth_limit", 0), ("eta", -0.01), ("history_len", 0),
         ("low_epochs", 0), ("high_epochs", 0), ("policy_epochs", 0),
         ("max_segments_per_edge", 0), ("latent_dim", 0), ("latent_dim", 9),
-        ("obs_noise", -0.01), ("label_smoothing", 1.0), ("label_smoothing", -0.05),
-        ("p_truncated", -0.1), ("p_preroll", 1.5), ("p_truncated", 0.95), ("p_preroll", 0.95),
-        ("eta", "nan"), ("obs_noise", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"),
+        ("eta", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"),
         ("seed", -1), ("out_dir", ""), ("pretrain_traversals", -1),
         ("pretrain_max_len", -2), ("pretrain_epochs", -3)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
@@ -107,8 +104,11 @@ class TestConfig:
         assert "'seed'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("oracle_fields", "position,orientation,held,doors,barrel"), ("p_canonical", 0.8)],
-        ids=["oracle_fields", "p_canonical"])
+        ("oracle_fields", "position,orientation,held,doors,barrel"), ("p_canonical", 0.8),
+        ("p_truncated", 0.1), ("p_preroll", 0.1), ("max_perturbation", 3), ("obs_noise", 0.01),
+        ("label_smoothing", 0.05)],
+        ids=["oracle_fields", "p_canonical", "p_truncated", "p_preroll", "max_perturbation",
+             "obs_noise", "label_smoothing"])
     def test_deleted_key_rejected(self, tmp_path, capsys, key, value):
         # a config.txt written while these keys existed fails at load
         self.saved_run(tmp_path)
@@ -201,18 +201,11 @@ class TestTrainersReadRunConfig:
                                                np.random.default_rng(0))
         return len(losses)
 
-    @staticmethod
-    def preroll_share(_scenario, cfg):
-        rng = np.random.default_rng(0)
-        segs = [Segment(0, 1, 0, begin, begin + 4) for begin in range(1, 6) for _ in range(40)]
-        return sum(perturb_segment(seg, rng, cfg) < seg.begin for seg in segs) / len(segs)
-
     @pytest.mark.parametrize("overrides, measure, expected", [
         ({"high_epochs": 3}, high_epochs, 3),
         ({"low_epochs": 2}, low_epochs, 2),
         ({"policy_epochs": 4}, policy_epochs, 4),  # below MIN_EPOCHS: no early stop
-        ({"p_truncated": 0.0, "p_preroll": 1.0}, preroll_share, 1.0),
-    ], ids=["high_epochs", "low_epochs", "policy_epochs", "p_preroll"])
+    ], ids=["high_epochs", "low_epochs", "policy_epochs"])
     def test_trainer_reads_its_field(self, scenario, overrides, measure, expected):
         assert measure(scenario, RunConfig(**overrides)) == expected
 

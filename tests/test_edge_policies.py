@@ -6,6 +6,7 @@ import pytest
 from hubplan import nn
 from hubplan.config import RunConfig
 from hubplan.edge_policies import (
+    OBS_NOISE,
     EdgePolicy,
     PolicyBank,
     _fill_batch,
@@ -23,8 +24,6 @@ from hubplan.topology import Segment
 
 from gradient_reference import finite_diff_error
 from scenarios import build_scenario, scenario_topology
-
-DEFAULTS = RunConfig()
 
 
 def tape_step(policy, x, h):
@@ -110,7 +109,7 @@ class TestPerturbSegment:
         counts = {"canonical": 0, "truncated": 0, "preroll": 0}
         n = 10_000
         for _ in range(n):
-            counts[variant(perturb_segment(seg, rng, DEFAULTS), seg)] += 1
+            counts[variant(perturb_segment(seg, rng), seg)] += 1
         assert abs(counts["canonical"] / n - 0.8) <= 0.02
         assert abs(counts["truncated"] / n - 0.1) <= 0.02
         assert abs(counts["preroll"] / n - 0.1) <= 0.02
@@ -121,7 +120,7 @@ class TestPerturbSegment:
         traj = FakeTrajectory()
         seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            begin = perturb_segment(seg, rng, DEFAULTS)
+            begin = perturb_segment(seg, rng)
             if begin > seg.begin:
                 cut = begin - seg.begin
                 assert 1 <= cut <= 3
@@ -133,7 +132,7 @@ class TestPerturbSegment:
         seg = make_segment(n_actions=1)
         traj = FakeTrajectory()
         for _ in range(200):
-            begin = perturb_segment(seg, rng, DEFAULTS)
+            begin = perturb_segment(seg, rng)
             assert begin <= seg.begin
             assert len(traj.actions[begin:seg.end]) >= 1
 
@@ -141,7 +140,7 @@ class TestPerturbSegment:
         rng = np.random.default_rng(2)
         seg = make_segment(n_actions=4, begin=0)
         for _ in range(200):
-            assert perturb_segment(seg, rng, DEFAULTS) >= seg.begin
+            assert perturb_segment(seg, rng) >= seg.begin
 
     def test_preroll_prepends_true_predecessors(self):
         rng = np.random.default_rng(3)
@@ -149,7 +148,7 @@ class TestPerturbSegment:
         traj = FakeTrajectory()
         seg_actions = traj.actions[seg.begin:seg.end]
         for _ in range(300):
-            begin = perturb_segment(seg, rng, DEFAULTS)
+            begin = perturb_segment(seg, rng)
             if begin < seg.begin:
                 ext = seg.begin - begin
                 actions = traj.actions[begin:seg.end]
@@ -161,9 +160,10 @@ class TestPerturbSegment:
             pytest.fail("no preroll drawn")
 
 
-def fill_batch_reference(segs, begins, trajectories, embeddings, cfg, rng):
-    """The policy batch fill over float observation rows, its noise drawn by
-    `rng.normal`: the reference for `_fill_batch`."""
+def fill_batch_reference(segs, begins, trajectories, embeddings, obs_noise, rng):
+    """The policy batch fill over float observation rows, its noise of
+    deviation `obs_noise` drawn by `rng.normal`: the reference for
+    `_fill_batch`."""
     t_max = max(s.end - begin for s, begin in zip(segs, begins))
     xs = np.zeros((len(segs), t_max, OBS_SIZE + embeddings.shape[1]))
     acts = np.zeros((len(segs), t_max), dtype=np.intp)
@@ -171,8 +171,7 @@ def fill_batch_reference(segs, begins, trajectories, embeddings, cfg, rng):
     for i, (seg, begin) in enumerate(zip(segs, begins)):
         traj, length = trajectories[seg.traj_id], seg.end - begin
         xs[i, :length, :OBS_SIZE] = traj.observations[begin:seg.end]
-        if cfg.obs_noise > 0:
-            xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, cfg.obs_noise, size=(length, VIEW_SIZE))
+        xs[i, :length, :VIEW_SIZE] += rng.normal(0.0, obs_noise, size=(length, VIEW_SIZE))
         xs[i, :length, OBS_SIZE:] = embeddings[seg.target]
         acts[i, :length] = traj.actions[begin:seg.end]
         mask[i, :length] = 1.0
@@ -180,7 +179,7 @@ def fill_batch_reference(segs, begins, trajectories, embeddings, cfg, rng):
 
 
 class TestFillBatch:
-    @pytest.mark.parametrize("obs_noise", [0.01, 0.0])
+    @pytest.mark.parametrize("obs_noise", [OBS_NOISE])
     def test_batch_from_codes_is_batch_from_float_rows(self, obs_noise):
         """A canonical, a truncated and a prerolled draw, and a short draw
         whose row ends in a padded tail, from two demonstrations."""
@@ -195,10 +194,9 @@ class TestFillBatch:
         assert [variant(b, s) for b, s in zip(begins, segs)] == [
             "canonical", "truncated", "preroll", "canonical"]
         embeddings = np.random.default_rng(0).normal(size=(3, 4))
-        cfg = RunConfig(obs_noise=obs_noise)
         rngs = [np.random.default_rng(11), np.random.default_rng(11)]
-        got = _fill_batch(segs, begins, trajs, embeddings, cfg, rngs[0])
-        want = fill_batch_reference(segs, begins, trajs, embeddings, cfg, rngs[1])
+        got = _fill_batch(segs, begins, trajs, embeddings, rngs[0])
+        want = fill_batch_reference(segs, begins, trajs, embeddings, obs_noise, rngs[1])
         assert got[0].shape == (4, 8, OBS_SIZE + 4)
         assert not got[2][3, 2:].any()       # the short draw's padded tail
         for a, b in zip(got, want):
@@ -362,6 +360,20 @@ class TestTrainPolicies:
             want = policy.act(obs, emb[0], policy.initial_memory())
             got = loaded.act(obs, emb[0], loaded.initial_memory())
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_swapped_policy_files_rejected(self, tmp_path):
+        # two policy files traded places: index.json still matches the file
+        # names, but each file stores the other hub's id
+        rng = np.random.default_rng(0)
+        bank = PolicyBank(emb_dim=4, policies={hub: EdgePolicy(rng, 4, enc_hidden=3, gru_hidden=2)
+                                               for hub in (2, 5)})
+        save_bank(bank, tmp_path)
+        a, b = tmp_path / "policy_0002.bin", tmp_path / "policy_0005.bin"
+        a_bytes = a.read_bytes()
+        a.write_bytes(b.read_bytes())
+        b.write_bytes(a_bytes)
+        with pytest.raises(nn.ArtifactError, match=r"policy_0002\.bin: stores hub_id \[5\.0\]"):
+            load_bank(tmp_path)
 
     def test_policy_per_out_degree_hub(self, trained_scenario):
         sc, topo, emb = trained_scenario

@@ -11,11 +11,11 @@ from hubplan.latent import (
     LowLevelModel,
     OracleEncoder,
     train_low_level,
-    weighted_sq_error,
 )
 from hubplan.maze import RED, Goal, MazeEnv, replay_states
 from hubplan.maze.env import TURN_LEFT, TURN_RIGHT
 from hubplan.maze.raster import OBS_SIZE
+from hubplan.nn import weighted_sq_error
 from hubplan.topology import bucket_of
 
 from conftest import traced_peak_bytes

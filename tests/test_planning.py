@@ -16,7 +16,7 @@ from hubplan.planning import (
     search,
 )
 from hubplan.topology import BehaviorTopology, Hub, bucket_of
-from planning_reference import search_reference
+from planning_reference import bfs_plan_reference, search_reference
 
 EPS = 1e-3
 
@@ -300,6 +300,28 @@ class TestBfsPlan:
         topo = toy_topology(3, {(1, 2)}, terminals=(2,))
         with pytest.raises(NoPlanError):
             bfs_plan(topo, 0, {2})
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_same_plan_as_forward_bfs(self, data):
+        """Plans, cost reprs and error texts of the walk down the goal
+        distances equal the forward breadth-first search's, on random
+        digraphs of 1 to 9 hubs, self-loops and empty goal sets included."""
+        n = data.draw(st.integers(1, 9))
+        pairs = [(a, b) for a in range(n) for b in range(n)]
+        edges = set(data.draw(st.lists(st.sampled_from(pairs), max_size=3 * n, unique=True)))
+        start = data.draw(st.integers(0, n - 1))
+        goal_set = data.draw(st.sets(st.integers(0, n - 1), max_size=3))
+        topo = toy_topology(n, edges, terminals=tuple(goal_set))
+
+        def result(planner):
+            try:
+                plan = planner(topo, start, goal_set)
+            except NoPlanError as e:
+                return f"NoPlanError: {e}"
+            return plan.history, repr(plan.cost), plan.transition_probs
+
+        assert result(bfs_plan) == result(bfs_plan_reference)
 
 
 class TestMatching:
