@@ -4,9 +4,12 @@ Subcommands: gen-demos, train-low, build-topology, train-high,
 train-policies, plan, eval, ablate, run-all. Exit codes: 0 success,
 1 stage failure, 2 configuration error.
 
-Without --config, every subcommand but gen-demos and run-all continues the
-run in its --out directory with that run's config.txt, if any; --out and
---seed apply on top.
+A run directory's config.txt is the one source of its settings, fixed when
+the run starts. Every subcommand takes --out, the run directory, and reads
+its settings from --config if given, else from --out's config.txt if there
+is one, else the defaults. Only gen-demos and run-all, which start a run,
+take --config and --seed; a start whose settings differ from an existing
+config.txt in --out is a configuration error naming every differing key.
 
 A run uses one BLAS thread unless OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or
 MKL_NUM_THREADS says otherwise, so that a seed reproduces its artifacts
@@ -26,7 +29,7 @@ from pathlib import Path
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-from .config import ConfigError, RunConfig, parse_config  # noqa: E402
+from .config import FILE_FIELDS, ConfigError, RunConfig, parse_config  # noqa: E402
 from .maze.env import Goal  # noqa: E402
 from .pipeline import (  # noqa: E402
     STAGES,
@@ -35,7 +38,6 @@ from .pipeline import (  # noqa: E402
     ablate_no_memory,
     run_pipeline,
 )
-
 
 def _goal(text: str) -> Goal:
     try:
@@ -50,35 +52,46 @@ def _build_parser() -> argparse.ArgumentParser:
                                      description="hub-topology behavior composition pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key = value configuration file")
-        p.add_argument("--out", help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, help="run seed (overrides config)")
+    def command(name, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", default=RunConfig.out_dir,
+                       help=f"run directory; its config.txt holds the run's settings "
+                            f"(default {RunConfig.out_dir})")
+        if name in ("gen-demos", "run-all"):     # the subcommands that start a run
+            p.add_argument("--config", help="flat key = value settings file for a new run "
+                                            "(default: --out's config.txt, else the defaults)")
+            p.add_argument("--seed", type=int, help="run seed (replaces the settings' seed)")
+        return p
 
     for name in STAGES:
-        common(sub.add_parser(name, help=f"run the {name} stage"))
-    common(sub.add_parser("run-all", help="run every stage in order"))
+        command(name, f"run the {name} stage")
+    command("run-all", "run every stage in order")
 
-    p_plan = sub.add_parser("plan", help="search a plan for one start-goal pair")
-    common(p_plan)
+    p_plan = command("plan", "search a plan for one start-goal pair")
     p_plan.add_argument("--start", type=int, required=True, choices=(0, 1, 2))
     p_plan.add_argument("--goal", required=True, type=_goal, help="ordered pair, e.g. red,blue")
 
-    p_abl = sub.add_parser("ablate", help="run an ablation")
-    common(p_abl)
-    p_abl.add_argument("--kind", required=True, choices=("bfs", "no-memory"))
+    command("ablate", "run an ablation").add_argument(
+        "--kind", required=True, choices=("bfs", "no-memory"))
     return parser
 
 
 def _load_config(args) -> RunConfig:
-    path = args.config
-    if path is None and args.out and args.command not in ("gen-demos", "run-all"):
-        saved = Path(args.out) / "config.txt"
-        path = saved if saved.exists() else None
-    cfg = parse_config(path) if path else RunConfig()
-    overrides = {"out_dir": args.out, "seed": args.seed}
-    # replace() checks the overridden values as the file's are checked
-    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    saved = Path(args.out) / "config.txt"
+    kept = parse_config(saved) if saved.exists() else None
+    path = getattr(args, "config", None)
+    cfg = parse_config(path) if path else kept or RunConfig()
+    # replace() checks --out and --seed as the file's values are checked
+    cfg = dataclasses.replace(cfg, out_dir=args.out)
+    if getattr(args, "seed", None) is not None:
+        cfg = dataclasses.replace(cfg, seed=args.seed)
+    if kept is not None:
+        differ = [f.name for f in FILE_FIELDS if getattr(cfg, f.name) != getattr(kept, f.name)]
+        if differ:
+            raise ConfigError(f"{saved} holds other values for {', '.join(differ)}; a run "
+                              f"keeps the settings it started with, so start this one in "
+                              f"another --out directory")
+    return cfg
 
 
 def _cmd_plan(cfg: RunConfig, args) -> None:

@@ -1,10 +1,12 @@
 """Run configuration: a flat key = value text file mirroring RunConfig.
 
-Each field is one independent setting. Unknown or repeated keys and
-malformed or out-of-range values are configuration errors (CLI exit code
-2), found when the file is loaded rather than by the stage that would fail
-on them; the message names the key. Every float must be finite, and since
-`#` starts a comment in the file, no `out_dir` may hold one.
+Each field is one independent setting. Every field but `out_dir` is a key
+of the file: the run directory is where a run's config.txt lies, not a
+value in it, so a copied or moved run writes into its own directory.
+Unknown (`out_dir` among them) or repeated keys and malformed or
+out-of-range values are configuration errors (CLI exit code 2), found when
+the file is loaded rather than by the stage that would fail on them; the
+message names the key. Every float must be finite.
 """
 
 from __future__ import annotations
@@ -53,8 +55,8 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.seed < 0:
             raise ConfigError("seed must not be negative")
-        if not self.out_dir or "#" in self.out_dir:
-            raise ConfigError("out_dir must be non-empty and hold no '#'")
+        if not self.out_dir:
+            raise ConfigError("out_dir must be non-empty")
         if self.encoder_backend not in ENCODER_BACKENDS:
             raise ConfigError(f"encoder_backend must be one of {ENCODER_BACKENDS}")
         for name in ("epsilon", "lr_low", "lr_high", "lr_policy"):
@@ -86,10 +88,14 @@ class RunConfig:
         return self.epsilon
 
 
+# the keys of a config file: the run directory is the file's own directory
+FILE_FIELDS = tuple(f for f in fields(RunConfig) if f.name != "out_dir")
+
+
 def parse_config(path: str | Path) -> RunConfig:
     values: dict = {}
     first_line: dict[str, int] = {}
-    types = {f.name: f.type for f in fields(RunConfig)}
+    types = {f.name: f.type for f in FILE_FIELDS}
     casts = {"int": int, "float": float, "str": str}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -117,5 +123,5 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in fields(RunConfig)]
+    lines = [f"{f.name} = {getattr(cfg, f.name)}" for f in FILE_FIELDS]
     Path(path).write_text("\n".join(lines) + "\n")

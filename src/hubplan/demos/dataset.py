@@ -9,13 +9,14 @@ replacement from the 13 canonical mistakes of each seen pair.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..maze.env import Goal, MazeEnv, all_goals
 from ..maze.trajectory import Trajectory, load_trajectory, save_trajectory
+from ..nn.io import json_artifact
 from .expert import FailureSpec, enumerate_failure_specs, generate_failure_demo, generate_success_demo
 
 N_FAILURES = 120
@@ -95,37 +96,30 @@ def save_dataset(ds: DemoDataset, out_dir: Path) -> None:
         name = f"failure_{i:03d}"
         save_trajectory(traj, out_dir / name)
         sid, goal, spec = ds.failure_specs[i]
-        manifest["failures"].append({
-            "file": name,
-            "start_id": sid,
-            "goal": str(goal),
-            "kind": spec.kind,
-            "door_slot": spec.door_slot,
-            "wrong_key": spec.wrong_key,
-            "after_correct": spec.after_correct,
-            "color": spec.color,
-        })
+        manifest["failures"].append({"file": name, "start_id": sid, "goal": str(goal),
+                                     **asdict(spec)})
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
 def load_dataset(out_dir: Path) -> DemoDataset:
+    """The dataset `save_dataset` wrote; raises `ArtifactError` naming
+    `manifest.json` and gen-demos when the manifest is not JSON or lacks a
+    key."""
     out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    seen = [(sid, Goal.parse(g)) for sid, g in manifest["seen"]]
-    unseen = [(sid, Goal.parse(g)) for sid, g in manifest["unseen"]]
-    successes = [load_trajectory(out_dir / name) for name in manifest["successes"]]
-    failures = [load_trajectory(out_dir / rec["file"]) for rec in manifest["failures"]]
-    specs = [
-        (rec["start_id"], Goal.parse(rec["goal"]),
-         FailureSpec(rec["kind"], door_slot=rec["door_slot"], wrong_key=rec["wrong_key"],
-                     after_correct=rec["after_correct"], color=rec["color"]))
-        for rec in manifest["failures"]
-    ]
+    with json_artifact(out_dir / "manifest.json", "gen-demos") as manifest:
+        seed = manifest["seed"]
+        seen = [(sid, Goal.parse(g)) for sid, g in manifest["seen"]]
+        unseen = [(sid, Goal.parse(g)) for sid, g in manifest["unseen"]]
+        successes = manifest["successes"]
+        failures = [rec["file"] for rec in manifest["failures"]]
+        specs = [(rec["start_id"], Goal.parse(rec["goal"]),
+                  FailureSpec(**{f.name: rec[f.name] for f in fields(FailureSpec)}))
+                 for rec in manifest["failures"]]
     return DemoDataset(
-        seed=manifest["seed"],
+        seed=seed,
         seen=seen,
         unseen=unseen,
-        successes=successes,
-        failures=failures,
+        successes=[load_trajectory(out_dir / name) for name in successes],
+        failures=[load_trajectory(out_dir / name) for name in failures],
         failure_specs=specs,
     )

@@ -346,14 +346,16 @@ def save_bank(bank: PolicyBank, out_dir: Path) -> None:
 
 
 def load_bank(out_dir: Path) -> PolicyBank:
-    """The bank `save_bank` wrote; raises `nn.ArtifactError` naming a policy
+    """The bank `save_bank` wrote; raises `nn.ArtifactError` naming
+    `index.json` when it is not JSON or lacks a key, and naming a policy
     file whose stored hub id is not the hub `index.json` lists it for."""
-    from .nn.io import load_params
+    from .nn.io import json_artifact, load_params
 
     out_dir = Path(out_dir)
-    index = json.loads((out_dir / "index.json").read_text())
-    bank = PolicyBank(emb_dim=index["emb_dim"])
-    for hub_id in index["hubs"]:
+    with json_artifact(out_dir / "index.json", "train-policies") as index:
+        emb_dim, hubs = index["emb_dim"], index["hubs"]
+    bank = PolicyBank(emb_dim=emb_dim)
+    for hub_id in hubs:
         path = out_dir / f"policy_{hub_id:04d}.bin"
         _kind, tensors = load_params(path, expect_kind=MODEL_KIND)
         stored = tensors.get("hub_id", np.empty(0)).tolist()

@@ -15,13 +15,19 @@ it. On a two-core x86-64 host with one OpenBLAS thread, a policy step's
 64 against 17.0-18.2 us at 16, 32 or 48, and the learned encoder's
 (130, 1, 590) @ (590, 128) stack 1.0 ms against 1.8-1.9 ms; the results
 are bit-identical at every offset (`tests/test_nn_core.py::TestStackedNumpyFacts`).
+
+`json_artifact` reads the JSON files beside them (a dataset's manifest, a
+policy bank's index) and names the stage to rerun when one is malformed.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from collections.abc import Iterable
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -31,11 +37,24 @@ DIGEST_SIZE = 32
 ALIGN = 64  # bytes
 
 __all__ = ["ArtifactError", "aligned_copy", "save_params", "load_params",
-           "write_checksummed", "read_checksummed"]
+           "write_checksummed", "read_checksummed", "json_artifact"]
 
 
 class ArtifactError(RuntimeError):
     """Corrupt, truncated, or wrong-version artifact file."""
+
+
+@contextmanager
+def json_artifact(path, stage: str):
+    """The parsed JSON file `path`, to be read inside this block: a file that
+    does not parse, a missing key or a value of the wrong shape raises
+    `ArtifactError` naming the file and `stage`, the stage that writes it."""
+    try:
+        yield json.loads(Path(path).read_text())
+    except KeyError as e:
+        raise ArtifactError(f"{path}: no {e.args[0]!r} key; run stage {stage} again") from None
+    except (TypeError, ValueError) as e:
+        raise ArtifactError(f"{path}: malformed ({e}); run stage {stage} again") from None
 
 
 def aligned_copy(data) -> np.ndarray:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -14,6 +15,7 @@ import pytest
 import hubplan
 from hubplan.cli import _build_parser, _load_config, main
 from hubplan.config import ConfigError, RunConfig, parse_config, save_config
+from hubplan.demos import load_dataset
 from hubplan.edge_policies import train_policy_for_hub
 from hubplan.hub_dynamics import HubDynamicsModel, train_high
 from hubplan.latent import LowLevelModel, train_low_level
@@ -73,7 +75,7 @@ class TestConfig:
         ("low_epochs", 0), ("high_epochs", 0), ("policy_epochs", 0),
         ("max_segments_per_edge", 0), ("latent_dim", 0), ("latent_dim", 9),
         ("eta", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"),
-        ("seed", -1), ("out_dir", ""), ("pretrain_traversals", -1),
+        ("seed", -1), ("pretrain_traversals", -1),
         ("pretrain_max_len", -2), ("pretrain_epochs", -3)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
         # each of these values makes a later stage fail, or silently run
@@ -106,11 +108,12 @@ class TestConfig:
     @pytest.mark.parametrize("key, value", [
         ("oracle_fields", "position,orientation,held,doors,barrel"), ("p_canonical", 0.8),
         ("p_truncated", 0.1), ("p_preroll", 0.1), ("max_perturbation", 3), ("obs_noise", 0.01),
-        ("label_smoothing", 0.05)],
+        ("label_smoothing", 0.05), ("out_dir", "runs/old")],
         ids=["oracle_fields", "p_canonical", "p_truncated", "p_preroll", "max_perturbation",
-             "obs_noise", "label_smoothing"])
+             "obs_noise", "label_smoothing", "out_dir"])
     def test_deleted_key_rejected(self, tmp_path, capsys, key, value):
-        # a config.txt written while these keys existed fails at load
+        # a config.txt written while these keys existed fails at load; a run
+        # directory is where its config.txt lies, so out_dir is no key either
         self.saved_run(tmp_path)
         with open(tmp_path / "config.txt", "a") as fh:
             fh.write(f"{key} = {value}\n")
@@ -126,11 +129,13 @@ class TestConfig:
 class TestReadmeConfigurationTable:
     """README's configuration table names only `RunConfig` fields, each with
     its default, and every field but the two set by `--seed` and `--out`, so
-    the settings are written down in one place."""
+    the settings are written down in one place. The table of removed keys
+    under "### Removed keys" is not read."""
 
     @staticmethod
     def rows():
         section = README.read_text().split("## Configuration", 1)[1].split("\n## ", 1)[0]
+        section = section.split("\n### ", 1)[0]
         for line in section.splitlines():
             cells = line.split("|")
             if len(cells) < 4 or not cells[1].strip().startswith("`"):
@@ -211,28 +216,30 @@ class TestTrainersReadRunConfig:
 
 
 class TestRunDirectoryConfig:
-    """A subcommand that continues a run reads the run directory's config.txt
-    when it is given no --config; gen-demos and run-all start from defaults."""
+    """A run directory's config.txt holds the run's settings: every
+    subcommand reads it, and gen-demos and run-all, the two that start a run
+    and so the only two that take --config and --seed, refuse to start one
+    under other settings than a config.txt already in --out."""
 
     CONTINUING = [["train-low"], ["build-topology"], ["train-high"], ["train-policies"],
                   ["eval"], ["plan", "--start", "0", "--goal", "red,blue"],
                   ["ablate", "--kind", "bfs"], ["ablate", "--kind", "no-memory"]]
+    CONTINUING_IDS = ["train-low", "build-topology", "train-high", "train-policies", "eval",
+                      "plan", "ablate-bfs", "ablate-no-memory"]
+    SETTINGS = dict(seed=4, encoder_backend="learned", lr_policy=0.02, max_segments_per_edge=2)
 
     @pytest.fixture
     def run_dir(self, tmp_path):
         run = tmp_path / "run"
         run.mkdir()
-        save_config(RunConfig(out_dir="moved/away", seed=4, encoder_backend="learned",
-                              lr_policy=0.02, max_segments_per_edge=2), run / "config.txt")
+        save_config(RunConfig(**self.SETTINGS), run / "config.txt")
         return run
 
     @staticmethod
     def load(*argv):
         return _load_config(_build_parser().parse_args(list(argv)))
 
-    @pytest.mark.parametrize("argv", CONTINUING, ids=[
-        "train-low", "build-topology", "train-high", "train-policies", "eval", "plan",
-        "ablate-bfs", "ablate-no-memory"])
+    @pytest.mark.parametrize("argv", CONTINUING, ids=CONTINUING_IDS)
     def test_reads_run_config(self, run_dir, argv):
         cfg = self.load(*argv, "--out", str(run_dir))
         assert (cfg.encoder_backend, cfg.lr_policy, cfg.max_segments_per_edge) == \
@@ -240,18 +247,74 @@ class TestRunDirectoryConfig:
         assert (cfg.out_dir, cfg.seed) == (str(run_dir), 4)
 
     @pytest.mark.parametrize("command", ["gen-demos", "run-all"])
-    def test_new_run_starts_from_defaults(self, run_dir, command):
-        assert self.load(command, "--out", str(run_dir)) == RunConfig(out_dir=str(run_dir))
+    def test_start_continues_run_settings(self, run_dir, command):
+        assert self.load(command, "--out", str(run_dir)) == \
+            RunConfig(out_dir=str(run_dir), **self.SETTINGS)
 
-    def test_overrides_apply_on_top(self, run_dir, tmp_path):
-        cfg = self.load("eval", "--out", str(run_dir), "--seed", "9")
-        assert (cfg.out_dir, cfg.seed, cfg.encoder_backend) == (str(run_dir), 9, "learned")
+    @pytest.mark.parametrize("argv", CONTINUING, ids=CONTINUING_IDS)
+    @pytest.mark.parametrize("flag, value", [("--seed", "9"), ("--config", "x.cfg")])
+    def test_only_a_start_takes_config_and_seed(self, run_dir, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(run_dir), flag, value])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_and_seed_start_a_fresh_run(self, tmp_path):
         explicit = tmp_path / "explicit.cfg"
         save_config(RunConfig(lr_policy=0.5), explicit)
-        assert self.load("eval", "--config", str(explicit)).lr_policy == 0.5
+        fresh = str(tmp_path / "fresh")
+        cfg = self.load("gen-demos", "--config", str(explicit), "--out", fresh, "--seed", "9")
+        assert cfg == RunConfig(lr_policy=0.5, seed=9, out_dir=fresh)
 
     def test_run_without_config_file_uses_defaults(self, tmp_path):
         assert self.load("eval", "--out", str(tmp_path)) == RunConfig(out_dir=str(tmp_path))
+
+    @staticmethod
+    def files(run):
+        return {p.relative_to(run): p.read_bytes() for p in sorted(run.rglob("*"))
+                if p.is_file()}
+
+    def test_gen_demos_keeps_run_config(self, run_dir):
+        # the run's other artifacts were made under its config.txt, so
+        # gen-demos must not replace it with the defaults
+        before = (run_dir / "config.txt").read_bytes()
+        assert main(["gen-demos", "--out", str(run_dir)]) == 0
+        assert (run_dir / "config.txt").read_bytes() == before
+        assert load_dataset(run_dir / "dataset").seed == 4
+
+    def test_config_of_a_copied_run_writes_nothing_into_the_original(self, tmp_path,
+                                                                     monkeypatch):
+        original, copy, elsewhere = tmp_path / "original", tmp_path / "copy", tmp_path / "cwd"
+        original.mkdir()
+        elsewhere.mkdir()
+        save_config(RunConfig(out_dir=str(original), lr_policy=0.02), original / "config.txt")
+        shutil.copytree(original, copy)
+        monkeypatch.chdir(elsewhere)
+        assert main(["gen-demos", "--config", str(copy / "config.txt")]) == 0
+        assert [p.name for p in original.iterdir()] == ["config.txt"]
+        assert (elsewhere / "runs/default/config.txt").read_bytes() == \
+            (copy / "config.txt").read_bytes()
+
+    def test_start_with_another_seed_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["gen-demos", "--out", str(run)]) == 0
+        before = self.files(run)
+        capsys.readouterr()
+        assert main(["gen-demos", "--out", str(run), "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and re.search(r"\bseed\b", err), err
+        assert self.files(run) == before
+
+    def test_start_with_another_config_names_every_differing_key(self, tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        save_config(RunConfig(), run / "config.txt")
+        before = self.files(run)
+        other = tmp_path / "other.cfg"
+        save_config(RunConfig(seed=3, lr_policy=0.02, max_segments_per_edge=2), other)
+        assert main(["gen-demos", "--config", str(other), "--out", str(run)]) == 2
+        assert "seed, lr_policy, max_segments_per_edge;" in capsys.readouterr().err
+        assert self.files(run) == before
 
 
 def records_fixture():
@@ -299,7 +362,7 @@ class TestCliExitCodes:
         assert "configuration error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, flags", [("seed", ["--out", "D", "--seed", "-1"]),
-                                            ("out_dir", ["--out", "exp#2"])],
+                                            ("out_dir", ["--out", ""])],
                              ids=["seed", "out_dir"])
     def test_bad_override_is_exit_2_and_writes_nothing(self, tmp_path, capsys, monkeypatch,
                                                        key, flags):
@@ -330,14 +393,15 @@ class TestCliExitCodes:
     def test_no_memory_ablation_on_learned_backend_is_exit_2(self, tmp_path, capsys):
         # only the oracle backend has a pose-only variant; anything else would
         # silently rerun the full-memory pipeline
-        cfg = RunConfig(out_dir=str(tmp_path / "run"), encoder_backend="learned")
+        run = tmp_path / "run"
+        cfg = RunConfig(out_dir=str(run), encoder_backend="learned")
         with pytest.raises(ConfigError, match="oracle"):
             derive_no_memory_config(cfg)
-        path = tmp_path / "learned.cfg"
-        save_config(cfg, path)
-        assert main(["ablate", "--kind", "no-memory", "--config", str(path)]) == 2
+        run.mkdir()
+        save_config(cfg, run / "config.txt")
+        assert main(["ablate", "--kind", "no-memory", "--out", str(run)]) == 2
         assert "configuration error" in capsys.readouterr().err
-        assert not (tmp_path / "run").exists()
+        assert [p.name for p in run.iterdir()] == ["config.txt"]
 
     def test_missing_artifact_is_exit_1_and_names_stage(self, tmp_path, capsys):
         code = main(["train-high", "--out", str(tmp_path / "empty")])
@@ -352,13 +416,21 @@ class TestCliExitCodes:
                                 "train-high", "train-policies", "eval"]
 
     def test_readme_commands_parse(self):
-        # a flag or subcommand README documents must still exist
-        block = README.read_text().split("## Running", 1)[1].split("```", 2)[1]
-        commands = [shlex.split(line.split("#", 1)[0]) for line in block.splitlines()
+        # a flag or subcommand README documents must still exist: the lines
+        # of the fenced block under Running, and every `hubplan <subcommand>`
+        # span in the text, a span wrapped across a line break included
+        text = README.read_text()
+        block = text.split("## Running", 1)[1].split("```", 2)[1]
+        commands = [line.split("#", 1)[0] for line in block.splitlines()
                     if line.startswith("hubplan ")]
         assert len(commands) >= 6
-        for argv in commands:
-            _build_parser().parse_args(argv[1:])
+        spans = re.findall(r"`(hubplan\s[^`]+)`", text)
+        assert spans
+        for command in commands + spans:
+            try:
+                _build_parser().parse_args(shlex.split(command)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {command!r}")
 
     def test_console_entry_point(self):
         # the child imports the same hubplan as this process, installed or not

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -157,6 +158,7 @@ class TestBuildDataset:
     def test_replay_fidelity_and_round_trip(self, env, dataset, tmp_path):
         save_dataset(dataset, tmp_path / "ds")
         back = load_dataset(tmp_path / "ds")
+        assert back.failure_specs == dataset.failure_specs
         assert len(back.trajectories) == len(dataset.trajectories)
         for a, b in zip(dataset.trajectories, back.trajectories):
             assert a.actions.dtype == b.actions.dtype == np.intp
@@ -309,4 +311,22 @@ class TestObservationFile:
         save_params(tmp_path / "success_000.obs", "trajectory",
                     {"view": obs[:, :VIEW_SIZE], "barrel": obs[:, VIEW_SIZE:] * 4})
         with pytest.raises(ArtifactError, match="version v2, expected v3; run stage gen-demos"):
+            load_dataset(tmp_path)
+
+
+class TestManifest:
+    @pytest.mark.parametrize("missing", [None, "seen", "wrong_key"],
+                             ids=["not JSON", "no seen key", "no spec field"])
+    def test_malformed_manifest_rejected_naming_gen_demos(self, dataset, tmp_path, missing):
+        save_dataset(DemoDataset(seed=0, seen=dataset.seen[:1], unseen=[], successes=[],
+                                 failures=dataset.failures[:2],
+                                 failure_specs=dataset.failure_specs[:2]), tmp_path)
+        path = tmp_path / "manifest.json"
+        if missing is None:
+            path.write_text(path.read_text()[:-20])
+        else:
+            manifest = json.loads(path.read_text())
+            del (manifest if missing == "seen" else manifest["failures"][1])[missing]
+            path.write_text(json.dumps(manifest))
+        with pytest.raises(ArtifactError, match=r"manifest\.json: .*run stage gen-demos"):
             load_dataset(tmp_path)

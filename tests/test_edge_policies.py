@@ -375,6 +375,16 @@ class TestTrainPolicies:
         with pytest.raises(nn.ArtifactError, match=r"policy_0002\.bin: stores hub_id \[5\.0\]"):
             load_bank(tmp_path)
 
+    @pytest.mark.parametrize("index", ['{"emb_dim": 4, "hubs": [2', '{"emb_dim": 4}'],
+                             ids=["not JSON", "no hubs key"])
+    def test_malformed_index_rejected_naming_train_policies(self, tmp_path, index):
+        rng = np.random.default_rng(0)
+        save_bank(PolicyBank(emb_dim=4, policies={2: EdgePolicy(rng, 4, enc_hidden=3,
+                                                                gru_hidden=2)}), tmp_path)
+        (tmp_path / "index.json").write_text(index)
+        with pytest.raises(nn.ArtifactError, match=r"index\.json: .*run stage train-policies"):
+            load_bank(tmp_path)
+
     def test_policy_per_out_degree_hub(self, trained_scenario):
         sc, topo, emb = trained_scenario
         bank = train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=2))
