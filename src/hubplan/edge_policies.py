@@ -10,23 +10,20 @@ constants (`P_TRUNCATED`, `P_PREROLL`, `MAX_PERTURBATION`, `OBS_NOISE`,
 `LABEL_SMOOTHING`), as are the early-stopping rule's (`MIN_EPOCHS` to
 `PLATEAU_REL`).
 
-Training backpropagates through time by hand, and its values and gradients
-are bit-identical to recording the same steps op by op on a tape. It stacks,
-and does not merge: only the two recurrences, the GRU memory update forward
-and the memory-gradient chain backward, run as Python step loops. Every
-other op (encoder, GRU input projections, head, cross-entropy, input
-gradients, head and bias gradients) runs once on a (T, batch, width)
+Training backpropagates through time by hand. Only the two recurrences,
+the GRU memory update forward and the memory-gradient chain backward, run
+as Python step loops. Every other op runs once on a (T, batch, width)
 stack, which numpy computes as one GEMM or reduction per time slice, each
-bit-identical to the 2-d op of that step; each parameter's per-step
-gradients are then summed in reverse time order, as the tape sums them.
-Merging the steps into one (T * batch, width) GEMM would round
-differently, so the encoder and GRU weight gradients stay per-step GEMMs,
-each summed in place into one accumulator (stacking those large products
-measured slower than summing them while they are in cache). The numpy
-facts this rests on held for 1 to 16 rows and 1 to 40 steps under numpy
-2.4 with OpenBLAS 0.3.31; `tests/test_nn_core.py::TestStackedNumpyFacts`
+bit-identical to the 2-d op of that step, and each bias and head gradient
+sums its per-step gradients in reverse time order, as a tape does. So the
+loss and every gradient but seven are bit-identical to recording the same
+steps op by op on a tape. The seven weight gradients, of the encoder and of
+the GRU's input and recurrent matrices, are each one GEMM over all T * batch
+rows: the tape's products summed in another order, so the last bits differ.
+The numpy facts this rests on held for 1 to 16 rows and 1 to 40 steps under
+numpy 2.4 with OpenBLAS 0.3.31; `tests/test_nn_core.py::TestStackedNumpyFacts`
 rechecks them at the trainer's shapes, and the tape comparison and the
-pinned scenario-bank hash in `tests/test_edge_policies.py` check the whole.
+pinned scenario-bank hashes in `tests/test_edge_policies.py` check the whole.
 """
 
 from __future__ import annotations
@@ -162,9 +159,11 @@ def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray
     `xs` is (n, T, OBS_SIZE + emb_dim), `acts` and `mask` are (n, T); `mask`
     is 1 on real steps, and the batch ends before its first step with no
     real row. Each step's weighted-mean cross-entropy counts with its share
-    of the real steps. Returns (loss, {parameter: gradient}). Values and
-    gradients are bit-identical to recording the same steps op by op on a
-    tape: every sum is taken in the order the tape would take it.
+    of the real steps. Returns (loss, {parameter: gradient}). The loss and
+    every gradient but seven are bit-identical to recording the same steps
+    op by op on a tape; the weight gradients of `enc_w` and the GRU's `w_*`
+    and `u_*` are each one GEMM over all T * n rows, not the tape's per-step
+    sum, so they round differently.
     """
     total = mask.sum()
     step_w = np.ascontiguousarray(mask.T)
@@ -189,31 +188,25 @@ def sequence_loss_and_grads(policy: EdgePolicy, xs: np.ndarray, acts: np.ndarray
     dh_head = dlogits @ policy.head_w.data.T
     da = tuple(np.empty(hs[1:].shape) for _ in range(3))
     dh_next: list[np.ndarray] = []
-    gru_grads: list[np.ndarray] = []
     for t in reversed(range(steps)):
         dh = reduce(np.add, [*dh_next, dh_head[t]])
         da_t, dh_next = nn.gru_cell_backward(policy.gru, caches[t], dh, need_h=t > 0)
         for stack, d in zip(da, da_t):
             stack[t] = d
-        # per step and summed in place: stacked, these (T, width, hidden)
-        # products would go through memory twice and measured slower
-        step_grads = nn.gru_param_grads(enc[t], hs[t], caches[t].rh, da_t)
-        if gru_grads:
-            for acc, g in zip(gru_grads, step_grads):
-                acc += g
-        else:
-            gru_grads = step_grads
 
-    grads = dict(zip(policy.gru.tensors().values(), gru_grads))
+    def rows(stack):                                    # (T, n, width) -> (T * n, width)
+        return stack.reshape(-1, stack.shape[-1])
+
+    rh = np.stack([cache.rh for cache in caches])
+    merged = nn.gru_param_grads(rows(enc), rows(hs[:-1]), rows(rh), map(rows, da))
+    grads = dict(zip(policy.gru.tensors().values(), merged))
+    for bias, d in zip((policy.gru.b_update, policy.gru.b_reset, policy.gru.b_cand), da):
+        grads[bias] = _reverse_time_sum(d.sum(axis=1))
     grads[policy.head_b] = _reverse_time_sum(dlogits.sum(axis=1))
     grads[policy.head_w] = _reverse_time_sum(hs[1:].swapaxes(1, 2) @ dlogits)
     dpre = reduce(np.add, nn.gru_input_grads(policy.gru, da)) * (enc > 0.0)
     grads[policy.enc_b] = _reverse_time_sum(dpre.sum(axis=1))
-    # per step, not one merged GEMM, to keep the tape's rounding
-    d_enc_w = x[steps - 1].T @ dpre[steps - 1]
-    for t in reversed(range(steps - 1)):
-        d_enc_w += x[t].T @ dpre[t]
-    grads[policy.enc_w] = d_enc_w
+    grads[policy.enc_w] = rows(x).T @ rows(dpre)
     return float(loss), grads
 
 

@@ -55,6 +55,7 @@ class OracleEncoder:
         self.latent_dim = latent_dim
         self.epsilon = epsilon
         self.fields = tuple(fields)
+        self._base = np.full(latent_dim, 0.5 * epsilon)
 
     def begin_episode(self) -> None:
         pass
@@ -79,7 +80,7 @@ class OracleEncoder:
             raise ValueError("oracle encoding needs the ground-truth state")
         codes = self.codes(state)
         # mid-bucket placement: value / epsilon == SPACING * code + 0.5
-        z = np.full(self.latent_dim, 0.5 * self.epsilon)
+        z = self._base.copy()
         z[:len(codes)] = [(SPACING * code + 0.5) * self.epsilon for code in codes]
         return z
 

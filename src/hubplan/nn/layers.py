@@ -165,11 +165,12 @@ def gru_cell_backward(p: GruCellParams, cache: GruCache, g: np.ndarray, need_h: 
     Returns (da, dh parts): da = (da_u, da_r, da_c) are the gradients of
     the update, reset and candidate pre-activations, which
     `gru_input_grads` (one step or stacked) and `gru_param_grads` (one
-    step) take. The previous memory's gradient comes as separate parts, in
-    the order the unfused composition of primitive ops adds them up;
-    summing the parts left to right (after anything a later consumer of the
-    same tensor already added) reproduces that composition's gradient bit
-    for bit. The part list is empty when `need_h` is off.
+    step or merged rows) take. The previous memory's gradient comes as
+    separate parts, in the order the unfused composition of primitive ops
+    adds them up; summing the parts left to right (after anything a later
+    consumer of the same tensor already added) reproduces that
+    composition's gradient bit for bit. The part list is empty when
+    `need_h` is off.
     """
     h, u, r, _rh, c, omu = cache
     du = g * c + -(g * h)
@@ -189,8 +190,9 @@ def gru_input_grads(p: GruCellParams, da) -> list[np.ndarray]:
 
 
 def gru_param_grads(x: np.ndarray, h: np.ndarray, rh: np.ndarray, da) -> list[np.ndarray]:
-    """Parameter gradients of one step in `GruCellParams.tensors()` order,
-    from its (batch, width) input, previous memory, reset * memory and `da`."""
+    """Parameter gradients in `GruCellParams.tensors()` order, from a
+    (rows, width) input, previous memory, reset * memory and `da`: one
+    step's batch, or all steps' rows merged, which sums over the steps."""
     da_u, da_r, da_c = da
     return [x.T @ da_u, h.T @ da_u, da_u.sum(axis=0),
             x.T @ da_r, h.T @ da_r, da_r.sum(axis=0),

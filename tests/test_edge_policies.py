@@ -1,9 +1,10 @@
 import hashlib
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from hubplan import nn
+from hubplan import edge_policies, nn
 from hubplan.config import RunConfig
 from hubplan.edge_policies import (
     OBS_NOISE,
@@ -255,17 +256,57 @@ class TestEdgePolicy:
         ((128, 64), [4], None),
         ((128, 64), [3, 1, 3], 4),
     ], ids=["widths0", "widths1", "one_sequence", "last_step_masked"])
-    def test_bptt_bit_identical_to_tape(self, widths, lengths, t_max):
+    def test_bptt_matches_tape(self, widths, lengths, t_max, monkeypatch):
+        """The loss and every gradient summed in the tape's order are
+        bit-identical to the tape. The seven weight gradients are each one
+        GEMM over the batch's k = T * n rows, where the tape sums T per-step
+        GEMMs: both are sums of the same k products, each within
+        gamma_k * |A|^T |B| of the exact one (A, B the row-merged operands)."""
         enc_hidden, gru_hidden = widths
         policy = EdgePolicy(np.random.default_rng(7), emb_dim=4, enc_hidden=enc_hidden,
                             gru_hidden=gru_hidden)
+        gru = policy.gru
         xs, acts, mask = padded_batch(np.random.default_rng(8), lengths, 594, t_max)
+        merged = []
+
+        def spy(x, h, rh, da):
+            merged.extend([x, h, rh, list(da)])
+            return real_param_grads(x, h, rh, merged[-1])
+
+        real_param_grads = nn.gru_param_grads
+        monkeypatch.setattr(nn, "gru_param_grads", spy)
         loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)
+        monkeypatch.undo()
         ref_loss, ref_grads = tape_sequence_loss(policy, xs, acts, mask, 0.05)
         assert loss == float(ref_loss.data)
         assert set(grads) == set(ref_grads) == set(policy.parameters())
+
+        enc, h, rh, (da_u, da_r, da_c) = merged
+        steps = enc.shape[0] // len(lengths)
+
+        def stack(rows):
+            return rows.reshape(steps, len(lengths), -1)
+
+        # the encoder's pre-activation gradient as the trainer forms it
+        dpre = reduce(np.add, nn.gru_input_grads(gru, [stack(d) for d in (da_u, da_r, da_c)]))
+        dpre *= stack(enc) > 0.0
+        operands = {
+            policy.enc_w: (xs[:, :steps].swapaxes(0, 1).reshape(-1, 594),
+                           dpre.reshape(-1, enc_hidden)),
+            gru.w_update: (enc, da_u), gru.u_update: (h, da_u),
+            gru.w_reset: (enc, da_r), gru.u_reset: (h, da_r),
+            gru.w_cand: (enc, da_c), gru.u_cand: (rh, da_c),
+        }
+        u = 2.0 ** -53
         for p in policy.parameters():
-            assert np.array_equal(grads[p], ref_grads[p]), p.name
+            if p not in operands:
+                assert np.array_equal(grads[p], ref_grads[p]), p.name
+                continue
+            a, b = operands[p]
+            k = a.shape[0]
+            gamma = k * u / (1 - k * u)
+            bound = 2 * gamma * (np.abs(a).T @ np.abs(b))
+            assert np.all(np.abs(grads[p] - ref_grads[p]) <= bound), p.name
 
     def test_all_zero_mask_rejected(self):
         policy = EdgePolicy(np.random.default_rng(7), emb_dim=4, enc_hidden=6, gru_hidden=5)
@@ -323,6 +364,9 @@ def trained_scenario():
 
 # sha256 of the bank below as trained by the op-by-op tape implementation
 SCENARIO_BANK_SHA256 = "4d5ee4e4356c2d43519ce4e03e669c1a7ac69bcadefda18a01add6d73a97e656"
+# and as trained by `sequence_loss_and_grads`, whose seven weight gradients
+# are each one GEMM over all steps, so its policies differ in the last bits
+MERGED_BANK_SHA256 = "73be34a6f5b1752065d2d48f23a2ef9f5dbbe30fe02e062b560d6e76f0cfca77"
 
 
 def bank_sha256(bank, out_dir):
@@ -333,11 +377,34 @@ def bank_sha256(bank, out_dir):
     return h.hexdigest()
 
 
+def tape_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.0):
+    """`sequence_loss_and_grads` recorded op by op on the tape."""
+    loss, grads = tape_sequence_loss(policy, xs, acts, mask, label_smoothing)
+    return float(loss.data), grads
+
+
+@pytest.fixture(scope="module")
+def tape_bank(trained_scenario):
+    """The scenario bank trained through the tape."""
+    sc, topo, emb = trained_scenario
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(edge_policies, "sequence_loss_and_grads", tape_loss_and_grads)
+        return train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=12))
+
+
 class TestTrainPolicies:
-    def test_bank_bytes_match_tape_training(self, trained_scenario, tmp_path):
+    def test_bank_bytes_match_tape_training(self, tape_bank, tmp_path):
+        assert bank_sha256(tape_bank, tmp_path) == SCENARIO_BANK_SHA256
+
+    def test_bank_tracks_tape_training(self, trained_scenario, tape_bank, tmp_path):
         sc, topo, emb = trained_scenario
         bank = train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=12))
-        assert bank_sha256(bank, tmp_path) == SCENARIO_BANK_SHA256
+        assert bank.train_losses.keys() == tape_bank.train_losses.keys()
+        for hub, losses in bank.train_losses.items():
+            want = tape_bank.train_losses[hub]
+            assert len(losses) == len(want), hub
+            np.testing.assert_allclose(losses, want, rtol=1e-12, atol=0, err_msg=f"hub {hub}")
+        assert bank_sha256(bank, tmp_path) == MERGED_BANK_SHA256
 
     def test_load_bank_round_trip_non_default_widths(self, trained_scenario, tmp_path):
         _sc, topo, emb = trained_scenario

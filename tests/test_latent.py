@@ -67,6 +67,18 @@ class TestOracleEncoder:
         later = dataclasses.replace(state, step_count=state.step_count + 7)
         np.testing.assert_array_equal(enc.encode(None, later), z1)
 
+    def test_each_encode_returns_its_own_array(self, env):
+        enc = OracleEncoder(epsilon=EPS)
+        state, _ = env.reset(env.starts[0], Goal(0, 1))
+        codes = enc.codes(state)
+        want = np.full(enc.latent_dim, 0.5 * EPS)
+        want[:len(codes)] = [(10 * code + 0.5) * EPS for code in codes]
+        z1 = enc.encode(None, state)
+        z1[:] = -1.0
+        z2 = enc.encode(None, state)
+        assert z2 is not z1 and not np.shares_memory(z1, z2)
+        assert z2.tobytes() == want.tobytes()
+
     def test_distinct_fields_separated_by_ten_tolerances(self, env):
         enc = OracleEncoder(epsilon=EPS)
         state, _ = env.reset(env.starts[0], Goal(0, 1))
