@@ -268,12 +268,12 @@ class TestEdgePolicy:
         gru = policy.gru
         xs, acts, mask = padded_batch(np.random.default_rng(8), lengths, 594, t_max)
         merged = []
+        real_param_grads = nn.gru_param_grads
 
         def spy(x, h, rh, da):
             merged.extend([x, h, rh, list(da)])
             return real_param_grads(x, h, rh, merged[-1])
 
-        real_param_grads = nn.gru_param_grads
         monkeypatch.setattr(nn, "gru_param_grads", spy)
         loss, grads = sequence_loss_and_grads(policy, xs, acts, mask, label_smoothing=0.05)
         monkeypatch.undo()
