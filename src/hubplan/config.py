@@ -1,8 +1,9 @@
 """Run configuration: a flat key = value text file mirroring RunConfig.
 
-Each field is one independent setting. Every field but `out_dir` is a key
-of the file: the run directory is where a run's config.txt lies, not a
-value in it, so a copied or moved run writes into its own directory.
+Each field is one independent setting; a setting with one value in use is
+a constant of the module that reads it instead. Every field but `out_dir`
+is a key of the file: the run directory is where a run's config.txt lies,
+not a value in it, so a copied or moved run writes into its own directory.
 Unknown (`out_dir` among them) or repeated keys and malformed or
 out-of-range values are configuration errors (CLI exit code 2), found when
 the file is loaded rather than by the stage that would fail on them; the
@@ -29,20 +30,10 @@ class RunConfig:
     encoder_backend: str = "oracle"
     # latent space
     epsilon: float = 1e-3
-    latent_dim: int = 64
-    history_len: int = 75
     # low-level model
     low_epochs: int = 300
-    lr_low: float = 1e-4
-    # hub dynamics model
-    lr_high: float = 2e-4
-    high_epochs: int = 150
-    pretrain_traversals: int = 2000
-    pretrain_max_len: int = 64
-    pretrain_epochs: int = 3
     # edge policies
     lr_policy: float = 1e-3
-    policy_epochs: int = 200
     max_segments_per_edge: int = 4
     # plan search
     p_min: float = 1e-3
@@ -59,27 +50,16 @@ class RunConfig:
             raise ConfigError("out_dir must be non-empty")
         if self.encoder_backend not in ENCODER_BACKENDS:
             raise ConfigError(f"encoder_backend must be one of {ENCODER_BACKENDS}")
-        for name in ("epsilon", "lr_low", "lr_high", "lr_policy"):
+        for name in ("epsilon", "lr_policy"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("history_len", "low_epochs", "high_epochs", "policy_epochs",
-                     "max_segments_per_edge", "depth_limit"):
+        for name in ("low_epochs", "max_segments_per_edge", "depth_limit"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
         if not 0 <= self.p_min < 1:
             raise ConfigError("p_min must be in [0, 1)")
-        # 0 turns pretraining off; a negative count would do so silently
-        for name in ("eta", "pretrain_traversals", "pretrain_max_len", "pretrain_epochs"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must not be negative")
-        # a function-local import: latent.training imports this module
-        from .latent.oracle import BACKEND_FIELDS, code_width
-
-        encoded = BACKEND_FIELDS.get(self.encoder_backend)
-        least = code_width(encoded) if encoded else 1
-        if self.latent_dim < least:
-            raise ConfigError(f"latent_dim must be at least {least} for encoder_backend "
-                              f"{self.encoder_backend!r}")
+        if self.eta < 0:
+            raise ConfigError("eta must not be negative")
 
     @property
     def effective_match_tol(self) -> float:

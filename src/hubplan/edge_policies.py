@@ -8,7 +8,7 @@ preroll), observations get small additive noise on the raster channels, and
 action labels are smoothed. The strengths of that recipe are module
 constants (`P_TRUNCATED`, `P_PREROLL`, `MAX_PERTURBATION`, `OBS_NOISE`,
 `LABEL_SMOOTHING`), as are the early-stopping rule's (`MIN_EPOCHS` to
-`PLATEAU_REL`).
+`PLATEAU_REL`) and the epoch cap `MAX_EPOCHS`.
 
 Training backpropagates through time by hand. Only the two recurrences,
 the GRU memory update forward and the memory-gradient chain backward, run
@@ -52,8 +52,9 @@ OBS_NOISE = 0.01
 LABEL_SMOOTHING = 0.05
 # early stopping: from MIN_EPOCHS on, every CHECK_EVERY epochs stop once greedy
 # replay of every segment is exact, or once the loss has not improved by a
-# relative PLATEAU_REL for PLATEAU_PATIENCE epochs
+# relative PLATEAU_REL for PLATEAU_PATIENCE epochs; at most MAX_EPOCHS in all
 MIN_EPOCHS = 10
+MAX_EPOCHS = 200
 CHECK_EVERY = 5
 PLATEAU_PATIENCE = 40
 PLATEAU_REL = 1e-4
@@ -282,7 +283,7 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
     best = np.inf
     stale = 0
 
-    for epoch in range(cfg.policy_epochs):
+    for epoch in range(MAX_EPOCHS):
         begins = [perturb_segment(s, rng) for s in segs]
         xs, acts, mask = _fill_batch(segs, begins, trajectories, embeddings, rng)
 

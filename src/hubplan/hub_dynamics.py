@@ -17,6 +17,13 @@ from . import nn
 from .config import RunConfig
 from .topology import BehaviorTopology
 
+LR_HIGH = 2e-4          # training and traversal pretraining alike
+HIGH_EPOCHS = 150
+# traversal pretraining: random walks of at most PRETRAIN_MAX_LEN hubs
+PRETRAIN_TRAVERSALS = 2000
+PRETRAIN_MAX_LEN = 64
+PRETRAIN_EPOCHS = 3
+
 
 class HubDynamicsModel:
     def __init__(self, rng: np.random.Generator, n_hubs: int, emb_dim: int = 32, hidden: int = 64):
@@ -183,15 +190,16 @@ def train_on_sequences(model: HubDynamicsModel, sequences: list[list[int]],
 
 def pretrain_on_traversals(model: HubDynamicsModel, topology: BehaviorTopology,
                            cfg: RunConfig) -> list[float]:
-    """`cfg.pretrain_epochs` epochs at `cfg.lr_high` on `cfg.pretrain_traversals`
-    random walks of at most `cfg.pretrain_max_len` hubs, drawn from the seed."""
+    """`PRETRAIN_EPOCHS` epochs at `LR_HIGH` on `PRETRAIN_TRAVERSALS` random
+    walks of at most `PRETRAIN_MAX_LEN` hubs, drawn from `cfg.seed`."""
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x7EA7]))
-    walks = sample_traversals(topology, cfg.pretrain_traversals, cfg.pretrain_max_len, rng)
+    walks = sample_traversals(topology, PRETRAIN_TRAVERSALS, PRETRAIN_MAX_LEN, rng)
     if not walks:
         return []
-    return train_on_sequences(model, walks, topology, cfg.lr_high, cfg.pretrain_epochs)
+    return train_on_sequences(model, walks, topology, LR_HIGH, PRETRAIN_EPOCHS)
 
 
 def train_high(model: HubDynamicsModel, sequences: list[list[int]],
-               topology: BehaviorTopology, cfg: RunConfig) -> list[float]:
-    return train_on_sequences(model, sequences, topology, cfg.lr_high, cfg.high_epochs)
+               topology: BehaviorTopology) -> list[float]:
+    """`HIGH_EPOCHS` epochs at `LR_HIGH`."""
+    return train_on_sequences(model, sequences, topology, LR_HIGH, HIGH_EPOCHS)

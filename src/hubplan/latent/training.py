@@ -1,6 +1,6 @@
 """Training loop for the low-level latent model.
 
-The trajectories are processed in fixed windows of `history_len`
+The trajectories are processed in fixed windows of `HISTORY_LEN`
 transitions. Each window is one optimizer step, run in its own function:
 the window's observation rows a..b of every trajectory are decoded from
 their uint8 codes into a zero-padded (trajectories, b - a + 1, OBS_SIZE)
@@ -28,6 +28,9 @@ W_Z = 1.0
 W_VIS = 1.0
 W_BARREL = 1.0
 W_TERMINAL = 0.5
+# Adam's step size, and the transitions per window (encoding keeps the whole episode)
+LR_LOW = 1e-4
+HISTORY_LEN = 75
 
 
 def _pack_window(trajectories: list[Trajectory], a: int, b: int) -> np.ndarray:
@@ -42,7 +45,7 @@ def _pack_window(trajectories: list[Trajectory], a: int, b: int) -> np.ndarray:
 
 def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
                     cfg: RunConfig) -> list[float]:
-    """`cfg.low_epochs` epochs at `cfg.lr_low` in windows of `cfg.history_len`
+    """`cfg.low_epochs` epochs at `LR_LOW` in windows of `HISTORY_LEN`
     transitions. Returns the per-epoch mean loss; raises on a non-finite loss."""
     n = len(trajectories)
     t_max = max(len(t) for t in trajectories)
@@ -58,8 +61,8 @@ def train_low_level(model: LowLevelModel, trajectories: list[Trajectory],
     eye = np.eye(N_ACTIONS)
     cw = channel_weights()
     cw_norm = cw / cw.sum()
-    opt = nn.Adam(model.parameters(), lr=cfg.lr_low)
-    windows = [(a, min(a + cfg.history_len, t_max)) for a in range(0, t_max, cfg.history_len)]
+    opt = nn.Adam(model.parameters(), lr=LR_LOW)
+    windows = [(a, min(a + HISTORY_LEN, t_max)) for a in range(0, t_max, HISTORY_LEN)]
 
     def window(a: int, b: int, hidden: np.ndarray, epoch: int) -> tuple[float, np.ndarray]:
         """One optimizer step over transitions a..b-1 from `hidden`; returns

@@ -24,9 +24,10 @@ product of that step, one-row batches included, so a caller can move
 them out of its step loop without changing a bit. Merging the steps into
 one (T * batch, width) GEMM is faster but rounds differently.
 `tests/test_nn_core.py` checks these facts at the policies' shapes. The
-parameter gradients are per step: their (width, hidden) products are
-large, and summing each into an accumulator while it is in cache
-measured faster than stacking them and summing the stack.
+parameter gradients (`gru_param_grads`) take whatever rows they are given:
+the tape's `gru_step` forms them per step, and the policy trainer forms
+each from one batch's merged (T * batch, width) rows, one GEMM per weight
+over all steps.
 """
 
 from __future__ import annotations

@@ -67,15 +67,10 @@ def make_env(cfg: RunConfig) -> MazeEnv:
 
 def make_encoder(cfg: RunConfig, out: Path):
     if cfg.encoder_backend in BACKEND_FIELDS:
-        return OracleEncoder(latent_dim=cfg.latent_dim, epsilon=cfg.epsilon,
-                             fields=BACKEND_FIELDS[cfg.encoder_backend])
+        return OracleEncoder(epsilon=cfg.epsilon, fields=BACKEND_FIELDS[cfg.encoder_backend])
     path = _require(out / "lowlevel.bin", "make-encoder", "train-low")
     _kind, tensors = nn.load_params(path, expect_kind=LOW_KIND)
-    model = LowLevelModel.from_tensors(tensors)
-    if model.latent_dim != cfg.latent_dim:
-        raise StageError("make-encoder", f"{path.name} holds {model.latent_dim}-wide latents but "
-                                         f"latent_dim is {cfg.latent_dim}; run stage train-low again")
-    return LearnedEncoder(model)
+    return LearnedEncoder(LowLevelModel.from_tensors(tensors))
 
 
 def stage_gen_demos(cfg: RunConfig, log=print) -> DemoDataset:
@@ -96,8 +91,7 @@ def stage_train_low(cfg: RunConfig, log=print) -> None:
         return
     _require(out / "dataset" / "manifest.json", "train-low", "gen-demos")
     ds = load_dataset(out / "dataset")
-    model = LowLevelModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x10])),
-                          latent_dim=cfg.latent_dim)
+    model = LowLevelModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x10])))
     losses = train_low_level(model, ds.trajectories, cfg)
     nn.save_params(out / "lowlevel.bin", LOW_KIND, model.tensors())
     (out / "lowlevel_loss.txt").write_text(
@@ -134,7 +128,7 @@ def stage_train_high(cfg: RunConfig, log=print) -> HubDynamicsModel:
     model = HubDynamicsModel(np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x41])),
                              n_hubs=len(topo.hubs))
     pre = pretrain_on_traversals(model, topo, cfg)
-    losses = train_high(model, topo.hub_sequences(), topo, cfg)
+    losses = train_high(model, topo.hub_sequences(), topo)
     nn.save_params(out / "highlevel.bin", HIGH_KIND, model.tensors())
     with open(out / "high_loss.txt", "w") as fh:
         for i, v in enumerate(pre):

@@ -10,6 +10,7 @@ import numpy as np
 
 from hubplan import nn
 from hubplan.config import RunConfig
+from hubplan.latent import training
 from hubplan.latent.model import LowLevelModel
 from hubplan.latent.training import W_BARREL, W_TERMINAL, W_VIS, W_Z
 from hubplan.maze.env import N_ACTIONS
@@ -75,8 +76,10 @@ def train_low_level_reference(model: LowLevelModel, trajectories: list[Trajector
     cw = channel_weights()
     cw_norm = cw / cw.sum()
     params = model.parameters()
-    opt = nn.Adam(params, lr=cfg.lr_low)
-    windows = [(a, min(a + cfg.history_len, t_max)) for a in range(0, t_max, cfg.history_len)]
+    # the trainer's settings, read as it reads them, so a test's patch applies to both
+    opt = nn.Adam(params, lr=training.LR_LOW)
+    length = training.HISTORY_LEN
+    windows = [(a, min(a + length, t_max)) for a in range(0, t_max, length)]
 
     epoch_losses: list[float] = []
     for epoch in range(cfg.low_epochs):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hubplan import nn
+from hubplan import hub_dynamics, nn
 from hubplan.config import RunConfig
 from hubplan.demos import load_dataset
 from hubplan.edge_policies import (EdgePolicy, perturb_segment, sequence_loss_and_grads,
@@ -21,7 +21,7 @@ from hubplan.edge_policies import (EdgePolicy, perturb_segment, sequence_loss_an
 from hubplan.execution import execute
 from hubplan.hub_dynamics import HubDynamicsModel, CachedDist, \
     pretrain_on_traversals, train_high, train_on_sequences
-from hubplan.latent import LowLevelModel, train_low_level
+from hubplan.latent import LowLevelModel, train_low_level, training
 from hubplan.maze import Goal, MazeEnv, replay_states
 from hubplan.planning import NoPlanError, SearchConfig, bfs_plan, goal_hub_set, search
 
@@ -46,9 +46,12 @@ def shortcut_scenario():
     sc = build_scenario()
     topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(1), n_hubs=len(topo.hubs))
-    pretrain_on_traversals(model, topo, RunConfig(pretrain_traversals=500, pretrain_max_len=32,
-                                                  seed=1, lr_high=2e-4, pretrain_epochs=3))
-    train_high(model, topo.hub_sequences(), topo, RunConfig(high_epochs=250))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hub_dynamics, "PRETRAIN_TRAVERSALS", 500)
+        mp.setattr(hub_dynamics, "PRETRAIN_MAX_LEN", 32)
+        mp.setattr(hub_dynamics, "HIGH_EPOCHS", 250)
+        pretrain_on_traversals(model, topo, RunConfig(seed=1))
+        train_high(model, topo.hub_sequences(), topo)
     bank = train_policies(topo, sc.trajectories, model.embeddings(), RunConfig(seed=1),
                           log=quiet)
     return sc, topo, model, bank
@@ -376,13 +379,13 @@ def test_criterion_ablation_bfs_shortcut(shortcut_scenario):
            f"success={res_h.success}")
 
 
-def test_criterion_learned_backend_smoke(oracle_run):
+def test_criterion_learned_backend_smoke(oracle_run, monkeypatch):
     env = MazeEnv()
     ds = load_dataset(oracle_run["out"] / "dataset")
 
     # low-level: losses over the desk dataset strictly decrease
     low = LowLevelModel(np.random.default_rng(3))
-    low_losses = train_low_level(low, ds.trajectories, RunConfig(low_epochs=3, lr_low=1e-4))
+    low_losses = train_low_level(low, ds.trajectories, RunConfig(low_epochs=3))
     low_ok = all(b < a for a, b in zip(low_losses, low_losses[1:]))
 
     # high-level and policy losses from the pipeline's training logs
@@ -402,7 +405,8 @@ def test_criterion_learned_backend_smoke(oracle_run):
                       success=traj.success, observations=traj.observations[:2],
                       actions=traj.actions[:1])
     low2 = LowLevelModel(np.random.default_rng(0))
-    over_low = train_low_level(low2, [tiny], RunConfig(low_epochs=1500, lr_low=3e-3))[-1]
+    monkeypatch.setattr(training, "LR_LOW", 3e-3)
+    over_low = train_low_level(low2, [tiny], RunConfig(low_epochs=1500))[-1]
 
     topo = toy_topology(3, {(0, 1), (0, 2)}, terminals=(1,))
     high2 = HubDynamicsModel(np.random.default_rng(1), 3)

@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 import hubplan
+from hubplan import edge_policies, hub_dynamics
 from hubplan.cli import _build_parser, _load_config, main
 from hubplan.config import ConfigError, RunConfig, parse_config, save_config
 from hubplan.demos import load_dataset
 from hubplan.edge_policies import train_policy_for_hub
-from hubplan.hub_dynamics import HubDynamicsModel, train_high
+from hubplan.hub_dynamics import HubDynamicsModel, pretrain_on_traversals, train_high
 from hubplan.latent import LowLevelModel, train_low_level
 from hubplan.maze.raster import OBS_SIZE
 from hubplan.metrics import TaskRecord, aggregate, format_table, save_metrics
@@ -27,6 +28,13 @@ from scenarios import build_scenario, scenario_topology
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 CONFIGS = README.parent / "configs"
+
+
+def removed_keys() -> list[str]:
+    """The keys named in the first column of README's "Removed keys" table."""
+    section = README.read_text().split("\n### Removed keys\n", 1)[1].split("\n## ", 1)[0]
+    return [key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])]
 
 
 class TestConfig:
@@ -71,12 +79,8 @@ class TestConfig:
         return path
 
     @pytest.mark.parametrize("key, value", [
-        ("depth_limit", 0), ("eta", -0.01), ("history_len", 0),
-        ("low_epochs", 0), ("high_epochs", 0), ("policy_epochs", 0),
-        ("max_segments_per_edge", 0), ("latent_dim", 0), ("latent_dim", 9),
-        ("eta", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"),
-        ("seed", -1), ("pretrain_traversals", -1),
-        ("pretrain_max_len", -2), ("pretrain_epochs", -3)])
+        ("depth_limit", 0), ("eta", -0.01), ("low_epochs", 0), ("max_segments_per_edge", 0),
+        ("eta", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"), ("seed", -1)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
         # each of these values makes a later stage fail, or silently run
         # otherwise, after the ones before it ran; a finished run's
@@ -87,16 +91,6 @@ class TestConfig:
         assert "configuration error" in err
         assert re.search(rf"\b{key}\b.* must (be|not) ", err), err
 
-    def test_latent_dim_checked_against_the_backend(self, tmp_path, capsys):
-        self.saved_run(tmp_path, encoder_backend="oracle-pose", latent_dim=2)
-        assert main(["eval", "--out", str(tmp_path)]) == 2
-        assert "latent_dim must be at least 3 for encoder_backend 'oracle-pose'" in \
-            capsys.readouterr().err
-        for backend, least in [("oracle", 10), ("oracle-pose", 3), ("learned", 1)]:
-            RunConfig(encoder_backend=backend, latent_dim=least)
-            with pytest.raises(ConfigError, match="latent_dim"):
-                RunConfig(encoder_backend=backend, latent_dim=least - 1)
-
     def test_repeated_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
         path.write_text("seed = 1\nepsilon = 0.01\nseed = 2\n")
@@ -105,18 +99,13 @@ class TestConfig:
         assert main(["gen-demos", "--config", str(path)]) == 2
         assert "'seed'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [
-        ("oracle_fields", "position,orientation,held,doors,barrel"), ("p_canonical", 0.8),
-        ("p_truncated", 0.1), ("p_preroll", 0.1), ("max_perturbation", 3), ("obs_noise", 0.01),
-        ("label_smoothing", 0.05), ("out_dir", "runs/old")],
-        ids=["oracle_fields", "p_canonical", "p_truncated", "p_preroll", "max_perturbation",
-             "obs_noise", "label_smoothing", "out_dir"])
-    def test_deleted_key_rejected(self, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("key", removed_keys())
+    def test_deleted_key_rejected(self, tmp_path, capsys, key):
         # a config.txt written while these keys existed fails at load; a run
         # directory is where its config.txt lies, so out_dir is no key either
         self.saved_run(tmp_path)
         with open(tmp_path / "config.txt", "a") as fh:
-            fh.write(f"{key} = {value}\n")
+            fh.write(f"{key} = 1\n")
         assert main(["eval", "--out", str(tmp_path)]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err
 
@@ -130,7 +119,7 @@ class TestReadmeConfigurationTable:
     """README's configuration table names only `RunConfig` fields, each with
     its default, and every field but the two set by `--seed` and `--out`, so
     the settings are written down in one place. The table of removed keys
-    under "### Removed keys" is not read."""
+    under "### Removed keys" is `TestConfig.test_deleted_key_rejected`'s."""
 
     @staticmethod
     def rows():
@@ -148,7 +137,9 @@ class TestReadmeConfigurationTable:
         defaults = {f.name: (f.type, f.default) for f in fields(RunConfig)}
         casts = {"int": int, "float": float, "str": str}
         rows = list(self.rows())
-        assert len(rows) >= 10
+        # one row each for the fields but seed and out_dir, and no key twice
+        documented = [key for _line, keys, _values in rows for key in keys]
+        assert len(documented) == len(set(documented)) == len(fields(RunConfig)) - 2, documented
         for line, keys, values in rows:
             assert len(keys) == len(values), line
             for key, value in zip(keys, values):
@@ -177,7 +168,8 @@ class TestReadmeObservationWidth:
 
 
 class TestTrainersReadRunConfig:
-    """Each trainer takes the run configuration and reads its own fields."""
+    """Each trainer reads its own fields of the run configuration, and its
+    module's constants when it is called, so a test can patch them."""
 
     @pytest.fixture(scope="class")
     def scenario(self):
@@ -188,7 +180,13 @@ class TestTrainersReadRunConfig:
     def high_epochs(scenario, cfg):
         _sc, topo = scenario
         model = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs))
-        return len(train_high(model, topo.hub_sequences(), topo, cfg))
+        return len(train_high(model, topo.hub_sequences(), topo))
+
+    @staticmethod
+    def pretrain_epochs(scenario, cfg):
+        _sc, topo = scenario
+        model = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs))
+        return len(pretrain_on_traversals(model, topo, cfg))
 
     @staticmethod
     def low_epochs(scenario, cfg):
@@ -207,12 +205,20 @@ class TestTrainersReadRunConfig:
         return len(losses)
 
     @pytest.mark.parametrize("overrides, measure, expected", [
-        ({"high_epochs": 3}, high_epochs, 3),
         ({"low_epochs": 2}, low_epochs, 2),
-        ({"policy_epochs": 4}, policy_epochs, 4),  # below MIN_EPOCHS: no early stop
-    ], ids=["high_epochs", "low_epochs", "policy_epochs"])
+    ], ids=["low_epochs"])
     def test_trainer_reads_its_field(self, scenario, overrides, measure, expected):
         assert measure(scenario, RunConfig(**overrides)) == expected
+
+    @pytest.mark.parametrize("module, name, measure, value", [
+        (hub_dynamics, "HIGH_EPOCHS", high_epochs, 3),
+        (hub_dynamics, "PRETRAIN_EPOCHS", pretrain_epochs, 2),
+        (edge_policies, "MAX_EPOCHS", policy_epochs, 4),  # below MIN_EPOCHS: no early stop
+    ], ids=["HIGH_EPOCHS", "PRETRAIN_EPOCHS", "MAX_EPOCHS"])
+    def test_trainer_reads_its_constant(self, scenario, monkeypatch, module, name, measure,
+                                        value):
+        monkeypatch.setattr(module, name, value)
+        assert measure(scenario, RunConfig()) == value
 
 
 class TestRunDirectoryConfig:

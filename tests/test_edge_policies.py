@@ -389,16 +389,18 @@ def tape_bank(trained_scenario):
     sc, topo, emb = trained_scenario
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(edge_policies, "sequence_loss_and_grads", tape_loss_and_grads)
-        return train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=12))
+        mp.setattr(edge_policies, "MAX_EPOCHS", 12)
+        return train_policies(topo, sc.trajectories, emb, RunConfig())
 
 
 class TestTrainPolicies:
     def test_bank_bytes_match_tape_training(self, tape_bank, tmp_path):
         assert bank_sha256(tape_bank, tmp_path) == SCENARIO_BANK_SHA256
 
-    def test_bank_tracks_tape_training(self, trained_scenario, tape_bank, tmp_path):
+    def test_bank_tracks_tape_training(self, trained_scenario, tape_bank, tmp_path, monkeypatch):
         sc, topo, emb = trained_scenario
-        bank = train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=12))
+        monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 12)
+        bank = train_policies(topo, sc.trajectories, emb, RunConfig())
         assert bank.train_losses.keys() == tape_bank.train_losses.keys()
         for hub, losses in bank.train_losses.items():
             want = tape_bank.train_losses[hub]
@@ -452,9 +454,10 @@ class TestTrainPolicies:
         with pytest.raises(nn.ArtifactError, match=r"index\.json: .*run stage train-policies"):
             load_bank(tmp_path)
 
-    def test_policy_per_out_degree_hub(self, trained_scenario):
+    def test_policy_per_out_degree_hub(self, trained_scenario, monkeypatch):
         sc, topo, emb = trained_scenario
-        bank = train_policies(topo, sc.trajectories, emb, RunConfig(policy_epochs=2))
+        monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 2)
+        bank = train_policies(topo, sc.trajectories, emb, RunConfig())
         sources = {s for s, _t in topo.edges}
         assert set(bank.policies) == sources
 
@@ -467,7 +470,7 @@ class TestTrainPolicies:
         hub = candidates[0]
         target = topo.out_neighbors(hub)[0]
         seg = topo.segments[(hub, target)][0]
-        cfg = RunConfig(policy_epochs=200, seed=3)
+        cfg = RunConfig(seed=3)
         policy, _losses = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
                                                np.random.default_rng(3))
         traj = sc.trajectories[seg.traj_id]
@@ -483,7 +486,7 @@ class TestTrainPolicies:
         hub = 0
         targets = topo.out_neighbors(hub)
         assert len(targets) >= 2
-        cfg = RunConfig(policy_epochs=200, seed=5)
+        cfg = RunConfig(seed=5)
         policy, _ = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
                                          np.random.default_rng(5))
 
@@ -515,16 +518,18 @@ class TestTrainPolicies:
         loss = nn.softmax_cross_entropy(logits, np.array([0]), label_smoothing=0.05)
         assert float(loss.data) > 0.1  # confident-correct still pays the floor
 
-    def test_non_finite_logits_name_the_hub(self, trained_scenario):
+    def test_non_finite_logits_name_the_hub(self, trained_scenario, monkeypatch):
         sc, topo, emb = trained_scenario
         emb = np.full_like(emb, np.nan)
+        monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 2)
         with pytest.raises(nn.NonFiniteError, match="hub 0: non-finite logits"):
-            train_policy_for_hub(topo, sc.trajectories, 0, emb, RunConfig(policy_epochs=2),
+            train_policy_for_hub(topo, sc.trajectories, 0, emb, RunConfig(),
                                  np.random.default_rng(0))
 
-    def test_train_losses_decrease(self, trained_scenario):
+    def test_train_losses_decrease(self, trained_scenario, monkeypatch):
         sc, topo, emb = trained_scenario
-        cfg = RunConfig(policy_epochs=30, seed=9)
+        monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 30)
+        cfg = RunConfig(seed=9)
         policy, losses = train_policy_for_hub(topo, sc.trajectories, 0, emb, cfg,
                                               np.random.default_rng(9))
         assert losses[-1] < losses[0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hubplan import hub_dynamics
 from hubplan.config import RunConfig
 from hubplan.hub_dynamics import (
     CachedDist,
@@ -89,14 +90,15 @@ class TestTraversals:
             for a, b in zip(walk, walk[1:]):
                 assert (a, b) in topo.edges
 
-    def test_seeded_determinism(self):
+    def test_seeded_determinism(self, monkeypatch):
         topo = toy_topology(5, {(0, 1), (1, 2), (2, 3), (1, 4)})
+        monkeypatch.setattr(hub_dynamics, "PRETRAIN_TRAVERSALS", 30)
+        monkeypatch.setattr(hub_dynamics, "PRETRAIN_MAX_LEN", 8)
+        monkeypatch.setattr(hub_dynamics, "PRETRAIN_EPOCHS", 2)
 
         def run():
             model = HubDynamicsModel(np.random.default_rng(7), 5)
-            cfg = RunConfig(pretrain_traversals=30, pretrain_max_len=8, seed=5, lr_high=2e-4,
-                            pretrain_epochs=2)
-            pretrain_on_traversals(model, topo, cfg)
+            pretrain_on_traversals(model, topo, RunConfig(seed=5))
             return model.tensors()
 
         t1, t2 = run(), run()
@@ -109,12 +111,12 @@ class TestTraversals:
             walks = sample_traversals(topo, 10, 5, np.random.default_rng(0))
         assert all(w[0] == 1 for w in walks)
 
-    def test_chain_pretraining_dominates(self):
+    def test_chain_pretraining_dominates(self, monkeypatch):
         topo = toy_topology(3, {(0, 1), (1, 2)})
         model = HubDynamicsModel(np.random.default_rng(11), 3)
-        cfg = RunConfig(pretrain_traversals=100, pretrain_max_len=4, seed=3, lr_high=2e-4,
-                        pretrain_epochs=3)
-        pretrain_on_traversals(model, topo, cfg)
+        monkeypatch.setattr(hub_dynamics, "PRETRAIN_TRAVERSALS", 100)
+        monkeypatch.setattr(hub_dynamics, "PRETRAIN_MAX_LEN", 4)
+        pretrain_on_traversals(model, topo, RunConfig(seed=3))
         assert next_hub_dist(model, (0,), topo)[1] > 0.9
 
 

@@ -11,6 +11,7 @@ from hubplan.latent import (
     LowLevelModel,
     OracleEncoder,
     train_low_level,
+    training,
 )
 from hubplan.maze import RED, Goal, MazeEnv, replay_states
 from hubplan.maze.env import TURN_LEFT, TURN_RIGHT
@@ -155,7 +156,7 @@ class TestLearnedEncoder:
         from hubplan.demos import generate_success_demo
 
         trajs = [generate_success_demo(env, 0, Goal(0, 1))]
-        train_low_level(model, trajs, RunConfig(low_epochs=2, lr_low=1e-4))
+        train_low_level(model, trajs, RunConfig(low_epochs=2))
         zs = []
         for rollout in probe_pair:
             enc = LearnedEncoder(model)
@@ -299,7 +300,7 @@ class TestLowLevelTraining:
         other = nn.Tensor(np.ones((2, 4)) + 0.1)
         assert float(weighted_sq_error(z, other, w, 2.0).data) > 0.0
 
-    def test_equals_reference_trainer(self, env):
+    def test_equals_reference_trainer(self, env, monkeypatch):
         """Bit for bit the trainer composed from primitive ops, on
         trajectories of uneven length whose longest, 23 steps, is no multiple
         of the 7-step window."""
@@ -308,14 +309,16 @@ class TestLowLevelTraining:
         demos = [generate_success_demo(env, start, goal)
                  for start, goal in ((0, Goal(0, 1)), (1, Goal(2, 3)), (2, Goal(3, 0)))]
         trajs = [cut(demos[0], 23), cut(demos[1], 17), cut(demos[2], 9), cut(demos[0], 4)]
-        cfg = RunConfig(low_epochs=3, lr_low=1e-3, history_len=7)
+        monkeypatch.setattr(training, "LR_LOW", 1e-3)
+        monkeypatch.setattr(training, "HISTORY_LEN", 7)
+        cfg = RunConfig(low_epochs=3)
         models = [LowLevelModel(np.random.default_rng(8)) for _ in range(2)]
         losses = train_low_level(models[0], trajs, cfg)
         assert losses == train_low_level_reference(models[1], trajs, cfg)
         for name, value in models[0].tensors().items():
             assert np.array_equal(value, models[1].tensors()[name]), name
 
-    def test_holds_one_window_at_a_time(self, env):
+    def test_holds_one_window_at_a_time(self, env, monkeypatch):
         """Training three windows peaks at the memory of training one: a
         window's graph and observations are freed before the next window's
         forward pass. (Where the previous window's graph stayed reachable
@@ -324,11 +327,12 @@ class TestLowLevelTraining:
         from hubplan.demos import generate_success_demo
 
         demo = generate_success_demo(env, 0, Goal(0, 1))
+        monkeypatch.setattr(training, "HISTORY_LEN", 10)
 
         def peak_mb(steps):
             trajs = [cut(demo, steps - i % 3) for i in range(24)]
             model = LowLevelModel(np.random.default_rng(0))
-            cfg = RunConfig(low_epochs=1, lr_low=1e-4, history_len=10)
+            cfg = RunConfig(low_epochs=1)
             return traced_peak_bytes(train_low_level, model, trajs, cfg)[1] / 2 ** 20
 
         one, three = peak_mb(10), peak_mb(30)
@@ -349,7 +353,7 @@ class TestLowLevelTraining:
 
         trajs = [generate_success_demo(env, 0, Goal(0, 1))]
         model = LowLevelModel(np.random.default_rng(7))
-        losses = train_low_level(model, trajs, RunConfig(low_epochs=3, lr_low=1e-4))
+        losses = train_low_level(model, trajs, RunConfig(low_epochs=3))
         assert losses[-1] < losses[0]
 
     @pytest.mark.xfail(strict=True, reason=(
@@ -372,11 +376,13 @@ class TestLowLevelTraining:
             return predict_next(z, action_onehot)
 
         monkeypatch.setattr(model, "predict_next", spy)
-        train_low_level(model, [traj], RunConfig(low_epochs=1, lr_low=1e-12, history_len=3))
+        monkeypatch.setattr(training, "LR_LOW", 1e-12)
+        monkeypatch.setattr(training, "HISTORY_LEN", 3)
+        train_low_level(model, [traj], RunConfig(low_epochs=1))
         for t in range(3):       # the first window, before any optimizer step
             assert np.array_equal(seen[t], want[t]), f"step {t}"
 
-    def test_dynamics_beats_shuffled_actions(self, env):
+    def test_dynamics_beats_shuffled_actions(self, env, monkeypatch):
         """After training, next-latent prediction with the true action labels
         outperforms the same transitions with shuffled labels."""
         from hubplan.demos import generate_success_demo
@@ -385,7 +391,8 @@ class TestLowLevelTraining:
         short = type(traj)(start_id=0, start=traj.start, goal=traj.goal, success=traj.success,
                            observations=traj.observations[:41], actions=traj.actions[:40])
         model = LowLevelModel(np.random.default_rng(2))
-        train_low_level(model, [short], RunConfig(low_epochs=60, lr_low=1e-3))
+        monkeypatch.setattr(training, "LR_LOW", 1e-3)
+        train_low_level(model, [short], RunConfig(low_epochs=60))
 
         def mean_pred_error(actions):
             enc = LearnedEncoder(model)
@@ -446,4 +453,4 @@ class TestLowLevelTraining:
         model = LowLevelModel(np.random.default_rng(0))
         model.dyn_w2.data[:] = 1e200  # squared prediction error overflows to inf
         with pytest.raises(nn.NonFiniteError):
-            train_low_level(model, trajs, RunConfig(low_epochs=1, lr_low=1e-4))
+            train_low_level(model, trajs, RunConfig(low_epochs=1))

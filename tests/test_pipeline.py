@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hubplan import nn, pipeline
+from hubplan import hub_dynamics, nn, pipeline
 from hubplan.cli import main
 from hubplan.config import RunConfig
 from hubplan.demos import build_dataset, load_dataset
@@ -140,7 +140,7 @@ class TestStageGuards:
             load_high_model(cfg, "train-policies", 7)
 
     def test_low_level_model_loads_its_own_widths(self, tmp_path):
-        cfg = RunConfig(out_dir=str(tmp_path), encoder_backend="learned", latent_dim=8)
+        cfg = RunConfig(out_dir=str(tmp_path), encoder_backend="learned")
         model = LowLevelModel(np.random.default_rng(0), latent_dim=8, hidden=16)
         nn.save_params(tmp_path / "lowlevel.bin", LOW_KIND, model.tensors())
         encoder = make_encoder(cfg, tmp_path)
@@ -149,17 +149,16 @@ class TestStageGuards:
         env = MazeEnv()
         _state, obs = env.reset(env.starts[0], Goal(0, 1))
         np.testing.assert_array_equal(encoder.encode(obs), LearnedEncoder(model).encode(obs))
-        with pytest.raises(StageError, match="train-low"):
-            make_encoder(dataclasses.replace(cfg, latent_dim=64), tmp_path)
 
-    def test_train_high_reads_topology_without_encoder(self, oracle_run, tmp_path):
+    def test_train_high_reads_topology_without_encoder(self, oracle_run, tmp_path, monkeypatch):
         # the hub sequences come from topology.txt, so the learned backend
         # trains the hub model without a low-level model on disk
         out = tmp_path / "learned"
         shutil.copytree(oracle_run["out"] / "dataset", out / "dataset")
         shutil.copy(oracle_run["out"] / "topology.txt", out / "topology.txt")
-        cfg = RunConfig(out_dir=str(out), encoder_backend="learned", high_epochs=2,
-                        pretrain_traversals=0)
+        monkeypatch.setattr(hub_dynamics, "HIGH_EPOCHS", 2)
+        monkeypatch.setattr(hub_dynamics, "PRETRAIN_TRAVERSALS", 0)
+        cfg = RunConfig(out_dir=str(out), encoder_backend="learned")
         lines = []
         stage_train_high(cfg, log=lines.append)
         assert re.fullmatch(r"train-high: train \d+\.\d{4} -> \d+\.\d{4}", lines[-1]), lines
