@@ -101,7 +101,7 @@ def _cmd_plan(cfg: RunConfig, args) -> None:
 
     _ds, topo = _load_topology(cfg, "plan")
     next_dist = CachedDist(load_high_model(cfg, "plan", len(topo.hubs)), topo)
-    _state, _obs, plan = plan_task(cfg, topo, next_dist, make_env(cfg),
+    _state, _obs, plan = plan_task(topo, next_dist, make_env(cfg),
                                    make_encoder(cfg, Path(cfg.out_dir)), args.start, args.goal)
     sys.stdout.write(format_plan(plan, topo))
 

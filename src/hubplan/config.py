@@ -16,11 +16,18 @@ import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+from .planning import SearchConfig
+
 ENCODER_BACKENDS = ("oracle", "oracle-pose", "learned")
 
 
 class ConfigError(ValueError):
     pass
+
+
+_BENCH_SEARCH_DOC = """`planning.SearchConfig`'s default. Unread by the program; kept because
+bench/workloads.py builds its SearchConfig from it, and it goes with the next
+change to the benchmark."""
 
 
 @dataclass
@@ -35,10 +42,6 @@ class RunConfig:
     # edge policies
     lr_policy: float = 1e-3
     max_segments_per_edge: int = 4
-    # plan search
-    p_min: float = 1e-3
-    eta: float = 0.01
-    depth_limit: int = 64
 
     def __post_init__(self):
         for f in fields(self):
@@ -53,19 +56,20 @@ class RunConfig:
         for name in ("epsilon", "lr_policy"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
-        for name in ("low_epochs", "max_segments_per_edge", "depth_limit"):
+        for name in ("low_epochs", "max_segments_per_edge"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1")
-        if not 0 <= self.p_min < 1:
-            raise ConfigError("p_min must be in [0, 1)")
-        if self.eta < 0:
-            raise ConfigError("eta must not be negative")
 
     @property
     def effective_match_tol(self) -> float:
         """`epsilon`. Unread by the program, which matches hubs within the
         topology's own `epsilon`; kept because bench/workloads.py reads it."""
         return self.epsilon
+
+    # properties, so neither fields nor keys, and read-only
+    p_min = property(lambda _self: SearchConfig.p_min, doc=_BENCH_SEARCH_DOC)
+    eta = property(lambda _self: SearchConfig.eta, doc=_BENCH_SEARCH_DOC)
+    depth_limit = property(lambda _self: SearchConfig.depth_limit, doc=_BENCH_SEARCH_DOC)
 
 
 # the keys of a config file: the run directory is the file's own directory
@@ -77,7 +81,11 @@ def parse_config(path: str | Path) -> RunConfig:
     first_line: dict[str, int] = {}
     types = {f.name: f.type for f in FILE_FIELDS}
     casts = {"int": int, "float": float, "str": str}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {e.start})") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

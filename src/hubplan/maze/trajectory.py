@@ -100,7 +100,11 @@ def load_trajectory(base: Path) -> Trajectory:
     log, obs = base.with_suffix(".log"), base.with_suffix(".obs")
     header: dict[str, str] = {}
     body: list[str] = []
-    for line in log.read_text().splitlines():
+    try:
+        text = log.read_text()
+    except UnicodeDecodeError as e:
+        raise _bad(log, f"not UTF-8 text (byte {e.start})") from None
+    for line in text.splitlines():
         if line.startswith("#"):
             parts = line[1:].strip().split(None, 1)
             if len(parts) == 2:

@@ -163,14 +163,13 @@ def stage_train_policies(cfg: RunConfig, log=print) -> PolicyBank:
     return bank
 
 
-def plan_task(cfg: RunConfig, topo: BehaviorTopology, next_dist: CachedDist | None,
-              env: MazeEnv, encoder, start_id: int, goal: Goal,
-              planner=None) -> tuple[EnvState, np.ndarray, Plan]:
+def plan_task(topo: BehaviorTopology, next_dist: CachedDist | None, env: MazeEnv, encoder,
+              start_id: int, goal: Goal, planner=None) -> tuple[EnvState, np.ndarray, Plan]:
     """Reset `env` to a task, encode its first observation, match the start
     hub within `topo.epsilon` and plan to the goal's hubs: with
     `planner(topo, start_hub, goal_set)` when one is given (the BFS ablation
     passes `bfs_plan` and no `next_dist`), else with the history search
-    over `next_dist`.
+    over `next_dist` at `SearchConfig()`, planning's own settings.
 
     Returns (state, observation, plan); raises NoPlanError when the start
     matches no hub or no plan reaches the goal.
@@ -181,8 +180,7 @@ def plan_task(cfg: RunConfig, topo: BehaviorTopology, next_dist: CachedDist | No
     goal_set = goal_hub_set(goal, topo)
     if planner is not None:
         return state, obs, planner(topo, start_hub, goal_set)
-    scfg = SearchConfig(p_min=cfg.p_min, eta=cfg.eta, depth_limit=cfg.depth_limit)
-    return state, obs, search(topo, next_dist, start_hub, goal_set, scfg)
+    return state, obs, search(topo, next_dist, start_hub, goal_set, SearchConfig())
 
 
 def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal, bool]],
@@ -215,7 +213,7 @@ def evaluate(cfg: RunConfig, topo: BehaviorTopology, pairs: list[tuple[int, Goal
         path = plans_dir / f"plan_{start_id}_{goal.first}{goal.second}.txt"
         dist = CachedDist(model, topo) if planner is None else None
         try:
-            state, obs, plan = plan_task(cfg, topo, dist, env, encoder, start_id, goal, planner)
+            state, obs, plan = plan_task(topo, dist, env, encoder, start_id, goal, planner)
         except NoPlanError as e:
             path.write_text(f"no plan: {e}\n")
             record = TaskRecord(start_id=start_id, goal=str(goal), seen=seen, success=False,

@@ -272,10 +272,14 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
     whose every hub's `kinds=` agrees with its `starts=` and `terminal=`
     labels, whose every segment spans steps of `trajectories`, and whose edge
     lines restate its segments' edges and counts."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as e:
+        raise TopologyError(f"{path}: not UTF-8 text (byte {e.start}); "
+                            f"run stage build-topology again") from None
     body, _, tail = text.rpartition("checksum ")
     if not body or hashlib.sha256(body.encode()).hexdigest() != tail.strip():
-        raise TopologyError(f"{path}: checksum mismatch")
+        raise TopologyError(f"{path}: checksum mismatch; run stage build-topology again")
     lines = body.splitlines()
     if lines[0] != "behavior-topology v1":
         raise TopologyError(f"{path}: unknown format or version")

@@ -13,16 +13,22 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 
 import hubplan
 from conftest import BENCH, load_bench_module
+from hubplan import pipeline
+from hubplan.config import RunConfig
 from hubplan.demos import generate_success_demo, load_dataset, seen_unseen_split
+from hubplan.hub_dynamics import CachedDist
 from hubplan.latent import LearnedEncoder, LowLevelModel
 from hubplan.maze import MazeEnv
+from hubplan.planning import SearchConfig, search
 
 
 def test_query_service_repeats_eval_plan_dumps(oracle_run):
@@ -33,6 +39,28 @@ def test_query_service_repeats_eval_plan_dumps(oracle_run):
         dump, _result = svc.query(sid, goal)
         plan = oracle_run["out"] / "plans" / f"plan_{sid}_{goal.first}{goal.second}.txt"
         assert dump == plan.read_text()
+
+
+def test_query_service_searches_as_eval(oracle_run, monkeypatch):
+    """`QueryService` builds its SearchConfig from `RunConfig`'s read-only
+    `p_min`, `eta` and `depth_limit`; eval plans with `SearchConfig()`. The
+    two agree on every field the search reads (it never reads `match_tol`)."""
+    workloads = load_bench_module("workloads")
+    svc = workloads.QueryService(oracle_run["cfg"])
+    cfg = RunConfig()
+    assert svc.search_cfg == SearchConfig(p_min=cfg.p_min, eta=cfg.eta,
+                                          depth_limit=cfg.depth_limit,
+                                          match_tol=cfg.effective_match_tol)
+    used = []
+    monkeypatch.setattr(pipeline, "search", lambda *args: used.append(args[-1]) or search(*args))
+    sid, goal = load_dataset(oracle_run["out"] / "dataset").seen[0]
+    pipeline.plan_task(svc.topo, CachedDist(svc.model, svc.topo), svc.env, svc.encoder, sid, goal)
+    assert used == [SearchConfig()]
+    for f in fields(SearchConfig):
+        if f.name != "match_tol":
+            assert getattr(svc.search_cfg, f.name) == getattr(used[0], f.name), f.name
+    with pytest.raises(TypeError):
+        RunConfig(p_min=1e-3)
 
 
 def test_learned_encode_queries_repeat():

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -79,8 +80,8 @@ class TestConfig:
         return path
 
     @pytest.mark.parametrize("key, value", [
-        ("depth_limit", 0), ("eta", -0.01), ("low_epochs", 0), ("max_segments_per_edge", 0),
-        ("eta", "nan"), ("lr_policy", "nan"), ("epsilon", "inf"), ("seed", -1)])
+        ("low_epochs", 0), ("max_segments_per_edge", 0), ("lr_policy", "nan"),
+        ("epsilon", "inf"), ("seed", -1)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
         # each of these values makes a later stage fail, or silently run
         # otherwise, after the ones before it ran; a finished run's
@@ -90,6 +91,21 @@ class TestConfig:
         err = capsys.readouterr().err
         assert "configuration error" in err
         assert re.search(rf"\b{key}\b.* must (be|not) ", err), err
+
+    @pytest.mark.parametrize("where", ["--config", "config.txt"])
+    def test_undecodable_file_rejected(self, tmp_path, capsys, where):
+        # a byte that is not UTF-8 is a configuration error naming the file,
+        # in a file a run starts from and in a finished run's config.txt
+        if where == "--config":
+            path = tmp_path / "c.cfg"
+            argv = ["gen-demos", "--config", str(path), "--out", str(tmp_path / "run")]
+        else:
+            path = tmp_path / "config.txt"
+            argv = ["eval", "--out", str(tmp_path)]
+        path.write_bytes(b"seed = 0  # \xff\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and str(path) in err, err
 
     def test_repeated_key_rejected(self, tmp_path, capsys):
         path = tmp_path / "c.cfg"
@@ -113,6 +129,31 @@ class TestConfig:
     def test_shipped_profile_loads(self, profile):
         args = _build_parser().parse_args(["run-all", "--config", str(profile)])
         assert isinstance(_load_config(args), RunConfig)
+
+
+class TestCfgParametersAreRead:
+    """A function of the program that takes the run configuration `cfg`
+    reads it, so a signature names no setting dependency that is not there."""
+
+    # function -> why it keeps a `cfg` it does not read
+    UNREAD = {"pipeline.make_env": "bench/workloads.py calls it with a cfg"}
+
+    def test_every_cfg_parameter_is_read(self):
+        src = Path(hubplan.__file__).parent
+        unread = set()
+        for path in sorted(src.rglob("*.py")):
+            module = ".".join(path.relative_to(src).with_suffix("").parts)
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                    continue
+                args = node.args
+                if "cfg" not in [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]:
+                    continue
+                body = node.body if isinstance(node.body, list) else [node.body]
+                if not any(isinstance(n, ast.Name) and n.id == "cfg"
+                           for stmt in body for n in ast.walk(stmt)):
+                    unread.add(f"{module}.{getattr(node, 'name', '<lambda>')}")
+        assert unread == set(self.UNREAD)
 
 
 class TestReadmeConfigurationTable:

@@ -190,6 +190,13 @@ class TestTrajectoryLog:
         with pytest.raises(ArtifactError, match="gen-demos"):
             load_trajectory(tmp_path / "t")
 
+    def test_undecodable_header_rejected_naming_gen_demos(self, dataset, tmp_path):
+        save_trajectory(dataset.successes[0], tmp_path / "t")
+        log = tmp_path / "t.log"
+        log.write_bytes(log.read_bytes().replace(b"# goal", b"# go\xffal", 1))
+        with pytest.raises(ArtifactError, match=r"t\.log: .*gen-demos"):
+            load_trajectory(tmp_path / "t")
+
     @pytest.mark.parametrize("edit", [
         "drop start_id", "drop start", "drop goal", "drop success",
         "action not an integer", "action id too large", "action id negative"])

@@ -228,12 +228,11 @@ class TestMatchingTolerance:
                     terminal_meta=frozenset({(Goal(0, 1), 1)}))]
         return BehaviorTopology(self.EPS, 1, hubs, {(0, 1): [Segment(0, 1, 0, 0, 5)]})
 
-    def test_plan_task_start_outside_topology_epsilon(self, tmp_path):
+    def test_plan_task_start_outside_topology_epsilon(self):
         topo = self.topology()
-        cfg = RunConfig(out_dir=str(tmp_path), epsilon=5 * self.EPS)
         encoder = self.StubEncoder(topo.hubs[0].representative[0] + self.OFF, 0.0)
         with pytest.raises(NoPlanError, match="tolerance"):
-            plan_task(cfg, topo, None, MazeEnv(), encoder, 0, Goal(0, 1), planner=bfs_plan)
+            plan_task(topo, None, MazeEnv(), encoder, 0, Goal(0, 1), planner=bfs_plan)
 
     @pytest.mark.parametrize("off", ["start", "arrival"])
     def test_evaluate_matches_within_topology_epsilon(self, tmp_path, monkeypatch, off):

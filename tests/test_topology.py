@@ -322,6 +322,16 @@ class TestSerialization:
         with pytest.raises(TopologyError, match="checksum"):
             load_topology(path, [FakeTraj(1)])
 
+    def test_undecodable_byte_rejected_naming_build_topology(self, tmp_path):
+        t0 = make_lt(0, [[0, 0], [1, 1]])
+        topo = build_topology([t0], detect_hubs([t0], EPS), EPS)
+        path = tmp_path / "topo.txt"
+        save_topology(topo, path)
+        path.write_bytes(path.read_bytes().replace(b"hubs 2", b"hubs \xff", 1))
+
+        with pytest.raises(TopologyError, match=r"topo\.txt: .*build-topology"):
+            load_topology(path, [FakeTraj(1)])
+
     @pytest.mark.parametrize("trajs", [
         [FakeTraj(4)],                # segments of trajectory 1 name no trajectory
         [FakeTraj(4), FakeTraj(2)],   # trajectory 1's last segment ends past step 2
