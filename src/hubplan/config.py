@@ -13,9 +13,10 @@ message names the key. Every float must be finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import InitVar, dataclass, fields
 from pathlib import Path
 
+from . import edge_policies
 from .planning import SearchConfig
 
 ENCODER_BACKENDS = ("oracle", "oracle-pose", "learned")
@@ -29,6 +30,10 @@ _BENCH_SEARCH_DOC = """`planning.SearchConfig`'s default. Unread by the program;
 bench/workloads.py builds its SearchConfig from it, and it goes with the next
 change to the benchmark."""
 
+# the policy recipe's two constants that bench/workloads.py passes to RunConfig
+_BENCH_RECIPE = {"LR_POLICY": edge_policies.LR_POLICY,
+                 "MAX_SEGMENTS_PER_EDGE": edge_policies.MAX_SEGMENTS_PER_EDGE}
+
 
 @dataclass
 class RunConfig:
@@ -39,11 +44,18 @@ class RunConfig:
     epsilon: float = 1e-3
     # low-level model
     low_epochs: int = 300
-    # edge policies
-    lr_policy: float = 1e-3
-    max_segments_per_edge: int = 4
+    # init-only, so neither fields nor keys, and any value but the constant's
+    # is a ConfigError. Unread by the program; kept because bench/workloads.py
+    # passes them, and they go with the next change to the benchmark.
+    lr_policy: InitVar[float] = _BENCH_RECIPE["LR_POLICY"]
+    max_segments_per_edge: InitVar[int] = _BENCH_RECIPE["MAX_SEGMENTS_PER_EDGE"]
 
-    def __post_init__(self):
+    def __post_init__(self, lr_policy, max_segments_per_edge):
+        for (constant, value), given in zip(_BENCH_RECIPE.items(),
+                                            (lr_policy, max_segments_per_edge)):
+            if given != value:
+                raise ConfigError(f"the policy recipe's edge_policies.{constant} is {value}, "
+                                  f"not {given}")
         for f in fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
@@ -53,12 +65,10 @@ class RunConfig:
             raise ConfigError("out_dir must be non-empty")
         if self.encoder_backend not in ENCODER_BACKENDS:
             raise ConfigError(f"encoder_backend must be one of {ENCODER_BACKENDS}")
-        for name in ("epsilon", "lr_policy"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
-        for name in ("low_epochs", "max_segments_per_edge"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon must be positive")
+        if self.low_epochs < 1:
+            raise ConfigError("low_epochs must be at least 1")
 
     @property
     def effective_match_tol(self) -> float:

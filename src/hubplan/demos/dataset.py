@@ -16,7 +16,7 @@ import numpy as np
 
 from ..maze.env import Goal, MazeEnv, all_goals
 from ..maze.trajectory import Trajectory, load_trajectory, save_trajectory
-from ..nn.io import json_artifact
+from ..nn.io import ArtifactError, json_artifact, json_typed
 from .expert import FailureSpec, enumerate_failure_specs, generate_failure_demo, generate_success_demo
 
 N_FAILURES = 120
@@ -101,25 +101,46 @@ def save_dataset(ds: DemoDataset, out_dir: Path) -> None:
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
+# a failure spec field's annotation -> the JSON type its manifest value must have
+_SPEC_TYPES = {"str": str, "int": int, "bool": bool}
+
+
+def _task(start_id, goal) -> tuple[int, Goal]:
+    """A manifest's (start id, goal text) pair, type-checked and parsed."""
+    return json_typed(start_id, int, "a start id"), Goal.parse(json_typed(goal, str, "a goal"))
+
+
+def _load_listed(out_dir: Path, name: str) -> Trajectory:
+    """The trajectory that the manifest lists as `name`."""
+    try:
+        return load_trajectory(out_dir / name)
+    except FileNotFoundError as e:
+        raise ArtifactError(f"{e.filename}: missing, but manifest.json lists {name!r}; "
+                            f"run stage gen-demos again") from None
+
+
 def load_dataset(out_dir: Path) -> DemoDataset:
     """The dataset `save_dataset` wrote; raises `ArtifactError` naming
-    `manifest.json` and gen-demos when the manifest is not JSON or lacks a
-    key."""
+    gen-demos and `manifest.json` when the manifest is not JSON, lacks a key
+    or holds a value of the wrong type, and naming a trajectory file that is
+    missing."""
     out_dir = Path(out_dir)
     with json_artifact(out_dir / "manifest.json", "gen-demos") as manifest:
-        seed = manifest["seed"]
-        seen = [(sid, Goal.parse(g)) for sid, g in manifest["seen"]]
-        unseen = [(sid, Goal.parse(g)) for sid, g in manifest["unseen"]]
-        successes = manifest["successes"]
-        failures = [rec["file"] for rec in manifest["failures"]]
-        specs = [(rec["start_id"], Goal.parse(rec["goal"]),
-                  FailureSpec(**{f.name: rec[f.name] for f in fields(FailureSpec)}))
+        seed = json_typed(manifest["seed"], int, "seed")
+        seen, unseen = ([_task(sid, goal) for sid, goal in manifest[key]]
+                        for key in ("seen", "unseen"))
+        successes = [json_typed(name, str, "a success file") for name in manifest["successes"]]
+        failures = [json_typed(rec["file"], str, "a failure file")
+                    for rec in manifest["failures"]]
+        specs = [(*_task(rec["start_id"], rec["goal"]),
+                  FailureSpec(**{f.name: json_typed(rec[f.name], _SPEC_TYPES[f.type], f.name)
+                                 for f in fields(FailureSpec)}))
                  for rec in manifest["failures"]]
     return DemoDataset(
         seed=seed,
         seen=seen,
         unseen=unseen,
-        successes=[load_trajectory(out_dir / name) for name in successes],
-        failures=[load_trajectory(out_dir / name) for name in failures],
+        successes=[_load_listed(out_dir, name) for name in successes],
+        failures=[_load_listed(out_dir, name) for name in failures],
         failure_specs=specs,
     )

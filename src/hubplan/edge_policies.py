@@ -5,9 +5,10 @@ target hub's embedding; all of that hub's outgoing segments are its training
 data, read through each segment's step span from its trajectory. Segment
 starts are stochastically perturbed during training (canonical / truncated /
 preroll), observations get small additive noise on the raster channels, and
-action labels are smoothed. The strengths of that recipe are module
-constants (`P_TRUNCATED`, `P_PREROLL`, `MAX_PERTURBATION`, `OBS_NOISE`,
-`LABEL_SMOOTHING`), as are the early-stopping rule's (`MIN_EPOCHS` to
+action labels are smoothed. The recipe is module constants: Adam's learning
+rate `LR_POLICY`, the training segments per edge `MAX_SEGMENTS_PER_EDGE`,
+the strengths above (`P_TRUNCATED`, `P_PREROLL`, `MAX_PERTURBATION`,
+`OBS_NOISE`, `LABEL_SMOOTHING`), the early-stopping rule's (`MIN_EPOCHS` to
 `PLATEAU_REL`) and the epoch cap `MAX_EPOCHS`.
 
 Training backpropagates through time by hand. Only the two recurrences,
@@ -36,15 +37,18 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
-from .config import RunConfig
 from .maze.env import N_ACTIONS
 from .maze.raster import OBS_SIZE, VIEW_SIZE
 from .maze.trajectory import Trajectory
 from .topology import BehaviorTopology, Segment
 
 MODEL_KIND = "policy"
-# the behaviour-cloning recipe: segment boundary perturbation (`perturb_segment`),
-# raster observation noise (`_fill_batch`) and action label smoothing
+# the behaviour-cloning recipe: Adam's learning rate, how many of each outgoing
+# edge's first segments a hub's policy trains on, segment boundary perturbation
+# (`perturb_segment`), raster observation noise (`_fill_batch`) and action
+# label smoothing
+LR_POLICY = 0.02
+MAX_SEGMENTS_PER_EDGE = 2
 P_TRUNCATED = 0.1
 P_PREROLL = 0.1
 MAX_PERTURBATION = 3
@@ -222,10 +226,10 @@ class PolicyBank:
         return self.policies[source_hub].act(obs_vec, target_emb, memory)
 
 
-def _segments_for_hub(topology: BehaviorTopology, hub_id: int, cap: int) -> list[Segment]:
+def _segments_for_hub(topology: BehaviorTopology, hub_id: int) -> list[Segment]:
     segs = []
     for target in topology.out_neighbors(hub_id):
-        segs.extend(topology.segments[(hub_id, target)][:cap])
+        segs.extend(topology.segments[(hub_id, target)][:MAX_SEGMENTS_PER_EDGE])
     return segs
 
 
@@ -274,11 +278,10 @@ def _fill_batch(segs: list[Segment], begins: list[int], trajectories: list[Traje
 
 
 def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajectory],
-                         hub_id: int, embeddings: np.ndarray,
-                         cfg: RunConfig, rng: np.random.Generator):
-    segs = _segments_for_hub(topology, hub_id, cfg.max_segments_per_edge)
+                         hub_id: int, embeddings: np.ndarray, rng: np.random.Generator):
+    segs = _segments_for_hub(topology, hub_id)
     policy = EdgePolicy(rng, embeddings.shape[1])
-    opt = nn.Adam(policy.parameters(), lr=cfg.lr_policy)
+    opt = nn.Adam(policy.parameters(), lr=LR_POLICY)
     losses: list[float] = []
     best = np.inf
     stale = 0
@@ -311,14 +314,14 @@ def train_policy_for_hub(topology: BehaviorTopology, trajectories: list[Trajecto
 
 
 def train_policies(topology: BehaviorTopology, trajectories: list[Trajectory],
-                   embeddings: np.ndarray, cfg: RunConfig, log=None) -> PolicyBank:
-    """One policy per hub with out-degree >= 1, trained independently."""
+                   embeddings: np.ndarray, seed: int, log=None) -> PolicyBank:
+    """One policy per hub with out-degree >= 1, trained independently, each
+    from its own stream of the run's `seed`."""
     bank = PolicyBank(emb_dim=embeddings.shape[1])
     sources = sorted({s for s, _t in topology.edges})
     for hub_id in sources:
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x90, hub_id]))
-        policy, losses = train_policy_for_hub(topology, trajectories, hub_id,
-                                              embeddings, cfg, rng)
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 0x90, hub_id]))
+        policy, losses = train_policy_for_hub(topology, trajectories, hub_id, embeddings, rng)
         bank.policies[hub_id] = policy
         bank.train_losses[hub_id] = losses
         if log is not None:
@@ -341,20 +344,26 @@ def save_bank(bank: PolicyBank, out_dir: Path) -> None:
 
 def load_bank(out_dir: Path) -> PolicyBank:
     """The bank `save_bank` wrote; raises `nn.ArtifactError` naming
-    `index.json` when it is not JSON or lacks a key, and naming a policy
-    file whose stored hub id is not the hub `index.json` lists it for."""
-    from .nn.io import json_artifact, load_params
+    train-policies and `index.json` when it is not JSON, lacks a key or holds
+    a value of the wrong type, and naming a policy file that is missing or
+    whose stored hub id is not the hub `index.json` lists it for."""
+    from .nn.io import json_artifact, json_typed, load_params
 
     out_dir = Path(out_dir)
     with json_artifact(out_dir / "index.json", "train-policies") as index:
-        emb_dim, hubs = index["emb_dim"], index["hubs"]
+        emb_dim = json_typed(index["emb_dim"], int, "emb_dim")
+        hubs = [json_typed(hub_id, int, "a hub id") for hub_id in index["hubs"]]
     bank = PolicyBank(emb_dim=emb_dim)
     for hub_id in hubs:
         path = out_dir / f"policy_{hub_id:04d}.bin"
-        _kind, tensors = load_params(path, expect_kind=MODEL_KIND)
+        try:
+            _kind, tensors = load_params(path, expect_kind=MODEL_KIND)
+        except FileNotFoundError:
+            raise nn.ArtifactError(f"{path}: missing, but index.json lists hub {hub_id}; "
+                                   f"run stage train-policies again") from None
         stored = tensors.get("hub_id", np.empty(0)).tolist()
         if stored != [hub_id]:
             raise nn.ArtifactError(f"{path}: stores hub_id {stored}, but index.json lists it "
-                                   f"for hub {hub_id}")
+                                   f"for hub {hub_id}; run stage train-policies again")
         bank.policies[hub_id] = EdgePolicy.from_tensors(tensors)
     return bank

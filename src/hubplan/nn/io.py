@@ -17,7 +17,8 @@ it. On a two-core x86-64 host with one OpenBLAS thread, a policy step's
 are bit-identical at every offset (`tests/test_nn_core.py::TestStackedNumpyFacts`).
 
 `json_artifact` reads the JSON files beside them (a dataset's manifest, a
-policy bank's index) and names the stage to rerun when one is malformed.
+policy bank's index) and names the stage to rerun when one is malformed;
+`json_typed` checks the type of each value read from one.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ DIGEST_SIZE = 32
 ALIGN = 64  # bytes
 
 __all__ = ["ArtifactError", "aligned_copy", "save_params", "load_params",
-           "write_checksummed", "read_checksummed", "json_artifact"]
+           "write_checksummed", "read_checksummed", "json_artifact", "json_typed"]
 
 
 class ArtifactError(RuntimeError):
@@ -55,6 +56,14 @@ def json_artifact(path, stage: str):
         raise ArtifactError(f"{path}: no {e.args[0]!r} key; run stage {stage} again") from None
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"{path}: malformed ({e}); run stage {stage} again") from None
+
+
+def json_typed(value, kind: type, what: str):
+    """`value` when it is a `kind`, where a JSON true or false is no int;
+    else a TypeError naming `what`, which `json_artifact` reports."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise TypeError(f"{what} is {value!r}, not {kind.__name__}")
+    return value
 
 
 def aligned_copy(data) -> np.ndarray:

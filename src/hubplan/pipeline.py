@@ -156,7 +156,8 @@ def stage_train_policies(cfg: RunConfig, log=print) -> PolicyBank:
     ds, topo = _load_topology(cfg, "train-policies")
     model = load_high_model(cfg, "train-policies", len(topo.hubs))
     lines: list[str] = []
-    bank = train_policies(topo, ds.trajectories, model.embeddings(), cfg, log=lines.append)
+    bank = train_policies(topo, ds.trajectories, model.embeddings(), cfg.seed,
+                          log=lines.append)
     save_bank(bank, out / "policies")
     (out / "policy_loss.txt").write_text("".join(line + "\n" for line in lines))
     log(f"train-policies: {len(bank.policies)} policies")

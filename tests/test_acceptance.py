@@ -52,8 +52,7 @@ def shortcut_scenario():
         mp.setattr(hub_dynamics, "HIGH_EPOCHS", 250)
         pretrain_on_traversals(model, topo, RunConfig(seed=1))
         train_high(model, topo.hub_sequences(), topo)
-    bank = train_policies(topo, sc.trajectories, model.embeddings(), RunConfig(seed=1),
-                          log=quiet)
+    bank = train_policies(topo, sc.trajectories, model.embeddings(), 1, log=quiet)
     return sc, topo, model, bank
 
 

@@ -22,8 +22,8 @@ import pytest
 
 import hubplan
 from conftest import BENCH, load_bench_module
-from hubplan import pipeline
-from hubplan.config import RunConfig
+from hubplan import config, pipeline
+from hubplan.config import ConfigError, RunConfig
 from hubplan.demos import generate_success_demo, load_dataset, seen_unseen_split
 from hubplan.hub_dynamics import CachedDist
 from hubplan.latent import LearnedEncoder, LowLevelModel
@@ -61,6 +61,19 @@ def test_query_service_searches_as_eval(oracle_run, monkeypatch):
             assert getattr(svc.search_cfg, f.name) == getattr(used[0], f.name), f.name
     with pytest.raises(TypeError):
         RunConfig(p_min=1e-3)
+
+
+def test_oracle_overrides_are_the_default_recipe():
+    """The oracle-pipeline benchmark passes `RunConfig` the policy recipe's
+    two settings, which are `edge_policies` constants: init-only arguments
+    that accept the constants' values only, and no config-file keys."""
+    workloads = load_bench_module("workloads")
+    assert RunConfig(**workloads.ORACLE_OVERRIDES) == RunConfig()
+    for name, value, constant in [("lr_policy", 1e-3, "LR_POLICY"),
+                                  ("max_segments_per_edge", 4, "MAX_SEGMENTS_PER_EDGE")]:
+        with pytest.raises(ConfigError, match=rf"edge_policies\.{constant}\b"):
+            RunConfig(**{name: value})
+        assert name not in {f.name for f in config.FILE_FIELDS}
 
 
 def test_learned_encode_queries_repeat():

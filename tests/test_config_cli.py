@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import hubplan
-from hubplan import edge_policies, hub_dynamics
+from hubplan import edge_policies, hub_dynamics, nn
 from hubplan.cli import _build_parser, _load_config, main
 from hubplan.config import ConfigError, RunConfig, parse_config, save_config
 from hubplan.demos import load_dataset
@@ -80,8 +81,8 @@ class TestConfig:
         return path
 
     @pytest.mark.parametrize("key, value", [
-        ("low_epochs", 0), ("max_segments_per_edge", 0), ("lr_policy", "nan"),
-        ("epsilon", "inf"), ("seed", -1)])
+        ("low_epochs", 0), ("epsilon", 0), ("epsilon", "nan"), ("epsilon", "inf"),
+        ("seed", -1)])
     def test_out_of_range_value_rejected_at_load(self, tmp_path, capsys, key, value):
         # each of these values makes a later stage fail, or silently run
         # otherwise, after the ones before it ran; a finished run's
@@ -238,12 +239,41 @@ class TestTrainersReadRunConfig:
         return len(train_low_level(LowLevelModel(np.random.default_rng(0)), [short], cfg))
 
     @staticmethod
-    def policy_epochs(scenario, cfg):
+    def policy_training(scenario):
+        """Hub 0's policy training: its per-epoch losses, the learning rate it
+        gives Adam and the most segments of one edge in its first batch."""
         sc, topo = scenario
         emb = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs)).embeddings()
-        _policy, losses = train_policy_for_hub(topo, sc.trajectories, 0, emb, cfg,
-                                               np.random.default_rng(0))
-        return len(losses)
+        got = {}
+        fill_batch = edge_policies._fill_batch
+
+        class Adam(nn.Adam):
+            def __init__(self, params, lr):
+                got.setdefault("lr", lr)
+                super().__init__(params, lr)
+
+        def first_batch(segs, *args):
+            got.setdefault("per_edge", max(Counter((s.source, s.target) for s in segs).values()))
+            return fill_batch(segs, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "Adam", Adam)
+            mp.setattr(edge_policies, "_fill_batch", first_batch)
+            _policy, got["losses"] = train_policy_for_hub(topo, sc.trajectories, 0, emb,
+                                                          np.random.default_rng(0))
+        return got
+
+    @staticmethod
+    def policy_epochs(scenario, _cfg):
+        return len(TestTrainersReadRunConfig.policy_training(scenario)["losses"])
+
+    @staticmethod
+    def policy_lr(scenario, _cfg):
+        return TestTrainersReadRunConfig.policy_training(scenario)["lr"]
+
+    @staticmethod
+    def policy_segments_per_edge(scenario, _cfg):
+        return TestTrainersReadRunConfig.policy_training(scenario)["per_edge"]
 
     @pytest.mark.parametrize("overrides, measure, expected", [
         ({"low_epochs": 2}, low_epochs, 2),
@@ -255,7 +285,10 @@ class TestTrainersReadRunConfig:
         (hub_dynamics, "HIGH_EPOCHS", high_epochs, 3),
         (hub_dynamics, "PRETRAIN_EPOCHS", pretrain_epochs, 2),
         (edge_policies, "MAX_EPOCHS", policy_epochs, 4),  # below MIN_EPOCHS: no early stop
-    ], ids=["HIGH_EPOCHS", "PRETRAIN_EPOCHS", "MAX_EPOCHS"])
+        (edge_policies, "LR_POLICY", policy_lr, 0.005),
+        (edge_policies, "MAX_SEGMENTS_PER_EDGE", policy_segments_per_edge, 1),
+    ], ids=["HIGH_EPOCHS", "PRETRAIN_EPOCHS", "MAX_EPOCHS", "LR_POLICY",
+            "MAX_SEGMENTS_PER_EDGE"])
     def test_trainer_reads_its_constant(self, scenario, monkeypatch, module, name, measure,
                                         value):
         monkeypatch.setattr(module, name, value)
@@ -273,7 +306,7 @@ class TestRunDirectoryConfig:
                   ["ablate", "--kind", "bfs"], ["ablate", "--kind", "no-memory"]]
     CONTINUING_IDS = ["train-low", "build-topology", "train-high", "train-policies", "eval",
                       "plan", "ablate-bfs", "ablate-no-memory"]
-    SETTINGS = dict(seed=4, encoder_backend="learned", lr_policy=0.02, max_segments_per_edge=2)
+    SETTINGS = dict(seed=4, encoder_backend="learned", epsilon=0.002, low_epochs=5)
 
     @pytest.fixture
     def run_dir(self, tmp_path):
@@ -289,8 +322,7 @@ class TestRunDirectoryConfig:
     @pytest.mark.parametrize("argv", CONTINUING, ids=CONTINUING_IDS)
     def test_reads_run_config(self, run_dir, argv):
         cfg = self.load(*argv, "--out", str(run_dir))
-        assert (cfg.encoder_backend, cfg.lr_policy, cfg.max_segments_per_edge) == \
-            ("learned", 0.02, 2)
+        assert (cfg.encoder_backend, cfg.epsilon, cfg.low_epochs) == ("learned", 0.002, 5)
         assert (cfg.out_dir, cfg.seed) == (str(run_dir), 4)
 
     @pytest.mark.parametrize("command", ["gen-demos", "run-all"])
@@ -308,10 +340,10 @@ class TestRunDirectoryConfig:
 
     def test_config_and_seed_start_a_fresh_run(self, tmp_path):
         explicit = tmp_path / "explicit.cfg"
-        save_config(RunConfig(lr_policy=0.5), explicit)
+        save_config(RunConfig(low_epochs=7), explicit)
         fresh = str(tmp_path / "fresh")
         cfg = self.load("gen-demos", "--config", str(explicit), "--out", fresh, "--seed", "9")
-        assert cfg == RunConfig(lr_policy=0.5, seed=9, out_dir=fresh)
+        assert cfg == RunConfig(low_epochs=7, seed=9, out_dir=fresh)
 
     def test_run_without_config_file_uses_defaults(self, tmp_path):
         assert self.load("eval", "--out", str(tmp_path)) == RunConfig(out_dir=str(tmp_path))
@@ -334,7 +366,7 @@ class TestRunDirectoryConfig:
         original, copy, elsewhere = tmp_path / "original", tmp_path / "copy", tmp_path / "cwd"
         original.mkdir()
         elsewhere.mkdir()
-        save_config(RunConfig(out_dir=str(original), lr_policy=0.02), original / "config.txt")
+        save_config(RunConfig(out_dir=str(original), epsilon=0.002), original / "config.txt")
         shutil.copytree(original, copy)
         monkeypatch.chdir(elsewhere)
         assert main(["gen-demos", "--config", str(copy / "config.txt")]) == 0
@@ -358,9 +390,9 @@ class TestRunDirectoryConfig:
         save_config(RunConfig(), run / "config.txt")
         before = self.files(run)
         other = tmp_path / "other.cfg"
-        save_config(RunConfig(seed=3, lr_policy=0.02, max_segments_per_edge=2), other)
+        save_config(RunConfig(seed=3, epsilon=0.002, low_epochs=5), other)
         assert main(["gen-demos", "--config", str(other), "--out", str(run)]) == 2
-        assert "seed, lr_policy, max_segments_per_edge;" in capsys.readouterr().err
+        assert "seed, epsilon, low_epochs;" in capsys.readouterr().err
         assert self.files(run) == before
 
 

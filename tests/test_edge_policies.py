@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from hubplan import edge_policies, nn
-from hubplan.config import RunConfig
 from hubplan.edge_policies import (
     OBS_NOISE,
     EdgePolicy,
@@ -362,6 +361,9 @@ def trained_scenario():
     return sc, topo, model.embeddings()
 
 
+# the learning rate and segment cap the two bank pins below were recorded
+# with: the pins check the trainer's arithmetic, not its recipe
+OLD_RECIPE = {"LR_POLICY": 1e-3, "MAX_SEGMENTS_PER_EDGE": 4}
 # sha256 of the bank below as trained by the op-by-op tape implementation
 SCENARIO_BANK_SHA256 = "4d5ee4e4356c2d43519ce4e03e669c1a7ac69bcadefda18a01add6d73a97e656"
 # and as trained by `sequence_loss_and_grads`, whose seven weight gradients
@@ -390,7 +392,9 @@ def tape_bank(trained_scenario):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(edge_policies, "sequence_loss_and_grads", tape_loss_and_grads)
         mp.setattr(edge_policies, "MAX_EPOCHS", 12)
-        return train_policies(topo, sc.trajectories, emb, RunConfig())
+        for name, value in OLD_RECIPE.items():
+            mp.setattr(edge_policies, name, value)
+        return train_policies(topo, sc.trajectories, emb, 0)
 
 
 class TestTrainPolicies:
@@ -400,7 +404,9 @@ class TestTrainPolicies:
     def test_bank_tracks_tape_training(self, trained_scenario, tape_bank, tmp_path, monkeypatch):
         sc, topo, emb = trained_scenario
         monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 12)
-        bank = train_policies(topo, sc.trajectories, emb, RunConfig())
+        for name, value in OLD_RECIPE.items():
+            monkeypatch.setattr(edge_policies, name, value)
+        bank = train_policies(topo, sc.trajectories, emb, 0)
         assert bank.train_losses.keys() == tape_bank.train_losses.keys()
         for hub, losses in bank.train_losses.items():
             want = tape_bank.train_losses[hub]
@@ -444,8 +450,10 @@ class TestTrainPolicies:
         with pytest.raises(nn.ArtifactError, match=r"policy_0002\.bin: stores hub_id \[5\.0\]"):
             load_bank(tmp_path)
 
-    @pytest.mark.parametrize("index", ['{"emb_dim": 4, "hubs": [2', '{"emb_dim": 4}'],
-                             ids=["not JSON", "no hubs key"])
+    @pytest.mark.parametrize("index", ['{"emb_dim": 4, "hubs": [2', '{"emb_dim": 4}',
+                                       '{"emb_dim": true, "hubs": [2]}',
+                                       '{"emb_dim": 4, "hubs": [true]}'],
+                             ids=["not JSON", "no hubs key", "emb_dim true", "hub id true"])
     def test_malformed_index_rejected_naming_train_policies(self, tmp_path, index):
         rng = np.random.default_rng(0)
         save_bank(PolicyBank(emb_dim=4, policies={2: EdgePolicy(rng, 4, enc_hidden=3,
@@ -457,7 +465,7 @@ class TestTrainPolicies:
     def test_policy_per_out_degree_hub(self, trained_scenario, monkeypatch):
         sc, topo, emb = trained_scenario
         monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 2)
-        bank = train_policies(topo, sc.trajectories, emb, RunConfig())
+        bank = train_policies(topo, sc.trajectories, emb, 0)
         sources = {s for s, _t in topo.edges}
         assert set(bank.policies) == sources
 
@@ -470,8 +478,7 @@ class TestTrainPolicies:
         hub = candidates[0]
         target = topo.out_neighbors(hub)[0]
         seg = topo.segments[(hub, target)][0]
-        cfg = RunConfig(seed=3)
-        policy, _losses = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
+        policy, _losses = train_policy_for_hub(topo, sc.trajectories, hub, emb,
                                                np.random.default_rng(3))
         traj = sc.trajectories[seg.traj_id]
         memory = policy.initial_memory()
@@ -486,8 +493,7 @@ class TestTrainPolicies:
         hub = 0
         targets = topo.out_neighbors(hub)
         assert len(targets) >= 2
-        cfg = RunConfig(seed=5)
-        policy, _ = train_policy_for_hub(topo, sc.trajectories, hub, emb, cfg,
+        policy, _ = train_policy_for_hub(topo, sc.trajectories, hub, emb,
                                          np.random.default_rng(5))
 
         def first_step(seg):
@@ -523,13 +529,11 @@ class TestTrainPolicies:
         emb = np.full_like(emb, np.nan)
         monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 2)
         with pytest.raises(nn.NonFiniteError, match="hub 0: non-finite logits"):
-            train_policy_for_hub(topo, sc.trajectories, 0, emb, RunConfig(),
-                                 np.random.default_rng(0))
+            train_policy_for_hub(topo, sc.trajectories, 0, emb, np.random.default_rng(0))
 
     def test_train_losses_decrease(self, trained_scenario, monkeypatch):
         sc, topo, emb = trained_scenario
         monkeypatch.setattr(edge_policies, "MAX_EPOCHS", 30)
-        cfg = RunConfig(seed=9)
-        policy, losses = train_policy_for_hub(topo, sc.trajectories, 0, emb, cfg,
-                                              np.random.default_rng(9))
+        _policy, losses = train_policy_for_hub(topo, sc.trajectories, 0, emb,
+                                               np.random.default_rng(9))
         assert losses[-1] < losses[0]

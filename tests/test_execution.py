@@ -3,8 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from hubplan.config import RunConfig
-from hubplan.edge_policies import EdgePolicy, PolicyBank, train_policies
+from hubplan.edge_policies import EdgePolicy, PolicyBank, _greedy_exact, train_policies
 from hubplan.execution import (EDGE_BUDGET_FACTOR, MIN_EDGE_BUDGET, EdgeTrace, edge_budget,
                                execute)
 from hubplan.hub_dynamics import HubDynamicsModel
@@ -19,12 +18,18 @@ def scenario_stack():
     sc = build_scenario()
     topo = scenario_topology(sc)
     model = HubDynamicsModel(np.random.default_rng(0), n_hubs=len(topo.hubs))
-    bank = train_policies(topo, sc.trajectories, model.embeddings(), RunConfig(seed=0))
+    bank = train_policies(topo, sc.trajectories, model.embeddings(), 0)
     return sc, topo, model.embeddings(), bank
 
 
 def demo_plan(topo, seq_hubs):
     return Plan(history=list(seq_hubs), cost=0.0, transition_probs=[1.0] * (len(seq_hubs) - 1))
+
+
+def demo_route(topo):
+    """The success demo's route: its segments in order."""
+    return sorted((seg for segs in topo.segments.values() for seg in segs if seg.traj_id == 0),
+                  key=lambda seg: seg.begin)
 
 
 class TestEdgeBudget:
@@ -38,7 +43,11 @@ class TestEdgeBudget:
 
 class TestExecute:
     def test_demonstrated_route_replays_to_success(self, scenario_stack):
+        """Every edge of the demo's route is crossed; an edge takes its demo
+        segment's steps where the source hub's policy replays that segment
+        exactly (`_greedy_exact`), and may take other counts elsewhere."""
         sc, topo, emb, bank = scenario_stack
+        route = demo_route(topo)
         plan = demo_plan(topo, topo.hub_sequences()[0])
         state, obs = sc.env.reset(sc.env.starts[0], sc.goal)
         sc.encoder.begin_episode()
@@ -46,7 +55,13 @@ class TestExecute:
         assert result.success
         assert result.edges_crossed == len(plan.edges)
         assert result.failure_reason is None
-        assert result.steps == len(sc.trajectories[0])
+        exact = [_greedy_exact(bank.policies[seg.source], [seg], emb, sc.trajectories)
+                 for seg in route]
+        assert [(t.source, t.target) for t in result.trace] == \
+            [(seg.source, seg.target) for seg in route]
+        assert sum(exact) > len(route) // 2
+        assert [t.steps for t, ok in zip(result.trace, exact) if ok] == \
+            [seg.end - seg.begin for seg, ok in zip(route, exact) if ok]
 
     def test_empty_plan_no_edges(self, scenario_stack):
         sc, topo, emb, bank = scenario_stack
@@ -111,8 +126,7 @@ class TestExecutionOutcomes:
     @staticmethod
     def outcome(sc, topo, case):
         actions = sc.trajectories[0].actions
-        route = sorted((seg for segs in topo.segments.values() for seg in segs
-                        if seg.traj_id == 0), key=lambda seg: seg.begin)
+        route = demo_route(topo)
         hubs = [route[0].source] + [seg.target for seg in route]
         lengths = [seg.end - seg.begin for seg in route]
         env, sources, n_hubs = sc.env, hubs, len(hubs)

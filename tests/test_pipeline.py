@@ -21,15 +21,14 @@ from hubplan.pipeline import (HIGH_KIND, LOW_KIND, StageError, ablate_bfs, evalu
 from hubplan.planning import NoPlanError, bfs_plan
 from hubplan.topology import BehaviorTopology, Hub, Segment, load_topology
 
-from conftest import load_bench_module
+from conftest import BENCH, load_bench_module
 
-# seed 0 at the default config: topology.txt, metrics.json and the plans/
-# and dataset/ directories as `bench/workloads.py` hashes them; a change of
-# these bytes is a re-baseline and is recorded as one
+# seed 0 at the default config: the dataset/ directory as `bench/workloads.py`
+# hashes it. The run's other pinned bytes and counts are the benchmark's seed-0
+# oracle-pipeline reference (`bench/reference.json`), since the default run is
+# the benchmark's run. A change of these bytes is a re-baseline and is
+# recorded as one
 DEFAULT_CONFIG_SHA256 = {
-    "topology.txt": "a31c2ba4fecb12debb00d63c0efb4d18836337656de8508dcef22a0fbf9c19e6",
-    "metrics.json": "aa8e0e96537b44233f8f5a75d69d20db4d6fc229ea054a630e692326f79e55c7",
-    "plans": "bfc41f550ebd5818bf6639780f8b2944f04f4625b3d41896534c25d3f4b68f36",
     "dataset": "54a7747d475715374fc6d4261b4a05a6e6ee20dd57f2c53ccc5666536bf12c22",
 }
 # the BFS ablation of that run: ablate_bfs/metrics.json and ablate_bfs/plans/
@@ -70,12 +69,19 @@ class TestArtifacts:
 
     def test_default_config_outputs_pinned(self, oracle_run):
         workloads = load_bench_module("workloads")
+        ref = json.loads((BENCH / "reference.json").read_text())["oracle-pipeline"]["0"]
         out = oracle_run["out"]
-        got = {"topology.txt": workloads.sha256_file(out / "topology.txt"),
-               "metrics.json": workloads.sha256_file(out / "metrics.json"),
-               "plans": workloads.sha256_dir(out / "plans"),
-               "dataset": workloads.sha256_dir(out / "dataset")}
-        assert got == DEFAULT_CONFIG_SHA256
+        assert workloads.sha256_dir(out / "dataset") == DEFAULT_CONFIG_SHA256["dataset"]
+        assert {"topology_txt": workloads.sha256_file(out / "topology.txt"),
+                "metrics_json": workloads.sha256_file(out / "metrics.json"),
+                "plans": workloads.sha256_dir(out / "plans")} == ref["hashes"]
+        topo = load_topology(out / "topology.txt", load_dataset(out / "dataset").trajectories)
+        epochs = [int(re.search(r" epochs=(\d+) ", line).group(1))
+                  for line in (out / "policy_loss.txt").read_text().splitlines()]
+        counts = {"hubs": len(topo.hubs), "edges": len(topo.edges),
+                  "segments": sum(len(v) for v in topo.segments.values()),
+                  "policies": len(epochs), "policy_epochs": sum(epochs)}
+        assert counts == {key: ref["counts"][key] for key in counts}
 
     def test_corrupted_artifact_rejected(self, oracle_run, tmp_path):
         blob = bytearray((oracle_run["out"] / "highlevel.bin").read_bytes())
@@ -193,6 +199,44 @@ class TestStageGuards:
         (out / "policies" / "index.json").write_text(json.dumps({**index, "emb_dim": 16}))
         assert main(["eval", "--out", str(out)]) == 1
         assert "train-policies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case, file, stage", [
+        ("hub id a string", "index.json", "train-policies"),
+        ("emb_dim a string", "index.json", "train-policies"),
+        ("policy file missing", "policy_0000.bin", "train-policies"),
+        ("success name a number", "manifest.json", "gen-demos"),
+        ("failure log missing", "failure_000.log", "gen-demos"),
+    ], ids=["hub-id-string", "emb-dim-string", "policy-missing", "success-name-number",
+            "failure-log-missing"])
+    def test_malformed_json_artifact_names_file_and_stage(self, oracle_run, tmp_path, capsys,
+                                                          case, file, stage):
+        src, out = oracle_run["out"], tmp_path / "run"
+        out.mkdir()
+        for name in ("config.txt", "topology.txt", "highlevel.bin"):
+            (out / name).symlink_to(src / name)
+        for sub in ("dataset", "policies"):
+            (out / sub).mkdir()
+            for path in (src / sub).iterdir():
+                (out / sub / path.name).symlink_to(path)
+        manifest = json.loads((src / "dataset" / "manifest.json").read_text())
+        index = json.loads((src / "policies" / "index.json").read_text())
+        assert (index["hubs"][0], manifest["failures"][0]["file"]) == (0, "failure_000")
+        if case == "hub id a string":
+            index["hubs"][0] = "0"
+        elif case == "emb_dim a string":
+            index["emb_dim"] = str(index["emb_dim"])
+        elif case == "success name a number":
+            manifest["successes"][0] = 1
+        else:
+            (out / ("policies" if "policy" in case else "dataset") / file).unlink()
+        for path, data in ((out / "dataset" / "manifest.json", manifest),
+                           (out / "policies" / "index.json", index)):
+            path.unlink()
+            path.write_text(json.dumps(data))
+        assert main(["eval", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"/{re.escape(file)}: .*run stage {stage} again", err), err
+        assert not (out / "metrics.json").exists()
 
     def test_split_integrity_no_unseen_demos(self, oracle_run):
         ds = load_dataset(oracle_run["out"] / "dataset")
