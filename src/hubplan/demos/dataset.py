@@ -4,6 +4,13 @@ The 12 ordered goals are assigned to the three starts in overlapping
 blocks of six, so every start misses half the goals while every goal is
 demonstrated from at least one start. Failures are drawn uniformly without
 replacement from the 13 canonical mistakes of each seen pair.
+
+`build_dataset` makes one view memo and one route memo (see `expert`) and
+passes them to every rollout it generates, so each distinct view is
+rendered and each distinct route searched once per build. Both memos are
+exact: `raster.rasterize` reads only a state's view key, and the route
+search only the fields of its route key. They are dropped when the build
+returns, so nothing after it, queries and evaluation included, shares them.
 """
 
 from __future__ import annotations
@@ -60,12 +67,15 @@ def failure_candidates(seen: list[tuple[int, Goal]]) -> list[tuple[int, Goal, Fa
 
 def build_dataset(env: MazeEnv, seed: int) -> DemoDataset:
     seen, unseen = seen_unseen_split()
-    successes = [generate_success_demo(env, sid, goal) for sid, goal in seen]
+    views: dict = {}
+    routes: dict = {}
+    successes = [generate_success_demo(env, sid, goal, views, routes) for sid, goal in seen]
     candidates = failure_candidates(seen)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFA11]))
     chosen = sorted(rng.choice(len(candidates), size=N_FAILURES, replace=False))
     picked = [candidates[i] for i in chosen]
-    failures = [generate_failure_demo(env, sid, goal, spec) for sid, goal, spec in picked]
+    failures = [generate_failure_demo(env, sid, goal, spec, views, routes)
+                for sid, goal, spec in picked]
     return DemoDataset(
         seed=seed,
         seen=seen,

@@ -140,13 +140,14 @@ class EdgePolicy:
         """Action distribution for one observation; returns (probs, new memory).
 
         The observation and the target embedding are written into one
-        (1, OBS_SIZE + emb_dim) input row rather than concatenated.
+        (1, OBS_SIZE + emb_dim) input row rather than concatenated. Call it
+        inside `np.errstate(over="ignore")`, entered once around the step
+        loop, as `gru_cell` asks: a saturated gate overflows exp.
         """
         x = np.empty((1, OBS_SIZE + self.emb_dim))
         x[0, :OBS_SIZE] = obs_vec
         x[0, OBS_SIZE:] = target_emb
-        with np.errstate(over="ignore"):
-            h, _cache = nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, self.encode(x)), memory)
+        h, _cache = nn.gru_cell(self.gru, nn.gru_input_proj(self.gru, self.encode(x)), memory)
         return nn.softmax_np(self.head(h))[0], h
 
 
@@ -345,9 +346,9 @@ def save_bank(bank: PolicyBank, out_dir: Path) -> None:
 def load_bank(out_dir: Path) -> PolicyBank:
     """The bank `save_bank` wrote; raises `nn.ArtifactError` naming
     train-policies and `index.json` when it is not JSON, lacks a key or holds
-    a value of the wrong type, and naming a policy file that is missing or
-    whose stored hub id is not the hub `index.json` lists it for."""
-    from .nn.io import json_artifact, json_typed, load_params
+    a value of the wrong type, and naming a policy file that is missing,
+    corrupt, or whose stored hub id is not the hub `index.json` lists it for."""
+    from .nn.io import json_artifact, json_typed, load_params, written_by
 
     out_dir = Path(out_dir)
     with json_artifact(out_dir / "index.json", "train-policies") as index:
@@ -357,7 +358,8 @@ def load_bank(out_dir: Path) -> PolicyBank:
     for hub_id in hubs:
         path = out_dir / f"policy_{hub_id:04d}.bin"
         try:
-            _kind, tensors = load_params(path, expect_kind=MODEL_KIND)
+            with written_by("train-policies"):
+                _kind, tensors = load_params(path, expect_kind=MODEL_KIND)
         except FileNotFoundError:
             raise nn.ArtifactError(f"{path}: missing, but index.json lists hub {hub_id}; "
                                    f"run stage train-policies again") from None

@@ -69,26 +69,29 @@ def execute(plan: Plan, env: MazeEnv, state: EnvState, obs, bank: PolicyBank,
     trace: list[EdgeTrace] = []
     dead_edge = False
 
-    for source, target in plan.edges:
-        if source not in bank.policies:
-            dead_edge = True
-            break
-        target_hub = topology.hubs[target]
-        budget = edge_budget(topology, (source, target))
-        memory = bank.policies[source].initial_memory()
-        emb = embeddings[target]
-        reached = False
-        edge_steps = 0
-        while not reached and not state.terminal and edge_steps < budget:
-            probs, memory = bank.act(source, emb, obs, memory)
-            state, obs = env.step(state, int(np.argmax(probs)))
-            total_steps += 1
-            edge_steps += 1
-            reached = matches_hub(encoder.encode(obs, state), target_hub, topology.epsilon, tol)
-        trace.append(EdgeTrace(source, target, edge_steps, reached))
-        # an arrival can end the episode; at the goal hub it normally does
-        if not reached or state.terminal:
-            break
+    # the policies' gates saturate where exp overflows (`EdgePolicy.act`)
+    with np.errstate(over="ignore"):
+        for source, target in plan.edges:
+            if source not in bank.policies:
+                dead_edge = True
+                break
+            target_hub = topology.hubs[target]
+            budget = edge_budget(topology, (source, target))
+            memory = bank.policies[source].initial_memory()
+            emb = embeddings[target]
+            reached = False
+            edge_steps = 0
+            while not reached and not state.terminal and edge_steps < budget:
+                probs, memory = bank.act(source, emb, obs, memory)
+                state, obs = env.step(state, int(np.argmax(probs)))
+                total_steps += 1
+                edge_steps += 1
+                reached = matches_hub(encoder.encode(obs, state), target_hub,
+                                      topology.epsilon, tol)
+            trace.append(EdgeTrace(source, target, edge_steps, reached))
+            # an arrival can end the episode; at the goal hub it normally does
+            if not reached or state.terminal:
+                break
 
     if state.success:
         reason = None

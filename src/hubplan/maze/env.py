@@ -15,7 +15,8 @@ diamond) deposited, and the episode succeeded when the barrel holds the goal
 pair. All transitions are pure functions of (state, action). `reset` and
 `step` also return the new state's observation: one float64 row of
 `raster.OBS_SIZE` values, the egocentric view planes followed by the two
-barrel slots (see `raster`).
+barrel slots (see `raster`), rendered by `observe` or taken from a view memo
+the caller passes.
 """
 
 from __future__ import annotations
@@ -213,9 +214,11 @@ class MazeEnv:
 
     # -- episode ----------------------------------------------------------
 
-    def reset(self, start: StartConfig, goal: Goal):
+    def reset(self, start: StartConfig, goal: Goal, views: dict | None = None):
+        """The start state and its observation, looked up in `views` as
+        `step` does."""
         state = self.start_state(start, goal)
-        return state, self.rasterize(state)
+        return state, self.observe(state, views)
 
     def start_state(self, start: StartConfig, goal: Goal) -> EnvState:
         """`reset` without the observation."""
@@ -232,9 +235,29 @@ class MazeEnv:
             terminal=False,
         )
 
-    def step(self, state: EnvState, action: int):
+    def step(self, state: EnvState, action: int, views: dict | None = None):
+        """The next state and its observation.
+
+        Without `views` the observation is a fresh, writable row. `views` is
+        a dict the caller owns, from `raster.view_key` to a row: the row of
+        a state whose key is already there is returned as is, and a missing
+        one is rendered, made read-only and stored. That is exact, because
+        `rasterize` reads only the key's fields. The caller decides how long
+        the dict lives; demonstration building keeps one for one build.
+        """
         new_state = self.transition(state, action)
-        return new_state, self.rasterize(new_state)
+        return new_state, self.observe(new_state, views)
+
+    def observe(self, state: EnvState, views: dict | None = None) -> np.ndarray:
+        """`state`'s observation row, from `views` when given (see `step`)."""
+        if views is None:
+            return raster.rasterize(self, state)
+        key = raster.view_key(state)
+        row = views.get(key)
+        if row is None:
+            row = views[key] = raster.rasterize(self, state)
+            row.flags.writeable = False
+        return row
 
     def transition(self, state: EnvState, action: int) -> EnvState:
         """`step` without the observation."""
@@ -295,9 +318,6 @@ class MazeEnv:
             step_count=step_count,
             terminal=terminal or step_count >= self.horizon,
         )
-
-    def rasterize(self, state: EnvState) -> np.ndarray:
-        return raster.rasterize(self, state)
 
 
 # imported last: the raster reads this module's constants

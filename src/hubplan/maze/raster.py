@@ -27,6 +27,9 @@ for every env. A call gathers the 49 codes, builds a 16-entry transparency
 and shown-contents lookup from the keys applied to each door, the held item
 and the barrel, propagates visibility in that order, and gathers each cell's
 planes from a fixed table of cell contents into a fresh row.
+
+A row depends on the state only through `view_key`: the pose, the held
+item, the keys applied to each door and the barrel.
 """
 
 from __future__ import annotations
@@ -124,6 +127,13 @@ class ViewTables:
             self.offsets.append([
                 (REACH + fx * ahead + rx * right) * self.stride + REACH + fy * ahead + ry * right
                 for ahead, right in VIEW_FRAME])
+
+
+def view_key(state) -> tuple:
+    """Every `EnvState` field that `rasterize` reads: two states with equal
+    keys rasterize to equal rows, whatever their goal, step count or
+    terminal flag."""
+    return state.pos, state.orientation, state.held, state.keys_applied, state.barrel
 
 
 def rasterize(env, state) -> np.ndarray:

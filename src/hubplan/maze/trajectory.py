@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..nn.io import ArtifactError, read_checksummed, write_checksummed
+from ..nn.io import ArtifactError, read_checksummed, write_checksummed, written_by
 from .env import N_ACTIONS, EnvState, Goal, MazeEnv, StartConfig
 from .raster import OBS_SIZE
 
@@ -131,7 +131,8 @@ def load_trajectory(base: Path) -> Trajectory:
     if actions.size and not (0 <= actions.min() and actions.max() < N_ACTIONS):
         raise _bad(log, f"an action id is outside [0, {N_ACTIONS})")
 
-    data = read_checksummed(obs)
+    with written_by("gen-demos"):
+        data = read_checksummed(obs)
     if len(data) < _OBS_HEADER.size:
         raise _bad(obs, "truncated header")
     magic, rows, cols = _OBS_HEADER.unpack_from(data)

@@ -18,7 +18,9 @@ are bit-identical at every offset (`tests/test_nn_core.py::TestStackedNumpyFacts
 
 `json_artifact` reads the JSON files beside them (a dataset's manifest, a
 policy bank's index) and names the stage to rerun when one is malformed;
-`json_typed` checks the type of each value read from one.
+`json_typed` checks the type of each value read from one. The readers here
+do not know which stage wrote a file: a loader that does reads it inside
+`written_by`, which adds the stage to rerun to a corrupt file's error.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ DIGEST_SIZE = 32
 ALIGN = 64  # bytes
 
 __all__ = ["ArtifactError", "aligned_copy", "save_params", "load_params",
-           "write_checksummed", "read_checksummed", "json_artifact", "json_typed"]
+           "write_checksummed", "read_checksummed", "json_artifact", "json_typed",
+           "written_by"]
 
 
 class ArtifactError(RuntimeError):
@@ -56,6 +59,16 @@ def json_artifact(path, stage: str):
         raise ArtifactError(f"{path}: no {e.args[0]!r} key; run stage {stage} again") from None
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"{path}: malformed ({e}); run stage {stage} again") from None
+
+
+@contextmanager
+def written_by(stage: str):
+    """Re-raise an `ArtifactError` from inside this block with the advice
+    to run `stage`, the stage that writes the file, again."""
+    try:
+        yield
+    except ArtifactError as e:
+        raise ArtifactError(f"{e}; run stage {stage} again") from None
 
 
 def json_typed(value, kind: type, what: str):

@@ -69,7 +69,8 @@ def make_encoder(cfg: RunConfig, out: Path):
     if cfg.encoder_backend in BACKEND_FIELDS:
         return OracleEncoder(epsilon=cfg.epsilon, fields=BACKEND_FIELDS[cfg.encoder_backend])
     path = _require(out / "lowlevel.bin", "make-encoder", "train-low")
-    _kind, tensors = nn.load_params(path, expect_kind=LOW_KIND)
+    with nn.io.written_by("train-low"):
+        _kind, tensors = nn.load_params(path, expect_kind=LOW_KIND)
     return LearnedEncoder(LowLevelModel.from_tensors(tensors))
 
 
@@ -143,7 +144,8 @@ def stage_train_high(cfg: RunConfig, log=print) -> HubDynamicsModel:
 def load_high_model(cfg: RunConfig, stage: str, n_hubs: int) -> HubDynamicsModel:
     out = Path(cfg.out_dir)
     path = _require(out / "highlevel.bin", stage, "train-high")
-    _kind, tensors = nn.load_params(path, expect_kind=HIGH_KIND)
+    with nn.io.written_by("train-high"):
+        _kind, tensors = nn.load_params(path, expect_kind=HIGH_KIND)
     model = HubDynamicsModel.from_tensors(tensors)
     if model.n_hubs != n_hubs:
         raise StageError(stage, f"{path.name} holds {model.n_hubs} hubs but the topology has "

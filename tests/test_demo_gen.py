@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hubplan.demos import (
     DemoDataset,
     build_dataset,
     enumerate_failure_specs,
+    expert,
     failure_candidates,
+    generate_failure_demo,
     generate_success_demo,
     load_dataset,
     save_dataset,
@@ -26,6 +29,7 @@ from hubplan.maze import (
     Trajectory,
     all_goals,
     load_trajectory,
+    raster,
     replay_states,
     save_trajectory,
 )
@@ -167,6 +171,48 @@ class TestBuildDataset:
             assert a.observations.tobytes() == b.observations.tobytes()
         for traj in back.successes[:3] + back.failures[:3]:
             assert replay_check(env, traj)
+
+
+class TestBuildMemos:
+    """`build_dataset` shares one view memo and one route memo across its
+    rollouts: each distinct view is rendered, and each distinct route
+    searched, once per build, and no byte of a demonstration changes."""
+
+    def test_each_view_rendered_and_each_route_searched_once(self, env, monkeypatch):
+        counts, walks = Counter(), []
+        rasterize, bfs_path, goto_and_face = raster.rasterize, expert.bfs_path, expert.goto_and_face
+
+        def counted(fn, what):
+            return lambda *a: counts.update([what]) or fn(*a)
+
+        def walk(rollout, target):
+            state = rollout.state
+            walks.append((state.pos, target, state.keys_applied, state.held, state.barrel))
+            return goto_and_face(rollout, target)
+
+        monkeypatch.setattr(raster, "rasterize", counted(rasterize, "views"))
+        monkeypatch.setattr(expert, "bfs_path", counted(bfs_path, "routes"))
+        monkeypatch.setattr(expert, "goto_and_face", walk)
+        ds = build_dataset(env, seed=0)
+        monkeypatch.undo()
+        states = [s for traj in ds.trajectories for s in replay_states(env, traj)]
+        views = {raster.view_key(s) for s in states}
+        # resets go through the memo too: 17,572 rows, 2,064 distinct views
+        assert (len(states), len(views)) == (17572, 2064)
+        assert (len(walks), len(set(walks))) == (1060, 176)
+        assert counts == {"views": len(views), "routes": len(set(walks))}
+
+    def test_shared_memo_trajectories_equal_fresh_ones(self, env):
+        ds = build_dataset(env, seed=3)
+        fresh = [generate_success_demo(env, sid, goal) for sid, goal in ds.seen]
+        fresh += [generate_failure_demo(env, sid, goal, spec)
+                  for sid, goal, spec in ds.failure_specs]
+        assert len(fresh) == len(ds.trajectories)
+        for shared, alone in zip(ds.trajectories, fresh):
+            assert (shared.start_id, shared.goal, shared.success) == \
+                (alone.start_id, alone.goal, alone.success)
+            assert shared.codes.tobytes() == alone.codes.tobytes()
+            assert shared.actions.tolist() == alone.actions.tolist()
 
 
 class TestTrajectoryLog:

@@ -67,14 +67,15 @@ def padded_batch(rng, lengths, in_dim, t_max=None):
 def greedy_exact_by_act(policy, segs, embeddings, trajectories):
     """Reference for `_greedy_exact`: replay each segment one `policy.act`
     call per step and stop at the first argmax that misses its action."""
-    for seg in segs:
-        memory = policy.initial_memory()
-        traj = trajectories[seg.traj_id]
-        recorded = traj.observations
-        for t in range(seg.begin, seg.end):
-            probs, memory = policy.act(recorded[t], embeddings[seg.target], memory)
-            if int(np.argmax(probs)) != traj.actions[t]:
-                return False
+    with np.errstate(over="ignore"):
+        for seg in segs:
+            memory = policy.initial_memory()
+            traj = trajectories[seg.traj_id]
+            recorded = traj.observations
+            for t in range(seg.begin, seg.end):
+                probs, memory = policy.act(recorded[t], embeddings[seg.target], memory)
+                if int(np.argmax(probs)) != traj.actions[t]:
+                    return False
     return True
 
 
@@ -222,7 +223,8 @@ class TestEdgePolicy:
         h = nn.Tensor(memory)
         for _ in range(3):
             obs, emb = rng.uniform(size=590), rng.normal(size=8)
-            probs, memory = policy.act(obs, emb, memory)
+            with np.errstate(over="ignore"):
+                probs, memory = policy.act(obs, emb, memory)
             logits, h = tape_step(policy, nn.Tensor(np.concatenate([obs, emb])[None, :]), h)
             assert np.array_equal(probs, nn.softmax_np(logits.data)[0])
             assert np.array_equal(memory, h.data)
@@ -236,7 +238,7 @@ class TestEdgePolicy:
         policy.head_w.data[...] = 0.0
         rng = np.random.default_rng(7)
         obs, emb = rng.uniform(size=590), rng.normal(size=8)
-        with np.errstate(invalid="ignore", divide="ignore"):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             for trial in range(200):
                 logits = rng.normal(scale=10.0 ** rng.integers(-3, 4), size=6)
                 logits[rng.integers(6)] = logits[rng.integers(6)]
@@ -328,11 +330,12 @@ class TestEdgePolicy:
         traj.observations = rng.uniform(size=traj.observations.shape)
         segs = [Segment(0, 1, 0, 2, 9), Segment(0, 2, 0, 9, 20)]
         # label every step with the policy's own greedy action, so replay passes
-        for seg in segs:
-            memory = policy.initial_memory()
-            for t in range(seg.begin, seg.end):
-                probs, memory = policy.act(traj.observations[t], emb[seg.target], memory)
-                traj.actions[t] = int(np.argmax(probs))
+        with np.errstate(over="ignore"):
+            for seg in segs:
+                memory = policy.initial_memory()
+                for t in range(seg.begin, seg.end):
+                    probs, memory = policy.act(traj.observations[t], emb[seg.target], memory)
+                    traj.actions[t] = int(np.argmax(probs))
         assert greedy_exact_by_act(policy, segs, emb, [traj])
         assert _greedy_exact(policy, segs, emb, [traj])
         traj.actions[15] = (traj.actions[15] + 1) % 6
@@ -432,8 +435,9 @@ class TestTrainPolicies:
             assert list(loaded.tensors()) == list(saved)
             for name, value in loaded.tensors().items():
                 assert np.array_equal(value, saved[name]), name
-            want = policy.act(obs, emb[0], policy.initial_memory())
-            got = loaded.act(obs, emb[0], loaded.initial_memory())
+            with np.errstate(over="ignore"):
+                want = policy.act(obs, emb[0], policy.initial_memory())
+                got = loaded.act(obs, emb[0], loaded.initial_memory())
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_swapped_policy_files_rejected(self, tmp_path):
@@ -482,10 +486,11 @@ class TestTrainPolicies:
                                                np.random.default_rng(3))
         traj = sc.trajectories[seg.traj_id]
         memory = policy.initial_memory()
-        for obs, action in zip(traj.observations[seg.begin:seg.end],
-                               traj.actions[seg.begin:seg.end]):
-            probs, memory = policy.act(obs, emb[target], memory)
-            assert int(np.argmax(probs)) == action
+        with np.errstate(over="ignore"):
+            for obs, action in zip(traj.observations[seg.begin:seg.end],
+                                   traj.actions[seg.begin:seg.end]):
+                probs, memory = policy.act(obs, emb[target], memory)
+                assert int(np.argmax(probs)) == action
 
     def test_conditioning_separates_targets(self, trained_scenario):
         sc, topo, emb = trained_scenario
@@ -504,7 +509,8 @@ class TestTrainPolicies:
         argmaxes = set()
         for target in targets[:2]:
             seg = topo.segments[(hub, target)][0]
-            probs, _m = policy.act(first_obs, emb[target], policy.initial_memory())
+            with np.errstate(over="ignore"):
+                probs, _m = policy.act(first_obs, emb[target], policy.initial_memory())
             if first_step(seg)[1] != first_action:
                 argmaxes.add(int(np.argmax(probs)))
         # demonstrated first actions differ between the two targets here

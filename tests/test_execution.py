@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -96,6 +97,22 @@ class TestExecute:
         if result.failure_reason == "hub-timeout":
             budget = edge_budget(topo, plan.edges[0])
             assert result.steps == budget
+
+    def test_saturated_policy_steps_without_overflow_warning(self, scenario_stack):
+        """`execute` enters the error state that `EdgePolicy.act` leaves to
+        its caller: a policy whose gates saturate warns nowhere."""
+        sc, topo, emb, _bank = scenario_stack
+        policy = EdgePolicy(np.random.default_rng(9), emb.shape[1])
+        policy.gru.b_update.data[:] = 1000.0
+        policy.gru.b_reset.data[:] = -1000.0
+        bank = PolicyBank(emb_dim=emb.shape[1], policies={0: policy})
+        plan = demo_plan(topo, [0, topo.out_neighbors(0)[0]])
+        state, obs = sc.env.reset(sc.env.starts[0], sc.goal)
+        sc.encoder.begin_episode()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = execute(plan, sc.env, state, obs, bank, sc.encoder, emb, topo)
+        assert result.steps > 0
 
     def test_step_bound(self, scenario_stack):
         sc, topo, emb, bank = scenario_stack

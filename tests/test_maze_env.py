@@ -272,6 +272,43 @@ class TestRasterMatchesReference:
                         state, pos=(int(x), int(y)), orientation=orientation))
 
 
+@pytest.fixture(scope="module")
+def seed0_states(env):
+    return [state for traj in build_dataset(env, seed=0).trajectories
+            for state in replay_states(env, traj)]
+
+
+class TestViewMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_view_ignores_goal_step_count_and_terminal(self, env, seed0_states, data):
+        state = data.draw(st.sampled_from(seed0_states))
+        other = dataclasses.replace(state, goal=data.draw(st.sampled_from(all_goals())),
+                                    step_count=data.draw(st.integers(0, env.horizon)),
+                                    terminal=data.draw(st.booleans()))
+        assert raster.view_key(other) == raster.view_key(state)
+        assert raster.rasterize(env, other).tobytes() == raster.rasterize(env, state).tobytes()
+
+    def test_memo_rows_are_shared_and_read_only(self, env):
+        views = {}
+        state, first = env.reset(env.starts[0], Goal(RED, BLUE), views)
+        state, _turned = env.step(state, TURN_LEFT, views)
+        state, again = env.step(state, TURN_RIGHT, views)
+        assert len(views) == 2 and again is first
+        assert not again.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            again[0] = 1.0
+
+    def test_without_memo_rows_are_fresh_and_writable(self, env):
+        state, first = env.reset(env.starts[0], Goal(RED, BLUE))
+        state, _turned = env.step(state, TURN_LEFT)
+        state, again = env.step(state, TURN_RIGHT)
+        assert again is not first and again.tobytes() == first.tobytes()
+        assert first.flags.writeable and again.flags.writeable
+        again[:] = -1.0
+        assert first.min() == 0.0
+
+
 def diamond_locations(env, state):
     """Where each diamond currently is: world, hand, or barrel. A diamond
     lies in the world when it is neither held nor deposited."""

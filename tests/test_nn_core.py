@@ -684,8 +684,13 @@ class TestSaturatedGates:
             assert np.array_equal(cache.u, np.broadcast_to(on, cache.u.shape).astype(float))
             assert np.array_equal(cache.r, np.broadcast_to(~on, cache.r.shape).astype(float))
         assert np.array_equal(hs[-1], want)
-        _probs, h = policy.act(rng.uniform(size=OBS_SIZE), rng.normal(size=4), h0[:1])
+        obs, emb = rng.uniform(size=OBS_SIZE), rng.normal(size=4)
+        with np.errstate(over="ignore"):
+            _probs, h = policy.act(obs, emb, h0[:1])
         assert np.array_equal(h, want[:1])
+        # `act` leaves the error state to its caller, as `gru_cell` does
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            policy.act(obs, emb, h0[:1])
 
     def test_learned_encode(self):
         from hubplan.latent import LearnedEncoder, LowLevelModel

@@ -238,6 +238,36 @@ class TestStageGuards:
         assert re.search(rf"/{re.escape(file)}: .*run stage {stage} again", err), err
         assert not (out / "metrics.json").exists()
 
+    @staticmethod
+    def flip_a_byte(path: Path) -> None:
+        blob = bytearray(path.read_bytes())
+        blob[len(blob) // 2] ^= 0x55
+        path.write_bytes(bytes(blob))
+
+    @pytest.mark.parametrize("file, stage", [
+        ("highlevel.bin", "train-high"),
+        ("policies/policy_0000.bin", "train-policies"),
+        ("dataset/success_000.obs", "gen-demos"),
+    ])
+    def test_corrupt_checksummed_artifact_names_stage(self, oracle_run, tmp_path, capsys,
+                                                      file, stage):
+        out = tmp_path / "run"
+        shutil.copytree(oracle_run["out"], out, ignore=shutil.ignore_patterns("plans"))
+        self.flip_a_byte(out / file)
+        assert main(["eval", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(rf"/{re.escape(file)}: checksum mismatch; run stage {stage} again",
+                         err), err
+
+    def test_corrupt_low_level_model_names_train_low(self, tmp_path):
+        cfg = RunConfig(out_dir=str(tmp_path), encoder_backend="learned")
+        model = LowLevelModel(np.random.default_rng(0), latent_dim=8, hidden=16)
+        nn.save_params(tmp_path / "lowlevel.bin", LOW_KIND, model.tensors())
+        self.flip_a_byte(tmp_path / "lowlevel.bin")
+        with pytest.raises(nn.ArtifactError,
+                           match=r"lowlevel\.bin: checksum mismatch; run stage train-low again"):
+            make_encoder(cfg, tmp_path)
+
     def test_split_integrity_no_unseen_demos(self, oracle_run):
         ds = load_dataset(oracle_run["out"] / "dataset")
         seen = {(sid, str(g)) for sid, g in ds.seen}
