@@ -88,7 +88,7 @@ def perturb_segment(segment: Segment, rng: np.random.Generator) -> int:
     return segment.begin
 
 
-class EdgePolicy:
+class EdgePolicy(nn.Model):
     """Encoder -> GRU -> action head, conditioned on a target embedding.
 
     Training and inference run in plain numpy: `act` is one step and
@@ -97,33 +97,19 @@ class EdgePolicy:
 
     def __init__(self, rng: np.random.Generator, emb_dim: int,
                  enc_hidden: int = 128, gru_hidden: int = 64):
-        self.emb_dim = emb_dim
-        self.gru_hidden = gru_hidden
-        in_dim = OBS_SIZE + emb_dim
-        self.enc_w = nn.init_weight(rng, in_dim, enc_hidden, "pol.enc_w")
-        self.enc_b = nn.init_bias(enc_hidden, "pol.enc_b")
-        self.gru = nn.GruCellParams.create(rng, enc_hidden, gru_hidden, "pol.gru")
-        self.head_w = nn.init_weight(rng, gru_hidden, N_ACTIONS, "pol.head_w")
-        self.head_b = nn.init_bias(N_ACTIONS, "pol.head_b")
+        super().__init__(nn.init_params(rng, {
+            "pol.enc_w": (OBS_SIZE + emb_dim, enc_hidden), "pol.enc_b": (enc_hidden,),
+            **nn.gru_shapes("pol.gru", enc_hidden, gru_hidden),
+            "pol.head_w": (gru_hidden, N_ACTIONS), "pol.head_b": (N_ACTIONS,),
+        }))
 
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "EdgePolicy":
-        """Policy whose parameters are the given arrays (not copies), with no
-        random initialisation; the embedding, encoder and recurrent widths
-        come from their shapes."""
-        policy = cls.__new__(cls)
-        for attr in ("enc_w", "enc_b", "head_w", "head_b"):
-            setattr(policy, attr, nn.parameter(tensors[f"pol.{attr}"], f"pol.{attr}"))
-        policy.gru = nn.GruCellParams.from_tensors(tensors, "pol.gru")
-        policy.emb_dim = policy.enc_w.data.shape[0] - OBS_SIZE
-        policy.gru_hidden = policy.gru.hidden_size
-        return policy
-
-    def parameters(self) -> list[nn.Tensor]:
-        return [self.enc_w, self.enc_b, *self.gru.tensors().values(), self.head_w, self.head_b]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self.parameters()}
+    def _bind(self) -> None:
+        p = self.params
+        self.enc_w, self.enc_b = p["pol.enc_w"], p["pol.enc_b"]
+        self.gru = nn.GruCellParams.of(p, "pol.gru")
+        self.head_w, self.head_b = p["pol.head_w"], p["pol.head_b"]
+        self.emb_dim = self.enc_w.data.shape[0] - OBS_SIZE
+        self.gru_hidden = self.gru.hidden_size
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """ReLU encoder of (batch, OBS_SIZE + emb_dim) inputs or a stack of them."""
@@ -363,7 +349,7 @@ def load_bank(out_dir: Path) -> PolicyBank:
         except FileNotFoundError:
             raise nn.ArtifactError(f"{path}: missing, but index.json lists hub {hub_id}; "
                                    f"run stage train-policies again") from None
-        stored = tensors.get("hub_id", np.empty(0)).tolist()
+        stored = tensors.pop("hub_id", np.empty(0)).tolist()
         if stored != [hub_id]:
             raise nn.ArtifactError(f"{path}: stores hub_id {stored}, but index.json lists it "
                                    f"for hub {hub_id}; run stage train-policies again")

@@ -25,35 +25,22 @@ PRETRAIN_MAX_LEN = 64
 PRETRAIN_EPOCHS = 3
 
 
-class HubDynamicsModel:
+class HubDynamicsModel(nn.Model):
     def __init__(self, rng: np.random.Generator, n_hubs: int, emb_dim: int = 32, hidden: int = 64):
-        self.n_hubs = n_hubs
-        self.emb_dim = emb_dim
-        self.hidden = hidden
         bound = 1.0 / np.sqrt(emb_dim)
-        self.emb = nn.parameter(rng.uniform(-bound, bound, size=(n_hubs, emb_dim)), "hub.emb")
-        self.gru = nn.GruCellParams.create(rng, emb_dim, hidden, "hub.gru")
-        self.head_w = nn.init_weight(rng, hidden, n_hubs, "hub.head_w")
-        self.head_b = nn.init_bias(n_hubs, "hub.head_b")
+        super().__init__({
+            "hub.emb": nn.parameter(rng.uniform(-bound, bound, size=(n_hubs, emb_dim)), "hub.emb"),
+            **nn.init_params(rng, {**nn.gru_shapes("hub.gru", emb_dim, hidden),
+                                   "hub.head_w": (hidden, n_hubs), "hub.head_b": (n_hubs,)}),
+        })
 
-    def parameters(self) -> list[nn.Tensor]:
-        return [self.emb, *self.gru.tensors().values(), self.head_w, self.head_b]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self.parameters()}
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "HubDynamicsModel":
-        """Model whose parameters are the given arrays (not copies), with no
-        random initialisation; hub count and widths come from their shapes."""
-        model = cls.__new__(cls)
-        model.emb = nn.parameter(tensors["hub.emb"], "hub.emb")
-        model.gru = nn.GruCellParams.from_tensors(tensors, "hub.gru")
-        model.head_w = nn.parameter(tensors["hub.head_w"], "hub.head_w")
-        model.head_b = nn.parameter(tensors["hub.head_b"], "hub.head_b")
-        model.n_hubs, model.emb_dim = model.emb.data.shape
-        model.hidden = model.gru.hidden_size
-        return model
+    def _bind(self) -> None:
+        p = self.params
+        self.emb = p["hub.emb"]
+        self.gru = nn.GruCellParams.of(p, "hub.gru")
+        self.head_w, self.head_b = p["hub.head_w"], p["hub.head_b"]
+        self.n_hubs, self.emb_dim = self.emb.data.shape
+        self.hidden = self.gru.hidden_size
 
     def embeddings(self) -> np.ndarray:
         return self.emb.data

@@ -26,59 +26,31 @@ from ..maze.env import N_ACTIONS
 from ..maze.raster import OBS_SIZE, VIEW_SIZE
 
 N_BARREL_CLASSES = 5  # empty + four colors
-# every parameter but the encoder's GRU cell, in file order, with the cell's
-# tensors after the first four; each is the attribute named with "_" for "."
-PARAM_NAMES = ("enc.w1", "enc.b1", "enc.w2", "enc.b2", "enc.corr_w", "enc.corr_b",
-               "dyn.wz", "dyn.wa", "dyn.b1", "dyn.w2", "dyn.b2", "dec.w1", "dec.b1",
-               "dec.vis_w", "dec.vis_b", "dec.bar0_w", "dec.bar0_b", "dec.bar1_w", "dec.bar1_b",
-               "dec.term_w", "dec.term_b")
 
 
-class LowLevelModel:
+class LowLevelModel(nn.Model):
     def __init__(self, rng: np.random.Generator, latent_dim: int = 64, hidden: int = 128):
-        self.latent_dim = latent_dim
-        self.hidden = hidden
-        self.enc_w1 = nn.init_weight(rng, OBS_SIZE, hidden, "enc.w1")
-        self.enc_b1 = nn.init_bias(hidden, "enc.b1")
-        self.enc_w2 = nn.init_weight(rng, hidden, latent_dim, "enc.w2")
-        self.enc_b2 = nn.init_bias(latent_dim, "enc.b2")
-        self.gru = nn.GruCellParams.create(rng, latent_dim, latent_dim, "enc.gru")
-        self.enc_corr_w = nn.init_weight(rng, latent_dim, latent_dim, "enc.corr_w")
-        self.enc_corr_b = nn.init_bias(latent_dim, "enc.corr_b")
-        self.dyn_wz = nn.init_weight(rng, latent_dim, hidden, "dyn.wz")
-        self.dyn_wa = nn.init_weight(rng, N_ACTIONS, hidden, "dyn.wa")
-        self.dyn_b1 = nn.init_bias(hidden, "dyn.b1")
-        self.dyn_w2 = nn.init_weight(rng, hidden, latent_dim, "dyn.w2")
-        self.dyn_b2 = nn.init_bias(latent_dim, "dyn.b2")
-        self.dec_w1 = nn.init_weight(rng, latent_dim, hidden, "dec.w1")
-        self.dec_b1 = nn.init_bias(hidden, "dec.b1")
-        self.dec_vis_w = nn.init_weight(rng, hidden, VIEW_SIZE, "dec.vis_w")
-        self.dec_vis_b = nn.init_bias(VIEW_SIZE, "dec.vis_b")
-        self.dec_bar0_w = nn.init_weight(rng, hidden, N_BARREL_CLASSES, "dec.bar0_w")
-        self.dec_bar0_b = nn.init_bias(N_BARREL_CLASSES, "dec.bar0_b")
-        self.dec_bar1_w = nn.init_weight(rng, hidden, N_BARREL_CLASSES, "dec.bar1_w")
-        self.dec_bar1_b = nn.init_bias(N_BARREL_CLASSES, "dec.bar1_b")
-        self.dec_term_w = nn.init_weight(rng, hidden, 2, "dec.term_w")
-        self.dec_term_b = nn.init_bias(2, "dec.term_b")
+        super().__init__(nn.init_params(rng, {
+            "enc.w1": (OBS_SIZE, hidden), "enc.b1": (hidden,),
+            "enc.w2": (hidden, latent_dim), "enc.b2": (latent_dim,),
+            **nn.gru_shapes("enc.gru", latent_dim, latent_dim),
+            "enc.corr_w": (latent_dim, latent_dim), "enc.corr_b": (latent_dim,),
+            "dyn.wz": (latent_dim, hidden), "dyn.wa": (N_ACTIONS, hidden), "dyn.b1": (hidden,),
+            "dyn.w2": (hidden, latent_dim), "dyn.b2": (latent_dim,),
+            "dec.w1": (latent_dim, hidden), "dec.b1": (hidden,),
+            "dec.vis_w": (hidden, VIEW_SIZE), "dec.vis_b": (VIEW_SIZE,),
+            "dec.bar0_w": (hidden, N_BARREL_CLASSES), "dec.bar0_b": (N_BARREL_CLASSES,),
+            "dec.bar1_w": (hidden, N_BARREL_CLASSES), "dec.bar1_b": (N_BARREL_CLASSES,),
+            "dec.term_w": (hidden, 2), "dec.term_b": (2,),
+        }))
 
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "LowLevelModel":
-        """Model whose parameters are the given arrays (not copies), with no
-        random initialisation; the latent and hidden widths come from their
-        shapes."""
-        model = cls.__new__(cls)
-        for name in PARAM_NAMES:
-            setattr(model, name.replace(".", "_"), nn.parameter(tensors[name], name))
-        model.gru = nn.GruCellParams.from_tensors(tensors, "enc.gru")
-        model.hidden, model.latent_dim = model.enc_w2.data.shape
-        return model
-
-    def parameters(self) -> list[nn.Tensor]:
-        plain = [getattr(self, name.replace(".", "_")) for name in PARAM_NAMES]
-        return plain[:4] + list(self.gru.tensors().values()) + plain[4:]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {p.name: p.data for p in self.parameters()}
+    def _bind(self) -> None:
+        self.gru = nn.GruCellParams.of(self.params, "enc.gru")
+        # every other parameter is the attribute its name gives, "_" for "."
+        for name, p in self.params.items():
+            if not name.startswith("enc.gru."):
+                setattr(self, name.replace(".", "_"), p)
+        self.hidden, self.latent_dim = self.enc_w2.data.shape
 
     # -- network pieces -----------------------------------------------------
 

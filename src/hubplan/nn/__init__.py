@@ -20,14 +20,17 @@ from .tensor import (
 )
 from .layers import (
     GruCellParams,
+    Model,
     gru_cell,
     gru_cell_backward,
     gru_input_grads,
     gru_input_proj,
     gru_param_grads,
+    gru_shapes,
     gru_step,
     gru_unroll,
     init_bias,
+    init_params,
     init_weight,
 )
 from .optim import Adam
@@ -38,8 +41,8 @@ __all__ = [
     "bce_with_logits", "gather_rows", "linear",
     "linear_softmax_cross_entropy", "matmul", "parameter", "relu",
     "softmax_cross_entropy", "softmax_cross_entropy_np", "softmax_np", "sum_all",
-    "tanh", "weighted_sq_error", "GruCellParams",
+    "tanh", "weighted_sq_error", "GruCellParams", "Model",
     "gru_cell", "gru_cell_backward", "gru_input_grads", "gru_input_proj", "gru_param_grads",
-    "gru_step", "gru_unroll", "init_bias", "init_weight",
+    "gru_shapes", "gru_step", "gru_unroll", "init_bias", "init_params", "init_weight",
     "Adam", "ArtifactError", "load_params", "save_params",
 ]

@@ -32,7 +32,7 @@ over all steps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -40,11 +40,9 @@ import numpy as np
 from .io import aligned_copy
 from .tensor import ShapeError, Tensor, _accum, _node, _sigmoid_np, parameter
 
-__all__ = ["init_weight", "GruCellParams", "GruCache", "gru_input_proj", "gru_cell",
-           "gru_unroll", "gru_cell_backward", "gru_input_grads", "gru_param_grads", "gru_step"]
-
-_GRU_TAGS = ("w_update", "u_update", "b_update", "w_reset", "u_reset", "b_reset",
-             "w_cand", "u_cand", "b_cand")
+__all__ = ["init_weight", "init_bias", "init_params", "gru_shapes", "Model", "GruCellParams",
+           "GruCache", "gru_input_proj", "gru_cell", "gru_unroll", "gru_cell_backward",
+           "gru_input_grads", "gru_param_grads", "gru_step"]
 
 
 def init_weight(rng: np.random.Generator, fan_in: int, fan_out: int, name: str) -> Tensor:
@@ -58,12 +56,41 @@ def init_bias(fan_out: int, name: str) -> Tensor:
     return parameter(np.zeros(fan_out), name)
 
 
+def init_params(rng: np.random.Generator, shapes: dict[str, tuple[int, ...]]) -> dict[str, Tensor]:
+    """A parameter per layout entry `name: shape`, drawn in dict order: a
+    matrix by `init_weight`, a vector by `init_bias` (which draws nothing)."""
+    return {name: init_weight(rng, *shape, name) if len(shape) == 2 else init_bias(*shape, name)
+            for name, shape in shapes.items()}
+
+
+class Model:
+    """A model's `params`, ordered name -> parameter: its draw, file and
+    optimizer order. A subclass's `__init__` draws its layout and passes it
+    here; its `_bind` sets the attributes its math reads."""
+
+    def __init__(self, params: dict[str, Tensor]):
+        self.params = params
+        self._bind()
+
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]):
+        """Model whose parameters are the given arrays (not copies), in their
+        order, with no random initialisation; widths come from their shapes."""
+        model = cls.__new__(cls)
+        Model.__init__(model, {name: parameter(arr, name) for name, arr in tensors.items()})
+        return model
+
+    def parameters(self) -> list[Tensor]:
+        return list(self.params.values())
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {name: p.data for name, p in self.params.items()}
+
+
 @dataclass
 class GruCellParams:
     """One gated recurrent cell: update/reset gates plus candidate state."""
 
-    input_size: int
-    hidden_size: int
     w_update: Tensor
     u_update: Tensor
     b_update: Tensor
@@ -74,36 +101,34 @@ class GruCellParams:
     u_cand: Tensor
     b_cand: Tensor
 
+    @property
+    def input_size(self) -> int:
+        return self.w_update.data.shape[0]
+
+    @property
+    def hidden_size(self) -> int:
+        return self.w_update.data.shape[1]
+
+    @classmethod
+    def of(cls, params: dict[str, Tensor], prefix: str) -> "GruCellParams":
+        """The cell whose parameters are `params`' entries `{prefix}.<field>`."""
+        return cls(*(params[f"{prefix}.{tag}"] for tag in _GRU_TAGS))
+
     @classmethod
     def create(cls, rng: np.random.Generator, input_size: int, hidden_size: int, prefix: str) -> "GruCellParams":
-        def w(tag):
-            return init_weight(rng, input_size, hidden_size, f"{prefix}.w_{tag}")
-
-        def u(tag):
-            return init_weight(rng, hidden_size, hidden_size, f"{prefix}.u_{tag}")
-
-        def b(tag):
-            return init_bias(hidden_size, f"{prefix}.b_{tag}")
-
-        return cls(
-            input_size,
-            hidden_size,
-            w("update"), u("update"), b("update"),
-            w("reset"), u("reset"), b("reset"),
-            w("cand"), u("cand"), b("cand"),
-        )
-
-    @classmethod
-    def from_tensors(cls, tensors: dict[str, np.ndarray], prefix: str) -> "GruCellParams":
-        """Cell whose parameters are the arrays `{prefix}.<tag>` (not copies);
-        widths come from their shapes."""
-        names = [f"{prefix}.{tag}" for tag in _GRU_TAGS]
-        params = [parameter(tensors[name], name) for name in names]
-        input_size, hidden_size = params[0].data.shape
-        return cls(input_size, hidden_size, *params)
+        return cls.of(init_params(rng, gru_shapes(prefix, input_size, hidden_size)), prefix)
 
     def tensors(self) -> dict[str, Tensor]:
         return {getattr(self, tag).name: getattr(self, tag) for tag in _GRU_TAGS}
+
+
+_GRU_TAGS = tuple(f.name for f in fields(GruCellParams))
+
+
+def gru_shapes(prefix: str, input_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+    """The layout of one cell's parameters `{prefix}.<field>`, in field order."""
+    shapes = {"w": (input_size, hidden_size), "u": (hidden_size, hidden_size), "b": (hidden_size,)}
+    return {f"{prefix}.{tag}": shapes[tag[0]] for tag in _GRU_TAGS}
 
 
 class GruCache(NamedTuple):
