@@ -333,7 +333,8 @@ def load_bank(out_dir: Path) -> PolicyBank:
     """The bank `save_bank` wrote; raises `nn.ArtifactError` naming
     train-policies and `index.json` when it is not JSON, lacks a key or holds
     a value of the wrong type, and naming a policy file that is missing,
-    corrupt, or whose stored hub id is not the hub `index.json` lists it for."""
+    corrupt, whose stored hub id is not the hub `index.json` lists it for,
+    or whose embedding width is not `index.json`'s `emb_dim`."""
     from .nn.io import json_artifact, json_typed, load_params, written_by
 
     out_dir = Path(out_dir)
@@ -353,5 +354,10 @@ def load_bank(out_dir: Path) -> PolicyBank:
         if stored != [hub_id]:
             raise nn.ArtifactError(f"{path}: stores hub_id {stored}, but index.json lists it "
                                    f"for hub {hub_id}; run stage train-policies again")
-        bank.policies[hub_id] = EdgePolicy.from_tensors(tensors)
+        policy = EdgePolicy.from_tensors(tensors)
+        if policy.emb_dim != emb_dim:
+            raise nn.ArtifactError(f"{path}: a policy for {policy.emb_dim}-wide embeddings, "
+                                   f"but index.json gives emb_dim {emb_dim}; "
+                                   f"run stage train-policies again")
+        bank.policies[hub_id] = policy
     return bank

@@ -1,5 +1,11 @@
 """Dense and gated-recurrent building blocks on top of the tape engine.
 
+A model's parameters are one ordered layout of names and shapes
+(`init_params`, with `gru_shapes` for a cell's nine), held by an `nn.Model`
+as its `params` dict. The random draw, the saved file and the optimizer's
+order all follow that one order, and a model's seed-0 bytes rest on it:
+reorder an entry and every draw after it moves.
+
 The gated recurrent step is written once as plain numpy, in pieces: the
 input projection (`gru_input_proj`), the recurrent cell update
 (`gru_cell`), its backward to the gate pre-activations and the previous

@@ -267,22 +267,34 @@ def _parse_meta(text: str) -> frozenset:
     return frozenset(out)
 
 
+def _bad(path: Path, why: str) -> TopologyError:
+    return TopologyError(f"{path}: {why}; run stage build-topology again")
+
+
 def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopology:
     """Read a saved topology whose hubs are numbered 0..n-1 in file order,
     whose every hub's `kinds=` agrees with its `starts=` and `terminal=`
     labels, whose every segment spans steps of `trajectories`, and whose edge
-    lines restate its segments' edges and counts."""
+    lines restate its segments' edges and counts. Any other file, a malformed
+    line included, raises `TopologyError` naming it and build-topology."""
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as e:
-        raise TopologyError(f"{path}: not UTF-8 text (byte {e.start}); "
-                            f"run stage build-topology again") from None
+        raise _bad(path, f"not UTF-8 text (byte {e.start})") from None
     body, _, tail = text.rpartition("checksum ")
     if not body or hashlib.sha256(body.encode()).hexdigest() != tail.strip():
-        raise TopologyError(f"{path}: checksum mismatch; run stage build-topology again")
-    lines = body.splitlines()
+        raise _bad(path, "checksum mismatch")
+    try:
+        return _parse_topology(path, body.splitlines(), trajectories)
+    except KeyError as e:
+        raise _bad(path, f"a hub line has no {e.args[0]}= field") from None
+    except (IndexError, ValueError) as e:
+        raise _bad(path, f"malformed ({e})") from None
+
+
+def _parse_topology(path: Path, lines: list[str], trajectories: list[Trajectory]) -> BehaviorTopology:
     if lines[0] != "behavior-topology v1":
-        raise TopologyError(f"{path}: unknown format or version")
+        raise _bad(path, "unknown format or version")
     epsilon = float(lines[1].split()[1])
     latent_dim = int(lines[2].split()[1])
     idx = 3
@@ -291,8 +303,8 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
     for expected_id in range(n_hubs):
         hub_id = int(lines[idx].split()[1])
         if hub_id != expected_id:
-            raise TopologyError(f"{path}: hub line {expected_id} holds hub {hub_id}, but hubs are "
-                                f"numbered 0..{n_hubs - 1} in order; run stage build-topology again")
+            raise _bad(path, f"hub line {expected_id} holds hub {hub_id}, but hubs are "
+                             f"numbered 0..{n_hubs - 1} in order")
         fields = dict(kv.split("=", 1) for kv in lines[idx].split()[2:])
         kinds = frozenset(fields["kinds"].split(","))
         hub = Hub(
@@ -305,9 +317,8 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
             divergence=DIVERGENCE in kinds,
         )
         if hub.kinds != kinds:
-            raise TopologyError(f"{path}: hub {hub_id} kinds={fields['kinds']} disagree with its "
-                                f"starts= and terminal= labels, which give "
-                                f"{','.join(sorted(hub.kinds))}; run stage build-topology again")
+            raise _bad(path, f"hub {hub_id} kinds={fields['kinds']} disagree with its starts= "
+                             f"and terminal= labels, which give {','.join(sorted(hub.kinds))}")
         hubs.append(hub)
         idx += 1
     edge_lines = lines[idx:idx + 1 + int(lines[idx].split()[1])]
@@ -321,12 +332,12 @@ def load_topology(path: Path, trajectories: list[Trajectory]) -> BehaviorTopolog
         begin, end = (int(v) for v in parts[4].split("=")[1].split(":"))
         if not (0 <= traj_id < len(trajectories)
                 and 0 <= begin < end <= len(trajectories[traj_id])):
-            raise TopologyError(f"{path}: segment traj={traj_id} span={begin}:{end} is not "
-                                f"a step span of the {len(trajectories)}-trajectory dataset")
+            raise _bad(path, f"segment traj={traj_id} span={begin}:{end} is not a step span "
+                             f"of the {len(trajectories)}-trajectory dataset")
         segments.setdefault((src, dst), []).append(Segment(src, dst, traj_id, begin, end))
         idx += 1
     if edge_lines != _edge_lines(segments):
-        raise TopologyError(f"{path}: the edge lines do not match the segments")
+        raise _bad(path, "the edge lines do not match the segments")
     return BehaviorTopology(epsilon=epsilon, latent_dim=latent_dim, hubs=hubs, segments=segments)
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
@@ -90,6 +91,40 @@ class TestArtifacts:
         bad.write_bytes(bytes(blob))
         with pytest.raises(nn.ArtifactError, match="checksum"):
             nn.load_params(bad)
+
+
+# sha256 of the `nn.save_params` bytes of each model freshly drawn from
+# default_rng(0): a reordered layout entry moves every draw after it
+FRESH_DRAW_SHA256 = {
+    "lowlevel": "2782ae7f5d85ad12e67b31e3ed46c8fa381307360f5b9858b7aef6139ac5bbca",
+    "highlevel": "2be6c99a7d12a56bead9d49f562add879502cec995f0781ab57a3db6d3962e18",
+    "policy": "640857834e3e1abda09090e65afeb4d3879cbd709fe667ea4e02aaf5e24134cd",
+}
+
+
+def fresh_model(kind: str):
+    rng = np.random.default_rng(0)
+    if kind == LOW_KIND:
+        return LowLevelModel(rng)
+    return HubDynamicsModel(rng, 113) if kind == HIGH_KIND else EdgePolicy(rng, 32)
+
+
+@pytest.mark.parametrize("kind", list(FRESH_DRAW_SHA256))
+class TestParameterLayouts:
+    def test_fresh_draw_bytes_pinned(self, tmp_path, kind):
+        nn.save_params(tmp_path / "m.bin", kind, fresh_model(kind).tensors())
+        digest = hashlib.sha256((tmp_path / "m.bin").read_bytes()).hexdigest()
+        assert digest == FRESH_DRAW_SHA256[kind]
+
+    def test_round_trip_keeps_the_layout_order(self, tmp_path, kind):
+        model = fresh_model(kind)
+        again = type(model).from_tensors(model.tensors())
+        assert list(again.tensors()) == list(model.tensors())
+        assert [p.name for p in model.parameters()] == list(model.tensors())
+        assert [p.name for p in again.parameters()] == list(model.tensors())
+        nn.save_params(tmp_path / "a.bin", kind, model.tensors())
+        nn.save_params(tmp_path / "b.bin", kind, again.tensors())
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
 
 class TestDeterminism:
@@ -199,6 +234,18 @@ class TestStageGuards:
         (out / "policies" / "index.json").write_text(json.dumps({**index, "emb_dim": 16}))
         assert main(["eval", "--out", str(out)]) == 1
         assert "train-policies" in capsys.readouterr().err
+
+    def test_policy_file_of_another_embedding_width_rejected(self, oracle_run, tmp_path,
+                                                             capsys):
+        out = self.eval_run_dir(oracle_run, tmp_path / "stale")
+        shutil.copytree(oracle_run["out"] / "policies", out / "policies")
+        narrow = EdgePolicy(np.random.default_rng(0), 16)
+        save_bank(PolicyBank(16, {0: narrow}), tmp_path / "narrow")
+        shutil.copy(tmp_path / "narrow" / "policy_0000.bin", out / "policies")
+        assert main(["eval", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"/policy_0000\.bin: .*run stage train-policies again", err), err
+        assert not (out / "metrics.json").exists()
 
     @pytest.mark.parametrize("case, file, stage", [
         ("hub id a string", "index.json", "train-policies"),

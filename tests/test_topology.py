@@ -343,7 +343,7 @@ class TestSerialization:
         save_topology(build_topology([t0, t1], detect_hubs([t0, t1], EPS), EPS), path)
         from hubplan.topology import TopologyError
 
-        with pytest.raises(TopologyError, match="topo.txt"):
+        with pytest.raises(TopologyError, match=r"topo\.txt: .*build-topology"):
             load_topology(path, trajs)
 
     @staticmethod
@@ -369,7 +369,33 @@ class TestSerialization:
         self.write_with_checksum(path, lines)
         from hubplan.topology import TopologyError
 
-        with pytest.raises(TopologyError, match="edge lines"):
+        with pytest.raises(TopologyError, match="edge lines.*build-topology"):
+            load_topology(path, [FakeTraj(4), FakeTraj(3)])
+
+    @pytest.mark.parametrize("edit, match", [
+        ("version", "unknown format or version"),
+        ("hub-count", r"malformed .*'\d+x'"),
+        ("segment-span", "malformed"),
+        ("hub-field", "a hub line has no kinds= field"),
+    ], ids=["version", "hub-count", "segment-span", "hub-field"])
+    def test_malformed_file_names_build_topology(self, tmp_path, edit, match):
+        t0 = make_lt(0, [[0, 0], [1, 0], [5, 5], [6, 6], [9, 9]])
+        t1 = make_lt(1, [[0, 3], [5, 5], [7, 7], [9, 9]], start_id=1)
+        path = tmp_path / "topo.txt"
+        lines, hub_rows = self.saved_hub_lines(path, [t0, t1])
+        if edit == "version":
+            lines[0] = "behavior-topology v2"
+        elif edit == "hub-count":
+            k = next(k for k, line in enumerate(lines) if line.startswith("hubs "))
+            lines[k] += "x"
+        elif edit == "segment-span":
+            k = next(k for k, line in enumerate(lines) if line.startswith("segment "))
+            lines[k] = lines[k].replace(":", "-")
+        else:
+            lines[hub_rows[0]] = lines[hub_rows[0]].replace("kinds=", "kind=")
+        self.write_with_checksum(path, lines)
+
+        with pytest.raises(TopologyError, match=rf"topo\.txt: {match}.*build-topology"):
             load_topology(path, [FakeTraj(4), FakeTraj(3)])
 
     @staticmethod
