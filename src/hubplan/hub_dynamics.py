@@ -28,6 +28,7 @@ PRETRAIN_EPOCHS = 3
 class HubDynamicsModel(nn.Model):
     def __init__(self, rng: np.random.Generator, n_hubs: int, emb_dim: int = 32, hidden: int = 64):
         bound = 1.0 / np.sqrt(emb_dim)
+        # the embedding keeps its own draw, made first as its entry comes first
         super().__init__({
             "hub.emb": nn.parameter(rng.uniform(-bound, bound, size=(n_hubs, emb_dim)), "hub.emb"),
             **nn.init_params(rng, {**nn.gru_shapes("hub.gru", emb_dim, hidden),
